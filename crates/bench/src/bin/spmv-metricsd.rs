@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use spmv_bench::cli::{flag_parsed, flag_value, reject_unknown_flags, CliError};
 use spmv_bench::load_suite;
 use spmv_kernels::engine::ExecEngine;
-use spmv_kernels::variant::{build_kernel, KernelVariant};
+use spmv_kernels::variant::{build_kernel, Format, KernelSpec};
 use spmv_kernels::MAX_BATCH;
 use spmv_serve::{SpmvService, DEFAULT_QUEUE_CAP};
 use spmv_telemetry::MetricsServer;
@@ -186,7 +186,7 @@ fn run_sweep(nthreads: usize) {
         let a = &nm.matrix;
         let x = vec![1.0f64; a.ncols()];
         let mut y = vec![0.0f64; a.nrows()];
-        let built = build_kernel(a, KernelVariant::BASELINE, nthreads);
+        let built = build_kernel(a, KernelSpec::of(Format::Csr), nthreads);
         for _ in 0..5 {
             built.kernel.run(&x, &mut y);
         }

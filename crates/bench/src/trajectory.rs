@@ -18,7 +18,8 @@
 
 use std::path::Path;
 
-use spmv_kernels::variant::{build_kernel, build_micro_kernel, KernelVariant};
+use spmv_kernels::micro::menu;
+use spmv_kernels::variant::{build_kernel, KernelSpec, KernelVariant};
 use spmv_machine::MachineModel;
 use spmv_telemetry::{metrics, tracer, JsonValue};
 use spmv_tuner::profile::ProfileClassifier;
@@ -177,6 +178,7 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
     let flops = 2.0 * a.nnz() as f64;
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
+    let candidates = menu(a.ncols());
     let mut variants = Vec::new();
     let mut classic = Vec::new();
     for v in host_variants() {
@@ -184,16 +186,12 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
         built.kernel.run(&x, &mut y); // warm-up
         let (best, times) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
         let gflops = flops / best.max(1e-12) / 1e9;
-        // `vec` and `comp` build byte-identical kernels to the menu's
-        // `csr/unrolled` and `delta` entries (same inner loop, same
-        // schedule, same format builder), so their measurements are
-        // additional samples of those candidates.
-        match v.to_string().as_str() {
-            "vec" => classic.push(("csr/unrolled".to_string(), gflops)),
-            "comp" if built.kernel.name().starts_with("delta") => {
-                classic.push(("delta".to_string(), gflops));
-            }
-            _ => {}
+        // A variant whose built spec is a menu candidate (`vec` is
+        // `csr/unrolled`; `comp` is `delta` when the deltas encode)
+        // ran the same kernel, so its measurement is one more sample
+        // of that candidate.
+        if candidates.contains(&built.spec) {
+            classic.push((built.spec.id(), gflops));
         }
         variants.push(
             JsonValue::obj()
@@ -208,7 +206,7 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
     JsonValue::obj()
         .with("nthreads", nthreads)
         .with("variants", JsonValue::Arr(variants))
-        .with("menu", menu_entry(nm, nthreads, &classic))
+        .with("menu", menu_entry(nm, nthreads, &candidates, &classic))
 }
 
 /// The tuner's menu-search decision for this matrix: the selected
@@ -217,7 +215,12 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
 /// full candidate lists live in `spmvtune explain`'s trace, and
 /// keeping this section list-free keeps the document's key-path
 /// structure byte-stable across runs.
-fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(String, f64)]) -> JsonValue {
+fn menu_entry(
+    nm: &NamedMatrix,
+    nthreads: usize,
+    candidates: &[KernelSpec],
+    classic: &[(String, f64)],
+) -> JsonValue {
     let a = &nm.matrix;
     let flops = 2.0 * a.nnz() as f64;
     let (plan, trace) =
@@ -230,12 +233,11 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(String, f64)]) -> J
     // by `--compare` against the classic variants' numbers.
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
-    let candidates = spmv_kernels::micro::menu(a.ncols());
-    let mut selected = plan.entry.id();
+    let mut selected = plan.spec.id();
     let mut gflops = plan.gflops;
     for t in &trace.timed {
-        let Some(&entry) = candidates.iter().find(|e| e.id() == t.id) else { continue };
-        let built = build_micro_kernel(a, entry, nthreads);
+        let Some(&spec) = candidates.iter().find(|s| s.id() == t.id) else { continue };
+        let built = build_kernel(a, spec, nthreads);
         built.kernel.run(&x, &mut y); // warm-up
         let (best, _) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
         let gf = flops / best.max(1e-12) / 1e9;

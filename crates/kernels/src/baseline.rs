@@ -68,7 +68,7 @@ impl InnerLoop {
     /// [`spmv_sparse::Validated`] CSR witness and `x.len() == ncols`.
     /// For a SIMD [`InnerLoop::Micro`] flavor, columns must
     /// additionally fit in `i32` (see [`crate::micro::gather_compatible`];
-    /// enforced by [`CsrKernel::micro`] at construction).
+    /// enforced by [`CsrKernel::with_options`] at construction).
     #[inline(always)]
     pub unsafe fn row_sum_unchecked(self, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
         // SAFETY: each arm forwards the caller's contract unchanged.
@@ -129,10 +129,9 @@ pub struct CsrKernel<'a> {
     a: MaybeValidated<&'a Csr>,
     plan: Plan,
     flavor: InnerLoop,
-    /// Dispatch label threaded into the engine's trace events (empty
-    /// for the classic flavors, `micro:<id>` for menu kernels;
-    /// crate-visible so the menu builder can tag non-micro entries).
-    pub(crate) label: String,
+    /// Dispatch label threaded into the engine's trace events:
+    /// `micro:<id>` for the menu's row kernels, empty otherwise.
+    label: String,
 }
 
 impl<'a> CsrKernel<'a> {
@@ -143,12 +142,30 @@ impl<'a> CsrKernel<'a> {
     }
 
     /// Creates a kernel with explicit schedule and flavor.
+    ///
+    /// A SIMD [`InnerLoop::Micro`] spec whose gather cannot address
+    /// the matrix's columns (`ncols > i32::MAX`) is downgraded to its
+    /// bitwise-identical scalar fallback, preserving the unchecked
+    /// contract of [`InnerLoop::row_sum_unchecked`].
     pub fn with_options(
         a: &'a Csr,
         nthreads: usize,
         schedule: Schedule,
         flavor: InnerLoop,
     ) -> CsrKernel<'a> {
+        let (flavor, label) = match flavor {
+            InnerLoop::Micro(spec) => {
+                let spec = if crate::micro::gather_compatible(a.ncols()) {
+                    spec
+                } else {
+                    spec.scalar_fallback()
+                };
+                (InnerLoop::Micro(spec), format!("micro:{}", spec.id()))
+            }
+            // The classic unrolled loop is the menu's `csr/unrolled`.
+            InnerLoop::Unrolled => (flavor, "micro:csr/unrolled".to_string()),
+            _ => (flavor, String::new()),
+        };
         let a = MaybeValidated::new(a);
         // An unvalidated matrix never reaches the parallel path, so its
         // plan partitions nothing (a possibly-corrupt rowptr must not
@@ -157,25 +174,19 @@ impl<'a> CsrKernel<'a> {
             MaybeValidated::Validated(v) => Plan::new(schedule, v.rowptr(), nthreads),
             MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
         };
-        CsrKernel { a, plan, flavor, label: String::new() }
+        CsrKernel { a, plan, flavor, label }
     }
 
     /// Creates a kernel running a menu microkernel (see
-    /// [`crate::micro`]). A SIMD spec whose gather cannot address the
-    /// matrix's columns (`ncols > i32::MAX`) is downgraded to its
-    /// bitwise-identical scalar fallback, preserving the unchecked
-    /// contract of [`InnerLoop::row_sum_unchecked`].
+    /// [`crate::micro`]); shorthand for [`CsrKernel::with_options`]
+    /// with [`InnerLoop::Micro`].
     pub fn micro(
         a: &'a Csr,
         nthreads: usize,
         schedule: Schedule,
         spec: MicroSpec,
     ) -> CsrKernel<'a> {
-        let spec =
-            if crate::micro::gather_compatible(a.ncols()) { spec } else { spec.scalar_fallback() };
-        let mut k = CsrKernel::with_options(a, nthreads, schedule, InnerLoop::Micro(spec));
-        k.label = format!("micro:{}", spec.id());
-        k
+        CsrKernel::with_options(a, nthreads, schedule, InnerLoop::Micro(spec))
     }
 
     /// Scheduling policy.

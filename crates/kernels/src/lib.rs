@@ -16,11 +16,14 @@
 //! detection, each with a bitwise-identical scalar fallback) that the
 //! tuner's menu search selects from per matrix.
 //!
-//! A [`variant::KernelVariant`] names a set of optimizations plus a
-//! scheduling policy; [`variant::build_kernel`] lowers it onto a
-//! concrete kernel object (performing any required format conversion
-//! and reporting its preprocessing time — the quantity amortized in
-//! the paper's Table 4 study).
+//! Every host kernel is described by one [`variant::KernelSpec`]
+//! (storage format × inner loop × schedule), and
+//! [`variant::build_kernel`] is the one builder: it performs any
+//! required format conversion (falling back when the matrix cannot
+//! take the format) and reports its preprocessing time — the quantity
+//! amortized in the paper's Table 4 study. The paper's optimization
+//! sets ([`variant::KernelVariant`]) and the tuner's menu
+//! ([`micro::menu`]) are both lists of specs.
 //!
 //! All kernels execute on the persistent worker pool of [`engine`]:
 //! threads are created once per thread count and parked between
@@ -44,9 +47,9 @@ pub mod variant;
 pub mod vectorized;
 
 pub use engine::{ExecEngine, Plan};
-pub use micro::{MenuEntry, MicroSpec};
+pub use micro::MicroSpec;
 pub use schedule::{Schedule, ThreadTimes};
 pub use spmm::{SpmmKernel, MAX_BATCH};
 pub use variant::{
-    build_kernel, build_micro_kernel, BuiltKernel, KernelVariant, Optimization, SpmvKernel,
+    build_kernel, BuiltKernel, Format, KernelSpec, KernelVariant, Optimization, SpmvKernel,
 };

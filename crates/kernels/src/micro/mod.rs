@@ -26,12 +26,15 @@
 //! the feature detection — so holding one *is* the proof that the
 //! intrinsics may run on this machine.
 //!
-//! The menu itself ([`menu`]) extends beyond CSR row kernels to the
-//! other format axes the tuner searches over: SELL-C-σ slice heights
-//! and delta-compressed indices ([`MenuEntry`]).
+//! The menu itself ([`menu`]) is a list of [`KernelSpec`]s: it
+//! extends beyond CSR row kernels to the other format axes the tuner
+//! searches over, SELL-C-σ slice heights and delta-compressed indices.
 
 use std::fmt;
 use std::sync::OnceLock;
+
+use crate::baseline::InnerLoop;
+use crate::variant::{Format, KernelSpec};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -414,76 +417,45 @@ pub fn specs_for(ncols: usize) -> Vec<MicroSpec> {
     out
 }
 
-/// One candidate configuration in the tuner's menu search: a CSR
-/// micro row kernel, a SELL-C-σ slice height, or delta-compressed
-/// indices (whose per-row index width is chosen by the format
-/// builder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MenuEntry {
-    /// CSR traversal with an explicit micro row kernel.
-    Csr(MicroSpec),
-    /// CSR traversal with the classic 4-way unrolled scalar loop
-    /// (separate multiply and add, no FMA contraction) — the `vec`
-    /// variant's inner loop, kept in the menu so the compiler's
-    /// autovectorization competes against the explicit kernels on
-    /// the matrices where gather overhead loses.
-    Unrolled,
-    /// SELL-C-σ with the given chunk (slice) height; σ = 32 × chunk.
-    Sell {
-        /// Slice height `C` (rows per SIMD-lockstep chunk).
-        chunk: usize,
-    },
-    /// Delta-compressed column indices (1/2/4-byte deltas per row).
-    Delta,
-}
-
-impl MenuEntry {
-    /// The entry every search measures first: the plain 4-lane,
-    /// single-accumulator scalar model on CSR.
-    pub fn baseline() -> MenuEntry {
-        MenuEntry::Csr(MicroSpec::scalar(Lanes::X4, 1))
-    }
-
-    /// Stable identifier used in traces and bench output
-    /// (`csr/avx2-a2`, `sell/c8`, `delta`).
-    pub fn id(&self) -> String {
-        match self {
-            MenuEntry::Csr(spec) => format!("csr/{}", spec.id()),
-            MenuEntry::Unrolled => "csr/unrolled".to_string(),
-            MenuEntry::Sell { chunk } => format!("sell/c{chunk}"),
-            MenuEntry::Delta => "delta".to_string(),
-        }
-    }
+/// The candidate every search measures first: the plain 4-lane,
+/// single-accumulator scalar model on CSR.
+pub fn baseline() -> KernelSpec {
+    KernelSpec::csr(InnerLoop::Micro(MicroSpec::scalar(Lanes::X4, 1)))
 }
 
 /// SELL-C-σ slice heights offered by the menu.
 pub const SELL_CHUNKS: [usize; 3] = [4, 8, 16];
 
-/// The full menu for a matrix: a trimmed scalar baseline pair, every
-/// available explicit-SIMD CSR spec, the SELL slice heights and the
-/// delta-compressed format. The scalar set is deliberately small —
-/// the wide-scalar models exist as fallback twins, not as serious
-/// contenders, so the search only times the two shapes the compiler
-/// could plausibly autovectorize differently.
-pub fn menu(ncols: usize) -> Vec<MenuEntry> {
+/// The full menu for a matrix: a trimmed scalar baseline pair, the
+/// classic unrolled CSR loop, every available explicit-SIMD CSR spec,
+/// the SELL slice heights (σ = 32 × C) and the delta-compressed
+/// format, all under the nnz-balanced schedule. The scalar set is
+/// deliberately small — the wide-scalar models exist as fallback
+/// twins, not as serious contenders, so the search only times the two
+/// shapes the compiler could plausibly autovectorize differently. The
+/// unrolled loop (separate multiply and add, no FMA contraction) is
+/// the `vec` variant's, kept so the compiler's autovectorization
+/// competes against the explicit kernels on the matrices where gather
+/// overhead loses.
+pub fn menu(ncols: usize) -> Vec<KernelSpec> {
     let mut out = vec![
-        MenuEntry::baseline(),
-        MenuEntry::Csr(MicroSpec::scalar(Lanes::X8, 2)),
-        MenuEntry::Unrolled,
+        baseline(),
+        KernelSpec::csr(InnerLoop::Micro(MicroSpec::scalar(Lanes::X8, 2))),
+        KernelSpec::csr(InnerLoop::Unrolled),
     ];
     if gather_compatible(ncols) {
         for lanes in [Lanes::X4, Lanes::X8] {
             for accs in ACCUMULATORS {
                 if let Some(spec) = MicroSpec::simd(lanes, accs) {
-                    out.push(MenuEntry::Csr(spec));
+                    out.push(KernelSpec::csr(InnerLoop::Micro(spec)));
                 }
             }
         }
     }
     for chunk in SELL_CHUNKS {
-        out.push(MenuEntry::Sell { chunk });
+        out.push(KernelSpec::of(Format::Sell { chunk, sigma: 32 * chunk }));
     }
-    out.push(MenuEntry::Delta);
+    out.push(KernelSpec::of(Format::Delta));
     out
 }
 
@@ -591,9 +563,9 @@ mod tests {
     #[test]
     fn menu_contains_baseline_sell_and_delta() {
         let m = menu(4096);
-        assert_eq!(m[0], MenuEntry::baseline());
-        assert!(m.iter().any(|e| matches!(e, MenuEntry::Sell { chunk: 8 })));
-        assert!(m.iter().any(|e| matches!(e, MenuEntry::Delta)));
+        assert_eq!(m[0], baseline());
+        assert!(m.iter().any(|e| e.format == Format::Sell { chunk: 8, sigma: 256 }));
+        assert!(m.iter().any(|e| e.format == Format::Delta));
         let mut ids: Vec<String> = m.iter().map(|e| e.id()).collect();
         let n = ids.len();
         ids.sort();
@@ -606,8 +578,8 @@ mod tests {
         assert!(gather_compatible(1 << 20));
         assert!(!gather_compatible(usize::MAX));
         let m = menu(usize::MAX);
-        assert!(m.iter().all(|e| match e {
-            MenuEntry::Csr(s) => !s.is_simd(),
+        assert!(m.iter().all(|e| match e.inner {
+            InnerLoop::Micro(s) => !s.is_simd(),
             _ => true,
         }));
     }

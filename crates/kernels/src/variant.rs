@@ -1,12 +1,15 @@
-//! Kernel variants: named optimization sets lowered onto executable
-//! kernels.
+//! Host kernel specs and the one builder that lowers them onto
+//! executable kernels.
 //!
 //! The paper's optimizer output is a *set* of optimizations (one per
 //! detected bottleneck class, applied jointly). [`KernelVariant`]
-//! captures such a set; [`build_kernel`] performs the required format
-//! conversions — timing them, because preprocessing cost is what the
-//! paper's Table 4 amortization study charges each optimizer for —
-//! and returns a ready-to-run [`SpmvKernel`].
+//! captures such a set and is the simulator's and the experiments'
+//! vocabulary; it lowers onto a [`KernelSpec`] (format × inner loop ×
+//! schedule), the configuration the tuner's menu also speaks.
+//! [`build_kernel`] performs the required format conversion — timing
+//! it, because preprocessing cost is what the paper's Table 4
+//! amortization study charges each optimizer for — and returns a
+//! ready-to-run [`SpmvKernel`].
 
 use std::fmt;
 use std::time::Instant;
@@ -17,7 +20,6 @@ use crate::baseline::{CsrKernel, InnerLoop};
 use crate::blocked::BcsrKernel;
 use crate::compressed::DeltaKernel;
 use crate::decomposed::DecomposedKernel;
-use crate::micro::MenuEntry;
 use crate::schedule::{Schedule, ThreadTimes};
 use crate::sliced::SellKernel;
 
@@ -263,6 +265,133 @@ pub trait SpmvKernel: Send + Sync {
     }
 }
 
+/// Storage format of a [`KernelSpec`].
+///
+/// Decomposition, blocking and delta compression do not fit every
+/// matrix. [`build_kernel`] checks that inside the timed build and
+/// falls back, reporting the format that actually ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// Plain CSR.
+    Csr,
+    /// Two-phase long-row decomposition at the automatic threshold.
+    /// A matrix without long rows falls back to delta-compressed CSR
+    /// when `or_delta` is set, else to plain CSR.
+    Decomposed {
+        /// Fall back to [`Format::Delta`] instead of [`Format::Csr`].
+        or_delta: bool,
+    },
+    /// SELL-C-σ sliced ELL.
+    Sell {
+        /// Slice height `C` (rows per SIMD-lockstep chunk).
+        chunk: usize,
+        /// Row-sorting window `σ` (`σ >= C`).
+        sigma: usize,
+    },
+    /// BCSR at the automatically chosen block shape. Unprofitable
+    /// blocking falls back like [`Format::Decomposed`].
+    Bcsr {
+        /// Fall back to [`Format::Delta`] instead of [`Format::Csr`].
+        or_delta: bool,
+    },
+    /// Delta-compressed column indices (1/2/4-byte deltas per row).
+    /// A matrix whose deltas cannot be encoded falls back to CSR.
+    Delta,
+}
+
+/// One host kernel configuration: storage format × inner loop ×
+/// row schedule. Both the paper's optimization sets (lowered from
+/// [`KernelVariant`]) and the tuner's menu candidates
+/// ([`crate::micro::menu`]) are specs, built by [`build_kernel`].
+///
+/// The inner loop is the row kernel of the CSR and decomposed
+/// formats; the SELL, BCSR and delta kernels carry their own loops
+/// and ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelSpec {
+    /// Storage format.
+    pub format: Format,
+    /// Row kernel of the CSR-like formats.
+    pub inner: InnerLoop,
+    /// Row-to-thread scheduling policy.
+    pub schedule: Schedule,
+}
+
+impl KernelSpec {
+    /// `format` with the scalar inner loop under the paper's
+    /// nnz-balanced static schedule.
+    pub fn of(format: Format) -> KernelSpec {
+        KernelSpec { format, inner: InnerLoop::Scalar, schedule: Schedule::NnzBalanced }
+    }
+
+    /// Plain CSR running `inner` under the nnz-balanced schedule.
+    pub fn csr(inner: InnerLoop) -> KernelSpec {
+        KernelSpec { inner, ..KernelSpec::of(Format::Csr) }
+    }
+
+    /// Stable identifier of a menu candidate, used in traces and bench
+    /// output (`csr/avx2-a2`, `csr/unrolled`, `sell/c8`, `delta`).
+    /// Specs off the menu are identified by their `Debug` form.
+    pub fn id(&self) -> String {
+        if self.schedule == Schedule::NnzBalanced {
+            match (self.format, self.inner) {
+                (Format::Csr, InnerLoop::Micro(m)) => return format!("csr/{}", m.id()),
+                (Format::Csr, InnerLoop::Unrolled) => return "csr/unrolled".to_string(),
+                (Format::Sell { chunk, sigma }, _) if sigma == 32 * chunk => {
+                    return format!("sell/c{chunk}");
+                }
+                (Format::Delta, _) => return "delta".to_string(),
+                _ => {}
+            }
+        }
+        format!("{self:?}")
+    }
+}
+
+/// Lowers an optimization set onto a spec (the joint-application
+/// rules, documented in DESIGN.md):
+/// * `Decompose` selects the two-phase decomposed format;
+/// * otherwise `SlicedEll` selects SELL-8-256;
+/// * otherwise `RegisterBlock` selects BCSR;
+/// * otherwise `Compress` selects delta-compressed CSR;
+/// * `Decompose + Compress` keeps the decomposition and skips
+///   compression (the paper never co-selects MB with IMB-by-long-rows;
+///   the fallback preserves correctness); on a matrix without long
+///   rows it compresses instead, as `RegisterBlock + Compress` does
+///   when no block shape pays off (`Decompose` with `SlicedEll` or
+///   `RegisterBlock`, which no caller builds, falls back to CSR or
+///   delta only);
+/// * `Vectorize` and `Prefetch` pick the inner-loop flavor;
+/// * `AutoSchedule` switches the row schedule to guided.
+impl From<KernelVariant> for KernelSpec {
+    fn from(v: KernelVariant) -> KernelSpec {
+        let or_delta = v.contains(Optimization::Compress);
+        let format = if v.contains(Optimization::Decompose) {
+            Format::Decomposed { or_delta }
+        } else if v.contains(Optimization::SlicedEll) {
+            // C = 8 lanes with a 256-row sorting window: the standard
+            // SELL-8-256 configuration for AVX-512-class machines.
+            Format::Sell { chunk: 8, sigma: 256 }
+        } else if v.contains(Optimization::RegisterBlock) {
+            Format::Bcsr { or_delta }
+        } else if or_delta {
+            Format::Delta
+        } else {
+            Format::Csr
+        };
+        let schedule = if v.contains(Optimization::AutoSchedule) {
+            Schedule::Guided
+        } else {
+            Schedule::NnzBalanced
+        };
+        let inner = InnerLoop::from_flags(
+            v.contains(Optimization::Vectorize),
+            v.contains(Optimization::Prefetch),
+        );
+        KernelSpec { format, inner, schedule }
+    }
+}
+
 /// A built kernel plus the preprocessing cost spent building it.
 pub struct BuiltKernel<'a> {
     /// The runnable kernel.
@@ -270,136 +399,73 @@ pub struct BuiltKernel<'a> {
     /// Seconds spent on format conversion / setup (the `t_pre`
     /// component charged by the Table 4 amortization analysis).
     pub prep_seconds: f64,
-    /// The variant that was built (decompositions that found no long
-    /// rows fall back to CSR but keep the variant label).
-    pub variant: KernelVariant,
+    /// The spec that actually ran: a format the matrix could not take
+    /// is replaced by its fallback (see [`Format`]).
+    pub spec: KernelSpec,
 }
 
-/// Lowers `variant` onto an executable kernel for `a`.
+/// Builds the kernel `spec` describes for `a` (a [`KernelVariant`]
+/// is lowered through `From`), timing the format conversion.
 ///
-/// Joint-application rules (documented in DESIGN.md):
-/// * `Decompose` selects the two-phase decomposed format (when the
-///   matrix actually has long rows — otherwise it falls back to CSR);
-/// * otherwise `SlicedEll` selects SELL-8-256;
-/// * otherwise `RegisterBlock` selects BCSR (when a profitable block
-///   shape exists — otherwise it falls through);
-/// * otherwise `Compress` selects delta-compressed CSR;
-/// * `Decompose + Compress` keeps the decomposition and skips
-///   compression (the paper never co-selects MB with IMB-by-long-rows;
-///   the fallback preserves correctness);
-/// * `Vectorize` and `Prefetch` pick the inner-loop flavor;
-/// * `AutoSchedule` switches the row schedule to guided.
-pub fn build_kernel<'a>(a: &'a Csr, variant: KernelVariant, nthreads: usize) -> BuiltKernel<'a> {
-    let schedule = if variant.contains(Optimization::AutoSchedule) {
-        Schedule::Guided
-    } else {
-        Schedule::NnzBalanced
+/// Preprocessing time is measured through kernel construction: every
+/// kernel performs its one-time O(nnz) structural verification there,
+/// and that cost belongs to `t_pre` just like the format conversion
+/// and the fallback checks themselves.
+///
+/// # Panics
+/// When a [`Format::Sell`] spec has `chunk == 0` or `sigma < chunk`.
+pub fn build_kernel<'a>(
+    a: &'a Csr,
+    spec: impl Into<KernelSpec>,
+    nthreads: usize,
+) -> BuiltKernel<'a> {
+    let t0 = Instant::now();
+    let (kernel, spec) = lower(a, spec.into(), nthreads);
+    let prep_seconds = t0.elapsed().as_secs_f64();
+    // Process-wide preprocessing telemetry, so amortization studies
+    // can read total conversion cost without threading a recorder
+    // through every call site.
+    spmv_telemetry::metrics::preprocessing().add(prep_seconds);
+    BuiltKernel { kernel, prep_seconds, spec }
+}
+
+/// The untimed body of [`build_kernel`]: converts the format (or
+/// falls back) and returns the kernel with the spec it runs.
+fn lower<'a>(
+    a: &'a Csr,
+    spec: KernelSpec,
+    nthreads: usize,
+) -> (Box<dyn SpmvKernel + 'a>, KernelSpec) {
+    let KernelSpec { format, inner, schedule } = spec;
+    let fallback = |or_delta: bool| KernelSpec {
+        format: if or_delta { Format::Delta } else { Format::Csr },
+        ..spec
     };
-    let flavor = InnerLoop::from_flags(
-        variant.contains(Optimization::Vectorize),
-        variant.contains(Optimization::Prefetch),
-    );
-
-    // Preprocessing time is measured through kernel construction:
-    // every kernel performs its one-time O(nnz) structural
-    // verification there, and that cost belongs to `t_pre` just like
-    // the format conversion itself.
-    let t0 = Instant::now();
-    if variant.contains(Optimization::Decompose) {
-        if let Some(threshold) = DecomposedCsr::auto_threshold(a, nthreads) {
-            let d = DecomposedCsr::split(a, threshold).expect("threshold >= 1");
-            let kernel = Box::new(DecomposedKernel::new(d, nthreads, schedule, flavor));
-            return finish_build(kernel, t0, variant);
-        }
-        // No long rows: decomposition is a no-op; fall through to the
-        // remaining optimizations.
-    }
-    if variant.contains(Optimization::SlicedEll) {
-        // C = 8 lanes with a 256-row sorting window: the standard
-        // SELL-8-256 configuration for AVX-512-class machines.
-        let s = SellCs::from_csr(a, 8, 256).expect("sigma >= chunk");
-        let kernel = Box::new(SellKernel::new(s, nthreads, schedule));
-        return finish_build(kernel, t0, variant);
-    }
-    if variant.contains(Optimization::RegisterBlock) {
-        if let Some((r, c)) = Bcsr::auto_shape(a) {
-            let b = Bcsr::from_csr(a, r, c).expect("positive block dims");
-            let kernel = Box::new(BcsrKernel::new(b, nthreads, schedule, a.nnz()));
-            return finish_build(kernel, t0, variant);
-        }
-        // Unprofitable blocking (fill ratio too high): fall through.
-    }
-    if variant.contains(Optimization::Compress) {
-        // Note: the delta inner loop is scalar or unrolled via its own
-        // decode path; prefetch is unavailable there (future columns
-        // are not known before decoding). Vectorization benefits are
-        // modelled by the simulator; execution stays correct. A matrix
-        // whose deltas cannot be encoded (checked narrowing in the
-        // builder) falls through to plain CSR.
-        if let Ok(d) = DeltaCsr::from_csr(a) {
-            let kernel = Box::new(DeltaKernel::new(d, nthreads, schedule));
-            return finish_build(kernel, t0, variant);
-        }
-    }
-    let kernel = Box::new(CsrKernel::with_options(a, nthreads, schedule, flavor));
-    finish_build(kernel, t0, variant)
-}
-
-/// Lowers one tuner menu candidate (see [`crate::micro::menu`]) onto
-/// an executable kernel for `a`.
-///
-/// Unlike [`build_kernel`], which lowers a bottleneck-class
-/// optimization *set*, this lowers a single concrete configuration
-/// from the microkernel menu: a CSR traversal with an explicit micro
-/// row kernel, a SELL-C-σ slice height (σ = 32 × C), or
-/// delta-compressed indices. The reported `variant` maps the entry
-/// back onto the closest classic optimization label so downstream
-/// reporting (bench trajectory, amortization) stays comparable. A
-/// delta encoding failure falls back to the scalar CSR baseline.
-pub fn build_micro_kernel<'a>(a: &'a Csr, entry: MenuEntry, nthreads: usize) -> BuiltKernel<'a> {
-    let t0 = Instant::now();
-    match entry {
-        MenuEntry::Csr(spec) => {
-            let kernel = Box::new(CsrKernel::micro(a, nthreads, Schedule::NnzBalanced, spec));
-            finish_build(kernel, t0, KernelVariant::single(Optimization::Vectorize))
-        }
-        MenuEntry::Unrolled => {
-            let mut k =
-                CsrKernel::with_options(a, nthreads, Schedule::NnzBalanced, InnerLoop::Unrolled);
-            k.label = format!("micro:{}", entry.id());
-            finish_build(Box::new(k), t0, KernelVariant::single(Optimization::Vectorize))
-        }
-        MenuEntry::Sell { chunk } => {
-            let chunk = chunk.max(1);
-            let s = SellCs::from_csr(a, chunk, 32 * chunk).expect("sigma >= chunk");
-            let kernel = Box::new(SellKernel::new(s, nthreads, Schedule::NnzBalanced));
-            finish_build(kernel, t0, KernelVariant::single(Optimization::SlicedEll))
-        }
-        MenuEntry::Delta => match DeltaCsr::from_csr(a) {
-            Ok(d) => {
-                let kernel = Box::new(DeltaKernel::new(d, nthreads, Schedule::NnzBalanced));
-                finish_build(kernel, t0, KernelVariant::single(Optimization::Compress))
+    match format {
+        Format::Csr => (Box::new(CsrKernel::with_options(a, nthreads, schedule, inner)), spec),
+        Format::Decomposed { or_delta } => match DecomposedCsr::auto_threshold(a, nthreads) {
+            Some(threshold) => {
+                let d = DecomposedCsr::split(a, threshold).expect("threshold >= 1");
+                (Box::new(DecomposedKernel::new(d, nthreads, schedule, inner)), spec)
             }
-            Err(_) => {
-                let kernel = Box::new(CsrKernel::baseline(a, nthreads));
-                finish_build(kernel, t0, KernelVariant::BASELINE)
+            None => lower(a, fallback(or_delta), nthreads),
+        },
+        Format::Sell { chunk, sigma } => {
+            let s = SellCs::from_csr(a, chunk, sigma).expect("SELL spec needs 1 <= chunk <= sigma");
+            (Box::new(SellKernel::new(s, nthreads, schedule)), spec)
+        }
+        Format::Bcsr { or_delta } => match Bcsr::auto_shape(a) {
+            Some((r, c)) => {
+                let b = Bcsr::from_csr(a, r, c).expect("positive block dims");
+                (Box::new(BcsrKernel::new(b, nthreads, schedule, a.nnz())), spec)
             }
+            None => lower(a, fallback(or_delta), nthreads),
+        },
+        Format::Delta => match DeltaCsr::from_csr(a) {
+            Ok(d) => (Box::new(DeltaKernel::new(d, nthreads, schedule)), spec),
+            Err(_) => lower(a, fallback(false), nthreads),
         },
     }
-}
-
-/// Stamps the preprocessing time of a finished build and feeds the
-/// process-wide preprocessing telemetry, so amortization studies can
-/// read total conversion cost without threading a recorder through
-/// every call site.
-fn finish_build<'a>(
-    kernel: Box<dyn SpmvKernel + 'a>,
-    t0: Instant,
-    variant: KernelVariant,
-) -> BuiltKernel<'a> {
-    let prep_seconds = t0.elapsed().as_secs_f64();
-    spmv_telemetry::metrics::preprocessing().add(prep_seconds);
-    BuiltKernel { kernel, prep_seconds, variant }
 }
 
 #[cfg(test)]
@@ -459,6 +525,12 @@ mod tests {
         let a = gen::banded(400, 3, 1.0, 1).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("csr"), "got {}", built.kernel.name());
+        assert_eq!(built.spec.format, Format::Csr);
+        // With compression requested too, the fallback compresses.
+        let v = KernelVariant::of(&[Optimization::Decompose, Optimization::Compress]);
+        let built = build_kernel(&a, v, 4);
+        assert!(built.kernel.name().starts_with("delta"), "got {}", built.kernel.name());
+        assert_eq!(built.spec, KernelSpec::of(Format::Delta));
     }
 
     #[test]
@@ -466,6 +538,7 @@ mod tests {
         let a = gen::circuit(4000, 3, 0.5, 4, 9).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("decomposed"), "got {}", built.kernel.name());
+        assert_eq!(built.spec, KernelVariant::single(Optimization::Decompose).into());
     }
 
     #[test]

@@ -29,30 +29,6 @@ pub fn row_sum_unrolled(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     sum
 }
 
-/// 8-way unrolled variant for very long (dense-row) segments, used by
-/// the decomposed kernel's long-row phase.
-#[inline(always)]
-pub fn row_sum_unrolled8(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    let n = cols.len();
-    let mut acc = [0.0f64; 8];
-    let chunks = n / 8;
-    for k in 0..chunks {
-        let b = 8 * k;
-        for lane in 0..8 {
-            acc[lane] += vals[b + lane] * x[cols[b + lane] as usize];
-        }
-    }
-    let mut sum = 0.0;
-    for a in acc {
-        sum += a;
-    }
-    for k in 8 * chunks..n {
-        sum += vals[k] * x[cols[k] as usize];
-    }
-    sum
-}
-
 /// [`row_sum_unrolled`] with bounds checks elided — the `CMP`-class
 /// fast path.
 ///
@@ -89,40 +65,6 @@ pub unsafe fn row_sum_unrolled_unchecked(cols: &[u32], vals: &[f64], x: &[f64]) 
     sum
 }
 
-/// [`row_sum_unrolled8`] with bounds checks elided, for the
-/// decomposed kernel's long-row phase.
-///
-/// # Safety
-/// Same contract as [`row_sum_unrolled_unchecked`].
-#[inline(always)]
-pub unsafe fn row_sum_unrolled8_unchecked(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    let n = cols.len();
-    let mut acc = [0.0f64; 8];
-    let chunks = n / 8;
-    for k in 0..chunks {
-        let b = 8 * k;
-        for (lane, a) in acc.iter_mut().enumerate() {
-            // SAFETY: b + lane < 8 * chunks <= n == cols.len() ==
-            // vals.len(); the validated column is < x.len() (contract).
-            *a += unsafe {
-                *vals.get_unchecked(b + lane)
-                    * *x.get_unchecked(*cols.get_unchecked(b + lane) as usize)
-            };
-        }
-    }
-    let mut sum = 0.0;
-    for a in acc {
-        sum += a;
-    }
-    for k in 8 * chunks..n {
-        // SAFETY: k < n; the validated column is < x.len() (contract).
-        sum +=
-            unsafe { *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize) };
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +89,6 @@ mod tests {
             let (cols, vals, x) = random_row(len, 64, len as u64);
             let s = scalar(&cols, &vals, &x);
             assert!((row_sum_unrolled(&cols, &vals, &x) - s).abs() < 1e-12, "len {len}");
-            assert!((row_sum_unrolled8(&cols, &vals, &x) - s).abs() < 1e-12, "len {len}");
         }
     }
 
@@ -157,14 +98,8 @@ mod tests {
             let (cols, vals, x) = random_row(len, 128, len as u64 + 17);
             let s = scalar(&cols, &vals, &x);
             // SAFETY: cols came from random_row with indices < 128 == x.len().
-            let (u4, u8x) = unsafe {
-                (
-                    row_sum_unrolled_unchecked(&cols, &vals, &x),
-                    row_sum_unrolled8_unchecked(&cols, &vals, &x),
-                )
-            };
+            let u4 = unsafe { row_sum_unrolled_unchecked(&cols, &vals, &x) };
             assert!((u4 - s).abs() < 1e-10, "len {len}");
-            assert!((u8x - s).abs() < 1e-10, "len {len}");
         }
     }
 
@@ -173,12 +108,10 @@ mod tests {
         let (cols, vals, x) = random_row(10_000, 4096, 99);
         let s = scalar(&cols, &vals, &x);
         assert!((row_sum_unrolled(&cols, &vals, &x) - s).abs() < 1e-9);
-        assert!((row_sum_unrolled8(&cols, &vals, &x) - s).abs() < 1e-9);
     }
 
     #[test]
     fn empty_row_is_zero() {
         assert_eq!(row_sum_unrolled(&[], &[], &[1.0]), 0.0);
-        assert_eq!(row_sum_unrolled8(&[], &[], &[1.0]), 0.0);
     }
 }

@@ -4,16 +4,17 @@
 //! Registration is the expensive, once-per-matrix path: the uploaded
 //! matrix is structurally validated (the same [`Validated`] witness
 //! the kernels' unchecked fast paths demand), handed to the PR 6 menu
-//! search for a tuned kernel selection, and lowered onto three
-//! long-lived kernel objects — an **exact** kernel (scalar
-//! accumulation order, bitwise-identical to the serial reference at
-//! any thread count), the **tuned** menu winner (throughput path,
-//! tolerance-level reproducibility), and the multi-vector **batch**
-//! kernel the scheduler coalesces same-matrix requests onto. Serving
-//! then costs one kernel dispatch per request (or per batch), which
-//! is what amortizes the tuning investment across request volume —
-//! the economics of Elafrou's lightweight selection method applied at
-//! the service layer.
+//! search for a tuned kernel selection, and lowered onto two
+//! long-lived kernel objects — the **tuned** menu winner (throughput
+//! path, tolerance-level reproducibility) and the multi-vector
+//! **batch** kernel, which accumulates in scalar order and so is
+//! bitwise-identical to the serial reference at any thread count. The
+//! batch kernel runs every coalesced same-matrix batch and, at width
+//! 1, every single exact request. Serving then costs one kernel
+//! dispatch per request (or per batch), which is what amortizes the
+//! tuning investment across request volume — the economics of
+//! Elafrou's lightweight selection method applied at the service
+//! layer.
 //!
 //! Registered matrices are pinned for the process lifetime (the CSR
 //! storage is leaked to `'static` so kernel plans, which borrow it,
@@ -27,8 +28,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use spmv_kernels::baseline::{CsrKernel, InnerLoop};
-use spmv_kernels::{build_micro_kernel, Schedule, SpmmKernel, SpmvKernel};
+use spmv_kernels::{build_kernel, SpmmKernel, SpmvKernel};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::roofline::{self, RooflineId};
@@ -42,13 +42,10 @@ const MAX_NAME_LEN: usize = 64;
 pub struct RegisteredMatrix {
     name: String,
     a: &'static Csr,
-    /// Bitwise-reproducible kernel: scalar accumulation order under
-    /// the baseline nnz-balanced row partition.
-    exact: Box<dyn SpmvKernel>,
     /// The menu-search winner (throughput path).
     tuned: Box<dyn SpmvKernel>,
-    /// Multi-vector kernel for coalesced batches (scalar order, so
-    /// batch results are bitwise-serial in every mode).
+    /// Multi-vector kernel for coalesced batches and exact singles
+    /// (scalar order, so its results are bitwise-serial).
     batch: SpmmKernel<'static>,
     /// The tuner's decision record for `/v1/matrices` introspection.
     plan: KernelPlan,
@@ -105,21 +102,17 @@ impl RegisteredMatrix {
     /// request timeline.
     pub fn spmv_timed(&self, x: &[f64], mode: Mode) -> (Vec<f64>, f64) {
         let mut y = vec![0.0; self.nrows()];
-        let kernel = match mode {
-            Mode::Exact => &self.exact,
-            Mode::Tuned => &self.tuned,
+        let times = match mode {
+            // The batch kernel at width 1 is the exact kernel.
+            Mode::Exact => {
+                let mut ys = [y];
+                let times = self.batch.run_multi(&[x], &mut ys);
+                [y] = ys;
+                times
+            }
+            Mode::Tuned => self.tuned.run_timed(x, &mut y),
         };
-        let times = kernel.run_timed(x, &mut y);
         (y, times.max())
-    }
-
-    /// One coalesced batch: `x` holds `k` interleaved request vectors
-    /// (`x[col * k + j]`), the result holds `k` interleaved outputs.
-    /// Scalar accumulation order — bitwise-serial per vector.
-    pub fn spmm(&self, x: &[f64], k: usize) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows() * k];
-        self.batch.run(x, &mut y, k);
-        y
     }
 
     /// One coalesced batch over *separate* request vectors: each
@@ -156,7 +149,7 @@ impl fmt::Debug for RegisteredMatrix {
             .field("nrows", &self.nrows())
             .field("ncols", &self.ncols())
             .field("nnz", &self.nnz())
-            .field("kernel", &self.plan.entry.id())
+            .field("kernel", &self.plan.spec.id())
             .finish()
     }
 }
@@ -254,20 +247,13 @@ impl MatrixRegistry {
         // Feed the live attainment monitor the simulated ceiling the
         // tuner selected against; measured per-dispatch throughput is
         // folded in by the scheduler via `observe_gflops`.
-        let bound = menu::roofline_bound_gflops(a, &machine, plan.entry);
+        let bound = menu::roofline_bound_gflops(a, &machine, plan.spec);
         let roofline = roofline::monitor().register(name, bound);
-        let tuned = build_micro_kernel(a, plan.entry, self.nthreads).kernel;
-        let exact: Box<dyn SpmvKernel> = Box::new(CsrKernel::with_options(
-            a,
-            self.nthreads,
-            Schedule::NnzBalanced,
-            InnerLoop::Scalar,
-        ));
+        let tuned = build_kernel(a, plan.spec, self.nthreads).kernel;
         let batch = SpmmKernel::new(a, self.nthreads);
         let matrix = Arc::new(RegisteredMatrix {
             name: name.to_string(),
             a,
-            exact,
             tuned,
             batch,
             plan,
@@ -391,18 +377,14 @@ mod tests {
         let k = 3;
         let xs: Vec<Vec<f64>> =
             (0..k).map(|j| (0..m.ncols()).map(|i| ((i + j) as f64).cos()).collect()).collect();
-        let mut x_block = vec![0.0; m.ncols() * k];
-        for (j, x) in xs.iter().enumerate() {
-            for (i, &v) in x.iter().enumerate() {
-                x_block[i * k + j] = v;
-            }
-        }
-        let y_block = m.spmm(&x_block, k);
-        for (j, x) in xs.iter().enumerate() {
+        let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let ys = m.spmm_multi(&x_refs);
+        assert_eq!(ys.len(), k);
+        for (x, y) in xs.iter().zip(&ys) {
             let mut y_ref = vec![0.0; m.nrows()];
             serial.spmv(x, &mut y_ref);
-            for i in 0..m.nrows() {
-                assert_eq!(y_block[i * k + j].to_bits(), y_ref[i].to_bits());
+            for (got, want) in y.iter().zip(&y_ref) {
+                assert_eq!(got.to_bits(), want.to_bits());
             }
         }
     }

@@ -203,7 +203,7 @@ fn matrix_summary(m: &RegisteredMatrix) -> JsonValue {
         .with("nrows", m.nrows())
         .with("ncols", m.ncols())
         .with("nnz", m.nnz())
-        .with("kernel", m.plan().entry.id())
+        .with("kernel", m.plan().spec.id())
         .with("tuned_gflops", m.plan().gflops)
         .with("nthreads", m.nthreads());
     match spmv_telemetry::monitor().get(m.name()) {

@@ -29,8 +29,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use spmv_kernels::micro::{menu, MenuEntry};
-use spmv_kernels::variant::build_micro_kernel;
+use spmv_kernels::micro::menu;
+use spmv_kernels::variant::{build_kernel, Format, KernelSpec};
 use spmv_machine::MachineModel;
 use spmv_sparse::features::working_set_bytes;
 use spmv_sparse::Csr;
@@ -39,12 +39,12 @@ use spmv_telemetry::{JsonValue, SpanSet};
 /// The tuner's winning configuration for one (matrix, threads) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelPlan {
-    /// The selected menu entry.
-    pub entry: MenuEntry,
+    /// The selected menu spec.
+    pub spec: KernelSpec,
     /// Best-of-reps GFLOP/s measured for the winner during search.
     pub gflops: f64,
     /// Preprocessing seconds of the winner's build (format
-    /// conversion; re-paid on every [`build_micro_kernel`] call).
+    /// conversion; re-paid on every [`build_kernel`] call).
     pub prep_seconds: f64,
     /// Seconds the search itself consumed; `0.0` when the plan came
     /// from the cache.
@@ -173,28 +173,30 @@ pub fn fingerprint(a: &Csr) -> u64 {
 /// assumes zero padding, delta assumes every delta fits one byte —
 /// so the derived GFLOP/s ceiling is a true upper bound and pruning
 /// on it never discards a candidate that could have won.
-fn optimistic_format_bytes(a: &Csr, entry: MenuEntry) -> f64 {
+fn optimistic_format_bytes(a: &Csr, spec: KernelSpec) -> f64 {
     let nnz = a.nnz() as f64;
     let rows = a.nrows() as f64;
-    match entry {
-        MenuEntry::Csr(_) | MenuEntry::Unrolled => a.footprint_bytes() as f64,
+    match spec.format {
+        Format::Csr | Format::Decomposed { .. } => a.footprint_bytes() as f64,
         // vals + cols per nonzero, chunk descriptors per row.
-        MenuEntry::Sell { .. } => 12.0 * nnz + 8.0 * rows,
+        Format::Sell { .. } => 12.0 * nnz + 8.0 * rows,
         // vals + 1-byte deltas per nonzero, row pointer per row.
-        MenuEntry::Delta => 9.0 * nnz + 8.0 * rows,
+        Format::Delta => 9.0 * nnz + 8.0 * rows,
+        // vals only: one index per block is amortized away.
+        Format::Bcsr { .. } => 8.0 * nnz,
     }
 }
 
-/// Simulated roofline bound for running `entry` on `a`: the GFLOP/s
+/// Simulated roofline bound for running `spec` on `a`: the GFLOP/s
 /// ceiling its (optimistic) memory traffic permits at the machine
 /// model's bandwidth for this working-set size. The search prunes
 /// candidates on it; the serving plane's roofline monitor compares
 /// live measured throughput against the selected plan's bound.
-pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, entry: MenuEntry) -> f64 {
+pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, spec: KernelSpec) -> f64 {
     let flops = 2.0 * a.nnz() as f64;
     let xy_bytes = ((a.ncols() + a.nrows()) * 8) as f64;
     let bw = machine.bandwidth_for_working_set(working_set_bytes(a)) * 1e9;
-    flops / ((optimistic_format_bytes(a, entry) + xy_bytes) / bw) / 1e9
+    flops / ((optimistic_format_bytes(a, spec) + xy_bytes) / bw) / 1e9
 }
 
 /// Runs the full menu search for `a` on `nthreads` threads, timing
@@ -216,14 +218,14 @@ pub fn search(
     let mut pruned = Vec::new();
     let mut timed = Vec::new();
     let mut spans = SpanSet::new();
-    let mut best: Option<(f64, MenuEntry, f64)> = None; // (gflops, entry, prep)
+    let mut best: Option<(f64, KernelSpec, f64)> = None; // (gflops, spec, prep)
 
-    for (i, &entry) in candidates.iter().enumerate() {
-        let id = entry.id();
+    for (i, &spec) in candidates.iter().enumerate() {
+        let id = spec.id();
         // The first candidate (scalar CSR baseline) is always timed —
         // pruning needs a measured floor to compare bounds against.
         if i > 0 {
-            let ceiling = roofline_bound_gflops(a, machine, entry);
+            let ceiling = roofline_bound_gflops(a, machine, spec);
             if let Some((best_gf, _, _)) = best {
                 if ceiling <= best_gf {
                     pruned.push(PrunedCandidate { id, bound_gflops: ceiling });
@@ -232,23 +234,23 @@ pub fn search(
             }
         }
         let (gflops, prep) = spans.time(&format!("menu:{id}"), || {
-            let built = build_micro_kernel(a, entry, nthreads);
+            let built = build_kernel(a, spec, nthreads);
             built.kernel.run(&x, &mut y); // warm-up
             let (secs, _) = built.kernel.run_repeated(&x, &mut y, reps.max(1));
             (built.kernel.gflops(secs, a.nnz()), built.prep_seconds)
         });
         timed.push(TimedCandidate { id, gflops });
         if best.as_ref().is_none_or(|(b, _, _)| gflops > *b) {
-            best = Some((gflops, entry, prep));
+            best = Some((gflops, spec, prep));
         }
     }
     spmv_telemetry::metrics::profiling_runs().add(spans.total_seconds("menu:"));
 
-    let (gflops, entry, prep_seconds) = best.expect("menu is never empty");
+    let (gflops, spec, prep_seconds) = best.expect("menu is never empty");
     let search_seconds = t_search.elapsed().as_secs_f64();
-    let winner = entry.id();
+    let winner = spec.id();
     spmv_telemetry::metrics::menu_selection().record_search(&winner);
-    let plan = KernelPlan { entry, gflops, prep_seconds, search_seconds, cached: false };
+    let plan = KernelPlan { spec, gflops, prep_seconds, search_seconds, cached: false };
     let trace = MenuTrace {
         considered,
         pruned,
@@ -310,12 +312,12 @@ mod tests {
         let (plan, trace) = search(&a, &MachineModel::host(), 2, 2);
         assert!(!trace.considered.is_empty());
         // The baseline is always timed, never pruned.
-        assert_eq!(trace.timed[0].id, MenuEntry::baseline().id());
+        assert_eq!(trace.timed[0].id, spmv_kernels::micro::baseline().id());
         assert!(trace.pruned.len() + trace.timed.len() == trace.considered.len());
         assert!(plan.gflops > 0.0);
         assert!(!plan.cached);
         assert!(plan.search_seconds > 0.0);
-        assert_eq!(trace.winner, plan.entry.id());
+        assert_eq!(trace.winner, plan.spec.id());
         // The winner's measured throughput is the maximum of the
         // timed set.
         let max = trace.timed.iter().map(|t| t.gflops).fold(0.0, f64::max);
@@ -333,7 +335,7 @@ mod tests {
         let (second, t2) = search_or_cached(&a, &m, 2, 1);
         assert!(second.cached && t2.cached);
         assert_eq!(second.search_seconds, 0.0);
-        assert_eq!(second.entry, first.entry);
+        assert_eq!(second.spec, first.spec);
         assert_eq!(t2.winner, t1.winner);
         assert!(spmv_telemetry::metrics::menu_selection().cache_hits() > hits_before);
         // Different thread count misses the cache.
@@ -369,7 +371,7 @@ mod tests {
     fn selected_kernel_computes_correct_product() {
         let a = gen::circuit(2_500, 3, 0.4, 5, 7).unwrap();
         let (plan, _) = search(&a, &MachineModel::host(), 2, 1);
-        let built = build_micro_kernel(&a, plan.entry, 2);
+        let built = build_kernel(&a, plan.spec, 2);
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut y_ref = vec![0.0; a.nrows()];
         a.spmv(&x, &mut y_ref);

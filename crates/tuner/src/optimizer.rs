@@ -19,9 +19,7 @@
 
 use std::time::Instant;
 
-use spmv_kernels::variant::{
-    build_kernel, build_micro_kernel, BuiltKernel, KernelVariant, SpmvKernel,
-};
+use spmv_kernels::variant::{build_kernel, BuiltKernel, KernelVariant, SpmvKernel};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, FeatureVector};
 
@@ -176,9 +174,10 @@ impl Optimizer {
                     self.nthreads,
                     self.profiling_reps,
                 );
-                let built = build_micro_kernel(a, plan.entry, self.nthreads);
+                let built = build_kernel(a, plan.spec, self.nthreads);
                 TunedSpmv {
                     classes: ClassSet::EMPTY,
+                    variant: KernelVariant::BASELINE,
                     built,
                     prep_seconds: t0.elapsed().as_secs_f64(),
                     search_seconds: plan.search_seconds,
@@ -190,6 +189,7 @@ impl Optimizer {
                 let built = build_kernel(a, variant, self.nthreads);
                 TunedSpmv {
                     classes,
+                    variant,
                     built,
                     prep_seconds: t0.elapsed().as_secs_f64(),
                     search_seconds: 0.0,
@@ -227,6 +227,7 @@ impl Optimizer {
         let built = build_kernel(a, variant, self.nthreads);
         TunedSpmv {
             classes: ClassSet::EMPTY,
+            variant,
             built,
             prep_seconds: t0.elapsed().as_secs_f64(),
             search_seconds: 0.0,
@@ -238,6 +239,7 @@ impl Optimizer {
 /// plus provenance.
 pub struct TunedSpmv<'a> {
     classes: ClassSet,
+    variant: KernelVariant,
     built: BuiltKernel<'a>,
     /// Seconds spent deciding and building (classification,
     /// profiling/sweeping, format conversion, codegen).
@@ -259,9 +261,10 @@ impl<'a> TunedSpmv<'a> {
         self.classes
     }
 
-    /// The optimization set that was applied.
+    /// The optimization set that was applied (empty for the menu
+    /// search, which selects a kernel spec directly).
     pub fn variant(&self) -> KernelVariant {
-        self.built.variant
+        self.variant
     }
 
     /// The full one-off tuning cost, split so amortization charges

@@ -5,7 +5,7 @@
 //! (len % lanes != 0), empty rows, and whole-matrix products. The
 //! menu's format entries (SELL-C-σ slice heights with tail padding,
 //! delta-compressed indices) are exercised through the same
-//! `build_micro_kernel` path the tuner uses.
+//! `build_kernel` path the tuner uses.
 //!
 //! On hosts without AVX2/AVX-512 (or under `SPMV_FORCE_SCALAR=1`)
 //! `specs_for` returns no SIMD specs and the identity tests reduce to
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use spmv_tune::kernels::baseline::CsrKernel;
 use spmv_tune::kernels::micro::{menu, specs_for};
-use spmv_tune::kernels::variant::build_micro_kernel;
+use spmv_tune::kernels::variant::build_kernel;
 use spmv_tune::kernels::{Schedule, SpmvKernel};
 use spmv_tune::sparse::{Coo, Csr};
 
@@ -111,7 +111,7 @@ proptest! {
     /// Every menu entry — CSR microkernels, SELL-C-σ slice heights
     /// (whose last slice is zero-padded when nrows % chunk != 0), and
     /// delta-compressed indices — computes the reference product
-    /// through the same `build_micro_kernel` path the tuner times.
+    /// through the same `build_kernel` path the tuner times.
     #[test]
     fn menu_formats_compute_the_reference_product(
         (nrows, ncols, entries) in arb_matrix(),
@@ -120,7 +120,7 @@ proptest! {
         let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.73).cos()).collect();
         let want = reference(&a, &x);
         for entry in menu(ncols) {
-            let built = build_micro_kernel(&a, entry, 2);
+            let built = build_kernel(&a, entry, 2);
             let mut y = vec![0.0f64; nrows];
             built.kernel.run(&x, &mut y);
             for r in 0..nrows {
