@@ -23,13 +23,18 @@
 //! load-generator run moves kilobytes, not gigabytes, and any client
 //! can recompute the exact input for verification ([`build_x`]).
 //!
-//! The response is the result vector as lowercase-hex IEEE-754 bit
-//! patterns (one per line) — lossless, so clients can assert bitwise
-//! equality against a serial reference. With `digest=1` the response
-//! collapses to one FNV-1a line over those bits, which keeps loadgen
-//! response parsing off the latency path.
+//! The response is the result vector as IEEE-754 bit patterns, one
+//! element per line: 16 lowercase hex digits and `\n`, so exactly 17
+//! bytes per element ([`encode_hex`]). It is lossless, so clients can
+//! assert bitwise equality against a serial reference. With
+//! `digest=1` the response collapses to one FNV-1a line over those
+//! bits, which keeps loadgen response parsing off the latency path.
+//! Encoding either body is timed into `spmv_serve_encode_*`.
+
+use std::time::Instant;
 
 use spmv_sparse::mm;
+use spmv_telemetry::metrics::serve_encode;
 use spmv_telemetry::{Handled, HttpHandler, HttpRequest, HttpResponse, JsonValue};
 
 use crate::registry::{MatrixRegistry, Mode, RegisterError, RegisteredMatrix};
@@ -103,15 +108,14 @@ impl SpmvService {
         };
         match self.scheduler.submit(matrix, mode, x) {
             Ok((rid, y)) => {
-                if req.query_param("digest") == Some("1") {
-                    HttpResponse::text(200, format!("digest {:016x} rid {rid}\n", digest(&y)))
+                let t0 = Instant::now();
+                let body = if req.query_param("digest") == Some("1") {
+                    format!("digest {:016x} rid {rid}\n", digest(&y)).into_bytes()
                 } else {
-                    let mut body = String::with_capacity(y.len() * 17);
-                    for v in &y {
-                        body.push_str(&format!("{:016x}\n", v.to_bits()));
-                    }
-                    HttpResponse::text(200, body)
-                }
+                    encode_hex(&y)
+                };
+                serve_encode().add(t0.elapsed().as_secs_f64());
+                HttpResponse::text(200, body)
             }
             // Shed responses carry Retry-After so well-behaved
             // clients back off instead of hammering a full queue.
@@ -243,6 +247,33 @@ fn seeded_x(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Two lowercase hex digits for every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut table = [[0u8; 2]; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = [digits[i >> 4], digits[i & 15]];
+        i += 1;
+    }
+    table
+};
+
+/// The full-vector reply body: each element's IEEE-754 bits as 16
+/// lowercase hex digits and `\n` (the bytes of `{:016x}\n`), 17 bytes
+/// per element, written into one allocation through the `HEX_PAIRS`
+/// byte → digit-pair table.
+pub fn encode_hex(y: &[f64]) -> Vec<u8> {
+    let mut out = vec![0u8; y.len() * 17];
+    for (line, v) in out.chunks_exact_mut(17).zip(y) {
+        for (pair, byte) in line.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
+            pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+        }
+        line[16] = b'\n';
+    }
+    out
+}
+
 /// FNV-1a over the result's IEEE-754 bit patterns — order-sensitive,
 /// bit-sensitive, cheap. Public so the load generator can verify
 /// digests offline.
@@ -259,7 +290,10 @@ pub fn digest(y: &[f64]) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use spmv_kernels::ExecEngine;
     use spmv_sparse::gen;
 
     fn service() -> SpmvService {
@@ -436,5 +470,95 @@ mod tests {
         let y_vec: Vec<f64> = y.to_vec();
         assert_eq!(digest(&y), digest(&y_vec));
         assert_ne!(digest(&y), digest(&[1.0, -2.0, 3.50000001]));
+    }
+
+    /// The wire format `encode_hex` must reproduce byte for byte.
+    fn format_oracle(y: &[f64]) -> Vec<u8> {
+        y.iter().flat_map(|v| format!("{:016x}\n", v.to_bits()).into_bytes()).collect()
+    }
+
+    #[test]
+    fn encode_hex_matches_format_on_special_values() {
+        let bits = [
+            0.0f64.to_bits(),
+            (-0.0f64).to_bits(),
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            f64::NAN.to_bits(),
+            0x7ff8_0000_dead_beef, // quiet NaN with a payload
+            0xfff8_0000_0000_0042, // negative quiet NaN with a payload
+            0x7ff0_0000_0000_0001, // signalling NaN, smallest payload
+            0x7ff4_0123_4567_89ab, // signalling NaN with a payload
+            1,                     // smallest subnormal
+            f64::MIN_POSITIVE.to_bits(),
+            f64::MAX.to_bits(),
+            u64::MAX,
+            0x0123_4567_89ab_cdef,
+        ];
+        for b in bits {
+            assert_eq!(encode_hex(&[f64::from_bits(b)]), format!("{b:016x}\n").into_bytes());
+        }
+        let y: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        assert_eq!(encode_hex(&y), format_oracle(&y));
+        assert!(encode_hex(&[]).is_empty());
+    }
+
+    #[test]
+    fn encode_hex_matches_format_on_a_seeded_sweep() {
+        // splitmix64: every bit pattern is equally likely, NaNs and
+        // subnormals included.
+        let mut state = 0x5eed_u64;
+        let y: Vec<f64> = (0..100_000)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                f64::from_bits(z ^ (z >> 31))
+            })
+            .collect();
+        for n in [0, 1, 2, 17, 1000, y.len()] {
+            let body = encode_hex(&y[..n]);
+            assert_eq!(body.len(), 17 * n);
+            assert_eq!(body, format_oracle(&y[..n]), "first {n} elements");
+        }
+    }
+
+    #[test]
+    fn encode_counter_counts_delivered_replies_only() {
+        let svc = service();
+        let a = gen::banded(40, 2, 0.9, 4).unwrap();
+        svc.registry().register("enc", a.clone()).unwrap();
+        // Only this test serves a successful SpMV in this binary, so
+        // the process-wide counter moves only when it says so.
+        let before = serve_encode().count();
+        assert_eq!(response(svc.handle(&post("/v1/spmv/ghost", "", b"fill 1"))).status, 404);
+        assert_eq!(response(svc.handle(&post("/v1/spmv/enc", "", b"bad spec"))).status, 400);
+        assert_eq!(serve_encode().count(), before, "4xx replies encode nothing");
+
+        // Lane 0 drains the scheduler; lane 1 submits one request and
+        // then shuts the scheduler down so lane 0 returns.
+        let handled: Mutex<Option<Handled>> = Mutex::new(None);
+        let (svc_ref, handled_ref) = (&svc, &handled);
+        ExecEngine::new(2).run(&move |lane| {
+            if lane == 0 {
+                svc_ref.scheduler().worker_loop();
+            } else {
+                let h = svc_ref.handle(&post("/v1/spmv/enc", "", b"seed 3"));
+                *handled_ref.lock().unwrap() = Some(h);
+                svc_ref.scheduler().shutdown();
+            }
+        });
+        let reply = response(handled.into_inner().unwrap().expect("lane 1 ran"));
+        assert_eq!(reply.status, 200);
+        let x = build_x("seed 3", a.ncols()).unwrap();
+        let mut y = vec![0.0; a.nrows()];
+        a.spmv(&x, &mut y);
+        assert_eq!(reply.body, encode_hex(&y));
+        assert_eq!(serve_encode().count(), before + 1, "one reply, one encode");
+
+        // The scheduler is shut down now: the 503 encodes nothing.
+        assert_eq!(response(svc.handle(&post("/v1/spmv/enc", "", b"seed 3"))).status, 503);
+        assert_eq!(serve_encode().count(), before + 1, "503 replies encode nothing");
     }
 }

@@ -7,7 +7,8 @@
 //! Two matrices are registered over HTTP, clients fire concurrent
 //! mixed requests (both matrices, exact + tuned modes, full + digest
 //! responses) so the scheduler sees interleaved traffic it can
-//! coalesce, every full response is asserted **bitwise-equal** to the
+//! coalesce, every full response is asserted to be exactly `17 ·
+//! nrows` bytes of lowercase-hex lines and **bitwise-equal** to the
 //! serial reference, and `/metrics` is asserted to export the serving
 //! latency histogram and rejection counters.
 
@@ -27,6 +28,21 @@ fn mm_bytes(a: &Csr) -> Vec<u8> {
     let mut out = Vec::new();
     mm::write_csr(&mut out, a).expect("serialize");
     out
+}
+
+/// Checks the full-vector wire format: exactly `nrows` lines of 16
+/// lowercase hex digits and `\n`, 17 bytes each.
+fn check_hex_lines(body: &[u8], nrows: usize) -> Result<(), String> {
+    if body.len() != 17 * nrows {
+        return Err(format!("reply is {} bytes, want 17 x {nrows}", body.len()));
+    }
+    for (row, line) in body.chunks_exact(17).enumerate() {
+        let digits_ok = line[..16].iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        if !digits_ok || line[16] != b'\n' {
+            return Err(format!("row {row} is not a [0-9a-f]{{16}} line: {line:?}"));
+        }
+    }
+    Ok(())
 }
 
 fn hex_vector(body: &[u8]) -> Vec<f64> {
@@ -98,6 +114,8 @@ fn serving_plane_end_to_end() {
                     if status != 200 {
                         return Err(format!("spmv: {status} {}", String::from_utf8_lossy(&body)));
                     }
+                    check_hex_lines(&body, matrix.nrows())
+                        .map_err(|e| format!("{name} wire format: {e}"))?;
                     let y = hex_vector(&body);
                     let y_ref = serial_reference(matrix, &spec);
                     if mode.is_empty() {

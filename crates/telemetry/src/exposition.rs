@@ -115,23 +115,25 @@ pub struct HttpResponse {
 }
 
 impl HttpResponse {
-    /// A plain-text response.
-    pub fn text(status: u16, body: impl Into<String>) -> HttpResponse {
+    /// A plain-text response. The body is taken as bytes, so a
+    /// `String` or an already-encoded `Vec<u8>` moves in without a
+    /// copy or a UTF-8 re-check; callers keep it UTF-8.
+    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> HttpResponse {
         HttpResponse {
             status,
             content_type: "text/plain; charset=utf-8",
             headers: Vec::new(),
-            body: body.into().into_bytes(),
+            body: body.into(),
         }
     }
 
-    /// A JSON response.
-    pub fn json(status: u16, body: impl Into<String>) -> HttpResponse {
+    /// A JSON response (body taken as bytes, like [`HttpResponse::text`]).
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> HttpResponse {
         HttpResponse {
             status,
             content_type: "application/json; charset=utf-8",
             headers: Vec::new(),
-            body: body.into().into_bytes(),
+            body: body.into(),
         }
     }
 

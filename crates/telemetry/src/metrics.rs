@@ -303,6 +303,13 @@ pub fn profiling_runs() -> &'static TimeCounter {
     &RUNS
 }
 
+/// Process-wide reply-encoding totals: one event per delivered SpMV
+/// result turned into its reply body (hex lines or the digest line).
+pub fn serve_encode() -> &'static TimeCounter {
+    static ENCODE: TimeCounter = TimeCounter::new();
+    &ENCODE
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,7 +374,8 @@ mod tests {
         let a = engine_dispatch() as *const _ as usize;
         let b = preprocessing() as *const _ as usize;
         let c = profiling_runs() as *const _ as usize;
-        assert!(a != b && b != c);
+        let d = serve_encode() as *const _ as usize;
+        assert!(a != b && b != c && c != d);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   the span name as the `span` label.
 
 use crate::hist::{serve_latency, serve_stats, Exemplar, HistogramSnapshot, LatencyHistogram};
-use crate::metrics::{engine_dispatch, menu_selection, preprocessing, profiling_runs};
+use crate::metrics::{
+    engine_dispatch, menu_selection, preprocessing, profiling_runs, serve_encode,
+};
 use crate::roofline::monitor;
 use crate::span::SpanSet;
 use crate::trace::tracer;
@@ -325,6 +327,19 @@ impl MetricsRegistry {
             MetricKind::Counter,
             s.failed() as f64,
         );
+        let encode = serve_encode();
+        reg.push(
+            "spmv_serve_encode_total",
+            "SpMV results encoded into reply bodies (hex lines or digest line).",
+            MetricKind::Counter,
+            encode.count() as f64,
+        );
+        reg.push(
+            "spmv_serve_encode_seconds_total",
+            "Wall-clock seconds spent encoding SpMV results into reply bodies.",
+            MetricKind::Counter,
+            encode.seconds(),
+        );
         for m in monitor().snapshot() {
             reg.push_labeled(
                 "spmv_roofline_attainment",
@@ -606,6 +621,8 @@ mod tests {
             "spmv_serve_batches_total",
             "spmv_serve_batched_requests_total",
             "spmv_serve_failed_total",
+            "spmv_serve_encode_total",
+            "spmv_serve_encode_seconds_total",
             "spmv_serve_latency_seconds_sum",
             "spmv_serve_latency_seconds_count",
             "spmv_serve_latency_p50_seconds",
@@ -615,6 +632,19 @@ mod tests {
         }
         assert!(text.contains("spmv_serve_latency_seconds_bucket{le=\"+Inf\"}"), "{text}");
         assert!(text.ends_with('\n'));
+    }
+
+    #[test]
+    fn gather_exports_the_encode_counter_as_two_counters() {
+        // Only this test feeds the process-wide encode counter in
+        // this binary, so one event shows up as exactly one.
+        serve_encode().add(0.25);
+        let text = MetricsRegistry::gather().render();
+        for name in ["spmv_serve_encode_total", "spmv_serve_encode_seconds_total"] {
+            assert!(text.contains(&format!("# TYPE {name} counter\n")), "{name} in:\n{text}");
+        }
+        assert!(text.contains("\nspmv_serve_encode_total 1\n"), "{text}");
+        assert!(text.contains("\nspmv_serve_encode_seconds_total 0.25\n"), "{text}");
     }
 
     #[test]
