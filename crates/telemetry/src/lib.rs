@@ -29,11 +29,15 @@
 //! # Hot-path rules (enforced by `cargo xtask audit`)
 //!
 //! This crate must never create threads and must never take locks on
-//! the kernel hot path: no `std::thread`, no `Mutex`/`RwLock`, only
-//! relaxed atomics with `relaxed-ok` justification markers. The
-//! workspace safety analyzer scans `crates/telemetry` under the same
-//! thread-containment and relaxed-marker policies as the execution
-//! engine, plus a telemetry-specific lock-freedom policy.
+//! the kernel hot path: no `std::thread`, no `Mutex`/`RwLock`, and
+//! every non-SeqCst atomic ordering carries its `relaxed-ok`-style
+//! justification marker. The workspace safety analyzer scans
+//! `crates/telemetry` under the same thread-containment and
+//! ordering-justification rules as the execution engine, plus a
+//! telemetry-wide lock-freedom rule. Only the exposition module may
+//! touch sockets. The trace, histogram and roofline emit paths are
+//! dispatch roots: nothing in them, or in what they call, may panic
+//! or allocate without a `panic-ok`/`indexing-ok`/`alloc-ok` marker.
 
 pub mod exposition;
 pub mod hist;

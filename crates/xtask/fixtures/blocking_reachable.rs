@@ -1,6 +1,6 @@
 //! Policy 14 fixture: the blocking effect is transitive — the root
 //! stays lock-free syntactically, but a helper it calls parks on a
-//! mutex, so the finding must carry the call chain.
+//! mutex and dials a Unix socket; both findings carry the call chain.
 
 use std::sync::Mutex;
 
@@ -15,4 +15,5 @@ pub fn run(q: &Work) {
 fn drain(q: &Work) {
     let mut g = q.items.lock().unwrap_or_else(|p| p.into_inner());
     g.clear();
+    let _ = std::os::unix::net::UnixStream::connect("spmv.sock");
 }

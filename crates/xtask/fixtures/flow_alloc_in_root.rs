@@ -1,5 +1,5 @@
 //! Audit fixture: allocation *directly inside* a dispatch root.
-//! Policy 7 does not cover allocation, so `hot-path-alloc` must
+//! Roots are checked like the code they reach: `hot-path-alloc` must
 //! flag the `collect` in `run_labeled` itself (and nothing else).
 //! Not compiled — scanned only by `cargo xtask audit`'s self-test.
 

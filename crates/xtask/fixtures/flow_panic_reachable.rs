@@ -2,7 +2,7 @@
 //! dispatch root. Scanned as crates/kernels/src/engine.rs,
 //! `worker_loop` is a root and the helpers' `unwrap`/`expect`/
 //! indexing must trigger only `panic-flow` (the root itself has no
-//! direct sinks, so policy 7 stays quiet). Scanned as schedule.rs —
+//! direct sinks). Scanned as schedule.rs —
 //! not a root file — the same source must be clean.
 //! Not compiled — scanned only by `cargo xtask audit`'s self-test.
 

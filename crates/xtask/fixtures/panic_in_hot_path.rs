@@ -1,9 +1,9 @@
 //! Audit fixture: panic sources in (virtual) engine hot paths.
 //! Scanned as crates/kernels/src/engine.rs this must trigger only
-//! the `panic-safety` policy — the unmarked `unwrap`, `expect`, and
-//! indexing in `worker_loop` — while the marker-justified sites in
+//! the `panic-flow` policy — the unmarked `unwrap`, `expect`, and
+//! indexing in the root `worker_loop` — while the marked sites in
 //! `traced_claim` and the whole of the cold function stay quiet.
-//! Scanned as schedule.rs (not a hot-path file) it must be clean.
+//! Scanned as schedule.rs (no dispatch roots) it must be clean.
 //! Not compiled — scanned only by `cargo xtask audit`'s self-test.
 
 fn worker_loop(times: &[f64], tid: usize) -> f64 {

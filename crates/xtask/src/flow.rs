@@ -16,16 +16,18 @@
 //!     function that handles a `Validated`/`MaybeValidated` witness,
 //!     or through an item whose doc block carries a `witness-ok`
 //!     marker naming the checked invariant it enforces itself.
-//! 11. **panic-flow** — the panic-safety root set (the engine
-//!     dispatch and trace hot functions of [`crate::HOT_PATHS`], plus
-//!     the microkernel bodies) is closed under the call graph: any
-//!     reachable `unwrap`/`expect`/unmarked indexing is flagged with
-//!     the full call chain. Sites inside the roots themselves are
-//!     already policy 7's job and are not double-reported.
+//! 11. **panic-flow** — the dispatch roots (the engine dispatch and
+//!     telemetry hot functions of [`HOT_PATHS`], plus the microkernel
+//!     bodies) are closed under the call graph: any `unwrap`/`expect`/
+//!     unmarked indexing in a root or in anything it reaches is
+//!     flagged with the full call chain.
 //! 12. **hot-path-alloc** — nothing reachable from the dispatch
 //!     roots may allocate (`Vec::push`, `Box::new`, `format!`,
 //!     `String::from`, `to_string`, `collect`) without an `alloc-ok`
 //!     marker, protecting the ≤2% telemetry overhead budget.
+//!
+//! The root closure ([`root_closure`]) is computed once per audit and
+//! shared by policies 11, 12 and 14 ([`crate::locks`]).
 //!
 //! # Call-graph construction
 //!
@@ -60,16 +62,29 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::parse::{CallKind, ItemKind, ItemSpan};
 use crate::{
-    has_index_expr, has_marker, has_token, justified, path_in, FileUnit, Finding, HOT_PATHS,
-    UNCHECKED_ALLOWLIST,
+    has_index_expr, has_marker, has_token, justified, path_in, FileUnit, Finding,
+    UNCHECKED_ALLOWLIST, UNCHECKED_TOKENS,
 };
 
 pub(crate) const POLICY_WITNESS_FLOW: &str = "witness-flow";
 pub(crate) const POLICY_PANIC_FLOW: &str = "panic-flow";
 pub(crate) const POLICY_ALLOC: &str = "hot-path-alloc";
 
+/// Dispatch and telemetry hot paths, the named dispatch roots: the
+/// functions that run on every engine dispatch or every trace record,
+/// where a panic poisons the worker handshake for all lanes. Each
+/// entry is a file suffix plus the names of its hot functions.
+const HOT_PATHS: &[(&str, &[&str])] = &[
+    ("crates/kernels/src/engine.rs", &["run", "run_labeled", "worker_loop", "traced_claim"]),
+    ("crates/telemetry/src/trace.rs", &["record", "pack_name"]),
+    // Request-span emit paths: per-completion exemplar stores and
+    // per-dispatch roofline folds ride inside serve delivery.
+    ("crates/telemetry/src/hist.rs", &["observe_ns", "observe_with_exemplar", "record"]),
+    ("crates/telemetry/src/roofline.rs", &["observe"]),
+];
+
 /// Microkernel module prefix: every kernel-shaped function in here is
-/// a dispatch root for policies 11 and 12.
+/// a dispatch root too.
 const MICRO_PREFIX: &str = "crates/kernels/src/micro/";
 
 /// Name prefixes identifying the microkernel bodies (as opposed to
@@ -505,12 +520,12 @@ fn module_aliases(path: &str) -> Vec<String> {
 }
 
 /// Runs all three dataflow policies over a pre-built workspace call
-/// graph (the graph is built once in `audit_files` and shared with
-/// the lock-order analysis in [`crate::locks`]).
-pub(crate) fn analyze(g: &Graph<'_>) -> Vec<Finding> {
+/// graph and its [`root_closure`] (both built once in `audit_files`
+/// and shared with the lock-order analysis in [`crate::locks`]).
+pub(crate) fn analyze(g: &Graph<'_>, reached: &[(usize, Vec<String>)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     witness_flow(g, &mut findings);
-    reachable_sinks(g, &mut findings);
+    reachable_sinks(g, reached, &mut findings);
     findings
 }
 
@@ -522,9 +537,7 @@ fn is_unchecked_target(g: &Graph<'_>, n: usize) -> bool {
     let unit = g.unit(n);
     g.lines_of(n).any(|l| {
         let code = &unit.s.code[l];
-        ["get_unchecked", "get_unchecked_mut", "from_raw_parts", "from_raw_parts_mut"]
-            .iter()
-            .any(|t| has_token(code, t))
+        UNCHECKED_TOKENS.iter().any(|t| has_token(code, t))
             || (code.contains(".add(") && unit.items.in_unsafe(l))
     })
 }
@@ -602,84 +615,69 @@ fn witness_finding(g: &Graph<'_>, target: usize, chain: &[String]) -> Finding {
     }
 }
 
-/// Dispatch roots for policies 11, 12, and 14: the panic-safety hot
-/// functions plus the microkernel bodies.
-pub(crate) fn flow_roots(g: &Graph<'_>) -> Vec<usize> {
-    (0..g.node_count())
-        .filter(|&i| {
-            let it = g.span(i);
-            if it.cfg_test {
-                return false;
-            }
-            is_policy7_hot(g, i)
-                || (g.file(i).contains(MICRO_PREFIX)
-                    && MICRO_KERNEL_PREFIXES.iter().any(|p| it.name.starts_with(p)))
-        })
-        .collect()
-}
-
-/// Whether the lexical panic-safety policy (7) already covers node
-/// `n` — a named hot function in a hot file.
-fn is_policy7_hot(g: &Graph<'_>, n: usize) -> bool {
-    let it = g.span(n);
-    HOT_PATHS
-        .iter()
-        .any(|(suffix, fns)| g.file(n).ends_with(suffix) && fns.contains(&it.name.as_str()))
-}
-
-/// Policies 11 and 12: panic and allocation sinks reachable from the
-/// dispatch roots, reported with their call chain.
-fn reachable_sinks(g: &Graph<'_>, findings: &mut Vec<Finding>) {
-    let parent = g.reach(flow_roots(g), |i| g.span(i).cfg_test);
+/// Every node reachable from the dispatch roots (the [`HOT_PATHS`]
+/// functions plus the microkernel bodies), roots included, with its
+/// call chain from a root, in (file, line) order. `#[cfg(test)]` items
+/// are neither roots nor reached.
+pub(crate) fn root_closure(g: &Graph<'_>) -> Vec<(usize, Vec<String>)> {
+    let is_root = |i: usize| {
+        let it = g.span(i);
+        HOT_PATHS
+            .iter()
+            .any(|(suffix, fns)| g.file(i).ends_with(suffix) && fns.contains(&it.name.as_str()))
+            || (g.file(i).contains(MICRO_PREFIX)
+                && MICRO_KERNEL_PREFIXES.iter().any(|p| it.name.starts_with(p)))
+    };
+    let parent = g.reach((0..g.node_count()).filter(|&i| is_root(i)), |i| g.span(i).cfg_test);
     let mut reached: Vec<usize> = parent.keys().copied().collect();
     reached.sort_by_key(|&i| (g.file(i).to_string(), g.span(i).start));
-    for n in reached {
+    reached.into_iter().map(|n| (n, g.chain(&parent, n))).collect()
+}
+
+/// Policies 11 and 12: panic and allocation sinks in every node of
+/// the root closure, reported with their call chain.
+fn reachable_sinks(g: &Graph<'_>, reached: &[(usize, Vec<String>)], findings: &mut Vec<Finding>) {
+    for &(n, ref chain) in reached {
         let unit = g.unit(n);
-        let chain = g.chain(&parent, n);
         let via = chain.join(" -> ");
         for l in g.lines_of(n) {
             let code = &unit.s.code[l];
-            // Policy 11 — panic sinks. Inside the named hot functions
-            // the lexical policy 7 already reports these; flag only
-            // the transitive frontier.
-            if !is_policy7_hot(g, n) {
-                for token in [".unwrap()", ".expect("] {
-                    if code.contains(token) && !justified(&unit.s, &unit.items, l, "panic-ok") {
-                        findings.push(sink_finding(
-                            g,
-                            n,
-                            l,
-                            POLICY_PANIC_FLOW,
-                            token,
-                            &chain,
-                            format!(
-                                "`{token}` in `{}` is reachable from the dispatch roots \
-                                 (via {via}) without a `panic-ok` marker — a panic here \
-                                 poisons the worker handshake mid-dispatch",
-                                g.qual(n),
-                            ),
-                        ));
-                    }
-                }
-                if has_index_expr(code) && !justified(&unit.s, &unit.items, l, "indexing-ok") {
+            // Policy 11 — panic sinks.
+            for token in [".unwrap()", ".expect("] {
+                if code.contains(token) && !justified(&unit.s, &unit.items, l, "panic-ok") {
                     findings.push(sink_finding(
                         g,
                         n,
                         l,
                         POLICY_PANIC_FLOW,
-                        "indexing",
-                        &chain,
+                        token,
+                        chain,
                         format!(
-                            "indexing in `{}` is reachable from the dispatch roots (via \
-                             {via}) without an `indexing-ok` marker naming why it is in \
-                             bounds",
+                            "`{token}` in `{}` is reachable from the dispatch roots \
+                             (via {via}) without a `panic-ok` marker — a panic here \
+                             poisons the worker handshake mid-dispatch",
                             g.qual(n),
                         ),
                     ));
                 }
             }
-            // Policy 12 — allocation sinks (also inside the roots:
-            // policy 7 does not cover allocation).
+            if has_index_expr(code) && !justified(&unit.s, &unit.items, l, "indexing-ok") {
+                findings.push(sink_finding(
+                    g,
+                    n,
+                    l,
+                    POLICY_PANIC_FLOW,
+                    "indexing",
+                    chain,
+                    format!(
+                        "indexing in `{}` is reachable from the dispatch roots (via \
+                         {via}) without an `indexing-ok` marker naming why it is in \
+                         bounds",
+                        g.qual(n),
+                    ),
+                ));
+            }
+            // Policy 12 — allocation sinks.
             for (token, label) in ALLOC_SINKS {
                 if code.contains(token) && !justified(&unit.s, &unit.items, l, "alloc-ok") {
                     findings.push(sink_finding(
@@ -688,7 +686,7 @@ fn reachable_sinks(g: &Graph<'_>, findings: &mut Vec<Finding>) {
                         l,
                         POLICY_ALLOC,
                         label,
-                        &chain,
+                        chain,
                         format!(
                             "`{label}` in `{}` is reachable from the dispatch roots (via \
                              {via}) without an `alloc-ok` marker — allocation on the \

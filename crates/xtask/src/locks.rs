@@ -20,10 +20,11 @@
 //!     model under `crates/check/src/models/`, or carry a
 //!     `model-ok:` justification at an acquisition site.
 //! 14. **blocking-in-hot-path** — no `Mutex::lock`, `RwLock` guard,
-//!     `Condvar::wait`, or TCP socket is transitively reachable from
-//!     the dispatch/microkernel roots ([`flow::flow_roots`]) without
-//!     a `blocking-ok:` marker. Policy 12 polices allocation on the
-//!     same roots; this is its blocking twin.
+//!     `Condvar::wait`, or socket ([`crate::SOCKET_TOKENS`]) is
+//!     transitively reachable from the dispatch/microkernel roots
+//!     ([`crate::flow::root_closure`]) without a `blocking-ok:`
+//!     marker. Policy 12 polices allocation on the same root closure;
+//!     this is its blocking twin.
 //! 15. **condvar-discipline** — every `wait` sits in a loop
 //!     re-checking a predicate (`wait_while` loops internally), is
 //!     paired with the mutex whose guard it consumes, and holds no
@@ -60,9 +61,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::flow::{self, Graph};
+use crate::flow::Graph;
 use crate::parse::{ItemKind, LockOp, LockSite};
-use crate::{has_token, justified, FileUnit, Finding, Scrubbed};
+use crate::{has_token, justified, FileUnit, Finding, Scrubbed, SOCKET_TOKENS};
 
 pub(crate) const POLICY_LOCK_ORDER: &str = "lock-order";
 pub(crate) const POLICY_BLOCKING: &str = "blocking-in-hot-path";
@@ -355,9 +356,14 @@ fn in_loop(unit: &FileUnit, depths: &[i32], fn_start: usize, line: usize) -> boo
     false
 }
 
-/// Runs policies 13–15 over the parsed workspace and returns the
-/// findings plus the lock-order graph for `--dot`.
-pub(crate) fn analyze(units: &[FileUnit], g: &Graph<'_>) -> (Vec<Finding>, LockGraphExport) {
+/// Runs policies 13–15 over the parsed workspace (policy 14 over the
+/// shared [`crate::flow::root_closure`]) and returns the findings
+/// plus the lock-order graph for `--dot`.
+pub(crate) fn analyze(
+    units: &[FileUnit],
+    g: &Graph<'_>,
+    reached: &[(usize, Vec<String>)],
+) -> (Vec<Finding>, LockGraphExport) {
     let mut findings = Vec::new();
 
     // ---- resolve every raw site ------------------------------------
@@ -630,13 +636,8 @@ pub(crate) fn analyze(units: &[FileUnit], g: &Graph<'_>) -> (Vec<Finding>, LockG
     }
 
     // ---- policy 14: blocking-in-hot-path ---------------------------
-    let roots = flow::flow_roots(g);
-    let parent = g.reach(roots, |i| g.span(i).cfg_test);
-    let mut reached: Vec<usize> = parent.keys().copied().collect();
-    reached.sort_by_key(|&i| (g.file(i).to_string(), g.span(i).start));
-    for n in reached {
+    for &(n, ref chain) in reached {
         let unit = g.unit(n);
-        let chain = g.chain(&parent, n);
         let via = chain.join(" -> ");
         let mut flagged: Vec<(usize, String)> = Vec::new();
         for &si in sites_by_node.get(&n).map_or(&[][..], |v| &v[..]) {
@@ -647,7 +648,7 @@ pub(crate) fn analyze(units: &[FileUnit], g: &Graph<'_>) -> (Vec<Finding>, LockG
             flagged.push((s.line, s.op.describe().to_string()));
         }
         for l in g.lines_of(n) {
-            for tok in ["TcpStream", "TcpListener", "UdpSocket"] {
+            for tok in SOCKET_TOKENS {
                 if has_token(&unit.s.code[l], tok) {
                     flagged.push((l, format!("{tok} I/O")));
                 }

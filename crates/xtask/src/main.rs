@@ -14,12 +14,14 @@
 //!   `BENCH_spmv.json` at the repo root (see DESIGN.md, "Telemetry &
 //!   the benchmark trajectory").
 //!
-//! The audit enforces fifteen policies over every `.rs` file
-//! in the repository (vendored deps and build output excluded) —
-//! nine lexical/item-level policies here, three interprocedural
-//! dataflow policies over the workspace call graph in [`flow`], and
-//! three concurrency-effects policies over the lock-order graph in
-//! [`locks`]:
+//! The audit enforces fourteen policies over every `.rs` file in the
+//! repository (vendored deps and build output excluded) — eight
+//! lexical/item-level policies here, three interprocedural dataflow
+//! policies over the workspace call graph in [`flow`], and three
+//! concurrency-effects policies over the lock-order graph in
+//! [`locks`]. Policies 2–6, 8 and 9 are rows of one token-rule table
+//! ([`TOKEN_RULES`]): a token set, a path scope, an optional escape
+//! marker and a test-span exemption, checked by one loop.
 //!
 //! 1. **SAFETY comments** — every `unsafe` occurrence (block, fn,
 //!    impl) is immediately preceded by a `// SAFETY:` comment or a
@@ -45,15 +47,15 @@
 //!    `mpsc`): its hot-path counters ride inside kernel dispatch,
 //!    where blocking would invalidate the measurements it exists to
 //!    take. (Thread creation there is already banned by policy 3.)
-//! 6. **Socket containment** — network types (`TcpListener`,
-//!    `TcpStream`, `UdpSocket`, …) appear only in the metrics
-//!    exporter module (`crates/telemetry/src/exposition.rs`); no
-//!    other code opens or accepts connections, so the workspace's
-//!    entire network surface is one auditable file.
-//! 7. **Panic safety** — the dispatch and telemetry hot paths (the
-//!    functions in [`HOT_PATHS`]) must not `unwrap`, `expect`, or
-//!    index without a `panic-ok` / `indexing-ok` marker: a panic
-//!    mid-dispatch poisons the engine's handshake for every lane.
+//!    Unlike policy 14 it covers every telemetry function, not only
+//!    those reachable from the dispatch roots.
+//! 6. **Socket containment** — network types ([`SOCKET_TOKENS`])
+//!    appear only in the metrics exporter module
+//!    (`crates/telemetry/src/exposition.rs`); no other code opens or
+//!    accepts connections, so the workspace's entire network surface
+//!    is one auditable file.
+//! 7. *Retired:* the lexical panic check inside the hot functions is
+//!    now part of policy 11, which covers the roots themselves.
 //! 8. **Cast narrowing** — `as u8`/`as u16`/`as u32` on index-typed
 //!    values in `crates/sparse/src` must go through checked helpers
 //!    (`try_from`, `index_u32`) or carry a `cast-ok` marker naming
@@ -68,9 +70,9 @@
 //! 10. **witness-flow** — every call path from a public safe
 //!     function to an unchecked kernel fast path must pass a
 //!     `Validated`/`MaybeValidated` witness or a `witness-ok` item.
-//! 11. **panic-flow** — the panic-safety root set is closed under
-//!     the call graph: reachable `unwrap`/`expect`/unmarked indexing
-//!     is flagged with its full call chain.
+//! 11. **panic-flow** — no `unwrap`/`expect`/unmarked indexing in
+//!     the dispatch roots or anything they reach without a `panic-ok`
+//!     / `indexing-ok` marker; findings carry the full call chain.
 //! 12. **hot-path-alloc** — no allocation (`Vec::push`, `Box::new`,
 //!     `format!`, `String::from`, `to_string`, `collect`) reachable
 //!     from the dispatch roots without an `alloc-ok` marker.
@@ -82,7 +84,7 @@
 //!     by a `models-lock:` comment in a `crates/check` protocol
 //!     model or carry a `model-ok:` marker.
 //! 14. **blocking-in-hot-path** — no `Mutex::lock`, `RwLock` guard,
-//!     `Condvar::wait`, or TCP socket transitively reachable from
+//!     `Condvar::wait`, or socket transitively reachable from
 //!     the dispatch/microkernel roots without `blocking-ok:`.
 //! 15. **condvar-discipline** — every `wait` sits in a loop
 //!     re-checking its predicate, is paired with the mutex whose
@@ -99,7 +101,7 @@
 //! (`crates/xtask/audit-baseline.txt`); **1** — at least one
 //! non-baselined finding; **2** — internal error (self-test failure,
 //! unreadable file, bad usage). `--json` emits the machine-readable
-//! findings document (schema `spmv-audit/1`) on stdout; `--annotate`
+//! findings document (schema `spmv-audit/2`) on stdout; `--annotate`
 //! emits GitHub `::error file=…` workflow commands for CI;
 //! `--strict` turns stale baseline entries (key matches nothing)
 //! from a warning into a hard failure; `--dot FILE` writes the
@@ -332,7 +334,7 @@ const BASELINE_REL: &str = "crates/xtask/audit-baseline.txt";
 /// (default: the repo root).
 ///
 /// Human-readable findings go to stderr. `--json` writes the
-/// `spmv-audit/1` findings document to stdout; `--annotate` writes
+/// `spmv-audit/2` findings document to stdout; `--annotate` writes
 /// GitHub `::error` workflow commands to stdout instead. Findings
 /// whose key appears in the baseline file are reported but do not
 /// affect the exit code — unless `--strict`, which also turns stale
@@ -413,7 +415,9 @@ fn run_audit(args: &[String]) -> ExitCode {
             }
         }
     }
+    let started = std::time::Instant::now();
     let (mut findings, lock_graph) = audit_files_full(&sources);
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     if let Some(dot) = &dot_path {
         if let Err(e) = std::fs::write(dot, lock_graph.to_dot()) {
             eprintln!("audit: cannot write {}: {e}", dot.display());
@@ -471,7 +475,7 @@ fn run_audit(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        println!("{}", findings_json(&files, &findings, &stale).render_pretty(2));
+        println!("{}", findings_json(&files, &findings, &stale, elapsed_ms).render_pretty(2));
     } else if new_count == 0 {
         println!(
             "audit OK: {} files scanned, {} finding(s), {} baselined",
@@ -554,8 +558,15 @@ fn load_baseline(path: &Path, must_exist: bool) -> Result<Vec<String>, String> {
         .collect())
 }
 
-/// Builds the `spmv-audit/1` findings document.
-fn findings_json(files: &[String], findings: &[Finding], stale: &[&String]) -> JsonValue {
+/// Builds the `spmv-audit/2` findings document. `elapsed_ms` is the
+/// in-process time for parse, call graph and every policy (file
+/// reads, self-test and process start excluded).
+fn findings_json(
+    files: &[String],
+    findings: &[Finding],
+    stale: &[&String],
+    elapsed_ms: f64,
+) -> JsonValue {
     let arr: Vec<JsonValue> = findings
         .iter()
         .map(|f| {
@@ -575,8 +586,9 @@ fn findings_json(files: &[String], findings: &[Finding], stale: &[&String]) -> J
         .collect();
     let new_count = findings.iter().filter(|f| !f.baselined).count();
     JsonValue::obj()
-        .with("schema", "spmv-audit/1")
+        .with("schema", "spmv-audit/2")
         .with("files_scanned", files.len())
+        .with("elapsed_ms", (elapsed_ms * 10.0).round() / 10.0)
         .with("findings", arr)
         .with(
             "summary",
@@ -592,9 +604,10 @@ fn findings_json(files: &[String], findings: &[Finding], stale: &[&String]) -> J
 }
 
 /// The full audit pipeline over in-memory sources: parse every file
-/// once, run the nine lexical policies per file, then the
-/// interprocedural and concurrency-effects policies over the whole
-/// set (the call graph is built once and shared). Findings come back
+/// once, run the lexical policies per file, then the interprocedural
+/// and concurrency-effects policies over the whole set (the call
+/// graph and the dispatch-root closure are built once and shared).
+/// Findings come back
 /// in deterministic (file, line, policy) order, alongside the
 /// lock-order graph for `--dot`.
 fn audit_files_full(sources: &[(String, String)]) -> (Vec<Finding>, locks::LockGraphExport) {
@@ -604,8 +617,9 @@ fn audit_files_full(sources: &[(String, String)]) -> (Vec<Finding>, locks::LockG
         findings.extend(scan_unit(unit));
     }
     let g = flow::Graph::build(&units);
-    findings.extend(flow::analyze(&g));
-    let (lock_findings, lock_graph) = locks::analyze(&units, &g);
+    let reached = flow::root_closure(&g);
+    findings.extend(flow::analyze(&g, &reached));
+    let (lock_findings, lock_graph) = locks::analyze(&units, &g, &reached);
     findings.extend(lock_findings);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.policy, a.detail.as_str()).cmp(&(
@@ -744,13 +758,13 @@ const POLICY_THREADS: &str = "thread-containment";
 const POLICY_ORDERING: &str = "ordering-justification";
 const POLICY_TELEMETRY: &str = "telemetry-lock-free";
 const POLICY_SOCKETS: &str = "socket-containment";
-const POLICY_PANIC: &str = "panic-safety";
 const POLICY_CAST: &str = "cast-narrowing";
 const POLICY_SIMD: &str = "simd-containment";
 
 /// Modules allowed to contain unchecked-access tokens (policy 2):
 /// the validated-format fast paths in `spmv-sparse` and the kernel
-/// inner loops / engine plumbing in `spmv-kernels`.
+/// inner loops / engine plumbing in `spmv-kernels`. Policy 10 looks
+/// for its unchecked fast paths here.
 const UNCHECKED_ALLOWLIST: &[&str] = &[
     "crates/sparse/src/delta.rs",
     "crates/sparse/src/bcsr.rs",
@@ -765,71 +779,133 @@ const UNCHECKED_ALLOWLIST: &[&str] = &[
     "crates/kernels/src/micro/x86.rs",
 ];
 
-/// The only module allowed to create threads (policy 3).
-const THREAD_ALLOWLIST: &[&str] = &["crates/kernels/src/engine.rs"];
+/// Unchecked-access tokens (policies 2 and 10).
+const UNCHECKED_TOKENS: &[&str] =
+    &["get_unchecked", "get_unchecked_mut", "from_raw_parts", "from_raw_parts_mut"];
 
-/// Modules whose non-SeqCst atomic orderings require justification
-/// markers (policy 4): the engine and its scheduling primitives. The
-/// telemetry crate (see [`in_telemetry`]) is in scope as a whole.
-const ORDERING_SCOPE: &[&str] = &["crates/kernels/src/engine.rs", "crates/kernels/src/schedule.rs"];
+/// Socket types (policies 6 and 14).
+const SOCKET_TOKENS: &[&str] =
+    &["TcpListener", "TcpStream", "UdpSocket", "UnixListener", "UnixStream"];
 
-/// Each auditable ordering token and the marker that justifies it
-/// (policy 4). `SeqCst` needs no marker: it is the conservative
-/// default, never a claim that a weaker ordering suffices.
-const ORDERINGS: &[(&str, &str)] = &[
-    ("Ordering::Relaxed", "relaxed-ok"),
-    ("Ordering::Acquire", "acquire-ok"),
-    ("Ordering::Release", "release-ok"),
-    ("Ordering::AcqRel", "acqrel-ok"),
-];
+/// Modules whose non-SeqCst atomic orderings need justification
+/// markers (policy 4): the engine, its scheduling primitives, and the
+/// whole telemetry crate.
+const ORDERING_SCOPE: &[&str] =
+    &["crates/kernels/src/engine.rs", "crates/kernels/src/schedule.rs", "crates/telemetry/src/"];
 
-/// Dispatch and telemetry hot paths (policy 7): functions that run
-/// on every engine dispatch or every trace record, where a panic
-/// poisons the worker handshake for all lanes. Each entry is a file
-/// suffix plus the names of its hot functions; the item parser maps
-/// findings to their enclosing `fn`.
-const HOT_PATHS: &[(&str, &[&str])] = &[
-    ("crates/kernels/src/engine.rs", &["run", "run_labeled", "worker_loop", "traced_claim"]),
-    ("crates/telemetry/src/trace.rs", &["record", "pack_name"]),
-    // Request-span emit paths (PR 9): per-completion exemplar stores
-    // and per-dispatch roofline folds ride inside serve delivery.
-    ("crates/telemetry/src/hist.rs", &["observe_ns", "observe_with_exemplar", "record"]),
-    ("crates/telemetry/src/roofline.rs", &["observe"]),
-];
-
-/// Path prefix in scope for the cast-narrowing policy (policy 8):
-/// the sparse-format builders, where a silently truncated index is
-/// data corruption rather than an error.
-const CAST_SCOPE: &str = "crates/sparse/src/";
-
-/// Narrowing casts policy 8 refuses without a checked helper or a
-/// `cast-ok` marker.
-const NARROWING_CASTS: &[&str] = &["as u8", "as u16", "as u32"];
-
-/// Path fragment identifying telemetry sources (policies 4 and 5):
-/// the whole crate is hot-path-adjacent, so every file is in scope.
-const TELEMETRY_PREFIX: &str = "crates/telemetry/src/";
-
-/// The only module allowed explicit SIMD (policy 9): the microkernel
-/// menu, whose intrinsics are paired with bitwise-identical scalar
-/// twins and gated behind runtime feature detection.
-const SIMD_PREFIX: &str = "crates/kernels/src/micro/";
-
-/// Tokens policy 9 contains to the microkernel menu module. Matched
-/// on the code channel only, so doc references stay legal.
-const SIMD_TOKENS: &[&str] = &["core::arch", "target_feature", "is_x86_feature_detected"];
-
-/// The only module allowed to touch sockets (policy 6): the
-/// Prometheus/trace exposition endpoint. Everything else reaches the
-/// network through [`MetricsServer`](../telemetry) or not at all.
-const SOCKET_ALLOWLIST: &[&str] = &["crates/telemetry/src/exposition.rs"];
-
-fn path_in(file: &str, list: &[&str]) -> bool {
-    list.iter().any(|s| file.ends_with(s))
+/// Where a [`TokenRule`] applies, as path fragments matched by
+/// [`path_in`].
+enum Scope {
+    /// The tokens may appear only in these paths.
+    OnlyIn(&'static [&'static str]),
+    /// The tokens are checked only in these paths.
+    CheckedIn(&'static [&'static str]),
 }
 
-fn in_telemetry(file: &str) -> bool {
-    file.contains(TELEMETRY_PREFIX)
+/// One lexical token policy: a token of `tokens` on a code line of a
+/// file in `scope` is a finding, unless `marker` justifies the site
+/// (see [`justified`]) or the line is exempt test code.
+struct TokenRule {
+    policy: &'static str,
+    tokens: &'static [&'static str],
+    scope: Scope,
+    marker: Option<&'static str>,
+    skip_tests: bool,
+    /// Completes the message "`token` in fn `f` …".
+    reason: &'static str,
+}
+
+impl TokenRule {
+    fn applies_to(&self, file: &str) -> bool {
+        match self.scope {
+            Scope::OnlyIn(paths) => !path_in(file, paths),
+            Scope::CheckedIn(paths) => path_in(file, paths),
+        }
+    }
+}
+
+/// Policy 4, one row per ordering and its marker. `SeqCst` needs no
+/// marker: it is the conservative default, never a claim that a
+/// weaker ordering suffices.
+const fn ordering_rule(tokens: &'static [&'static str], marker: &'static str) -> TokenRule {
+    TokenRule {
+        policy: POLICY_ORDERING,
+        tokens,
+        scope: Scope::CheckedIn(ORDERING_SCOPE),
+        marker: Some(marker),
+        skip_tests: true,
+        reason: "needs a comment justifying it against the dispatch handshake",
+    }
+}
+
+/// The token policies (2 without its `.add(` half, 3, 4, 5, 6, 8, 9).
+/// Tokens match on the code channel only, delimited by non-identifier
+/// characters ([`has_token`]), so doc references stay legal.
+const TOKEN_RULES: &[TokenRule] = &[
+    TokenRule {
+        policy: POLICY_UNCHECKED,
+        tokens: UNCHECKED_TOKENS,
+        scope: Scope::OnlyIn(UNCHECKED_ALLOWLIST),
+        marker: None,
+        skip_tests: false,
+        reason: "is outside the allowlisted kernel modules — route the access through a \
+                 `Validated<_>` fast path or a checked method",
+    },
+    TokenRule {
+        policy: POLICY_THREADS,
+        tokens: &["thread::spawn", "thread::scope"],
+        scope: Scope::OnlyIn(&["crates/kernels/src/engine.rs"]),
+        marker: None,
+        skip_tests: false,
+        reason: "is outside crates/kernels/src/engine.rs — all parallelism goes through \
+                 ExecEngine",
+    },
+    ordering_rule(&["Ordering::Relaxed"], "relaxed-ok"),
+    ordering_rule(&["Ordering::Acquire"], "acquire-ok"),
+    ordering_rule(&["Ordering::Release"], "release-ok"),
+    ordering_rule(&["Ordering::AcqRel"], "acqrel-ok"),
+    TokenRule {
+        policy: POLICY_TELEMETRY,
+        tokens: &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc"],
+        scope: Scope::CheckedIn(&["crates/telemetry/src/"]),
+        marker: None,
+        skip_tests: false,
+        reason: "is in crates/telemetry — telemetry must never block; use relaxed atomics \
+                 (hot path) or owned values (cold path)",
+    },
+    TokenRule {
+        policy: POLICY_SOCKETS,
+        tokens: SOCKET_TOKENS,
+        scope: Scope::OnlyIn(&["crates/telemetry/src/exposition.rs"]),
+        marker: None,
+        skip_tests: false,
+        reason: "is outside crates/telemetry/src/exposition.rs — all network I/O goes \
+                 through the metrics exposition module",
+    },
+    TokenRule {
+        policy: POLICY_CAST,
+        tokens: &["as u8", "as u16", "as u32"],
+        scope: Scope::CheckedIn(&["crates/sparse/src/"]),
+        marker: Some("cast-ok"),
+        skip_tests: true,
+        reason: "narrows an index in the sparse builders — use `try_from`/`index_u32` so \
+                 truncation is an error, not corruption",
+    },
+    TokenRule {
+        policy: POLICY_SIMD,
+        tokens: &["core::arch", "target_feature", "is_x86_feature_detected"],
+        scope: Scope::OnlyIn(&["crates/kernels/src/micro/"]),
+        marker: Some("simd-ok"),
+        skip_tests: false,
+        reason: "is outside crates/kernels/src/micro/ — explicit SIMD lives in the \
+                 microkernel menu, next to its scalar twin",
+    },
+];
+
+/// Whether `file` lies in any of `paths` (file paths or directory
+/// prefixes, matched as fragments of the workspace-relative path).
+fn path_in(file: &str, paths: &[&str]) -> bool {
+    paths.iter().any(|p| file.contains(p))
 }
 
 /// A source file split into per-line code and comment channels.
@@ -1030,29 +1106,26 @@ fn has_token(line: &str, token: &str) -> bool {
     false
 }
 
-/// Runs the lexical policies (1–9) over one file. Used directly by
-/// the unit tests; the audit runs [`scan_unit`] plus
-/// [`flow::analyze`] via [`audit_files`].
+/// Runs the lexical policies over one file. Used directly by the
+/// unit tests; the audit runs [`scan_unit`] plus [`flow::analyze`]
+/// via [`audit_files`].
 #[cfg(test)]
 fn scan_source(file: &str, text: &str) -> Vec<Finding> {
     scan_unit(&FileUnit::new(file, text))
 }
 
-/// Runs the nine lexical policies over one parsed file.
+/// Runs the lexical policies over one parsed file: the two checks
+/// that need the item parse (policy 1 and the `.add(` half of policy
+/// 2), then every [`TOKEN_RULES`] row whose scope covers the file.
 fn scan_unit(unit: &FileUnit) -> Vec<Finding> {
     let file = unit.path.as_str();
-    let s = &unit.s;
-    let items = &unit.items;
-    let nlines = s.code.len();
+    let (s, items) = (&unit.s, &unit.items);
+    let rules: Vec<&TokenRule> = TOKEN_RULES.iter().filter(|r| r.applies_to(file)).collect();
+    let check_ptr_add = !path_in(file, UNCHECKED_ALLOWLIST);
+    let any_test_exempt = rules.iter().any(|r| r.skip_tests);
     let mut findings = Vec::new();
 
-    // Hot functions of this file, if it hosts any (policy 7).
-    let hot_fns: &[&str] =
-        HOT_PATHS.iter().find(|(suffix, _)| file.ends_with(suffix)).map_or(&[], |(_, fns)| fns);
-
-    for i in 0..nlines {
-        let code = &s.code[i];
-
+    for (i, code) in s.code.iter().enumerate() {
         // Policy 1: SAFETY-comment adjacency.
         if has_token(code, "unsafe") && !preceded_by_safety(s, i) {
             findings.push(Finding::lexical(
@@ -1067,204 +1140,39 @@ fn scan_unit(unit: &FileUnit) -> Vec<Finding> {
             ));
         }
 
-        // Policy 2: unchecked accesses only in allowlisted modules.
-        if !path_in(file, UNCHECKED_ALLOWLIST) {
-            for token in
-                ["get_unchecked", "get_unchecked_mut", "from_raw_parts", "from_raw_parts_mut"]
-            {
-                if has_token(code, token) {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_UNCHECKED,
-                        items,
-                        token,
-                        format!(
-                            "`{token}` outside the allowlisted kernel modules — route the \
-                             access through a `Validated<_>` fast path or a checked method"
-                        ),
-                    ));
-                }
-            }
-            // `.add(` is only pointer arithmetic when it sits in an
-            // unsafe context; a safe method named `add` is fine. The
-            // item-level parse makes the distinction, so safe
-            // counters no longer have to dodge the name.
-            if code.contains(".add(") && items.in_unsafe(i) {
-                findings.push(Finding::lexical(
-                    file,
-                    i,
-                    POLICY_UNCHECKED,
-                    items,
-                    ".add(",
-                    "raw-pointer arithmetic (`.add(` in an unsafe context) outside \
-                     the allowlisted kernel modules"
-                        .to_string(),
-                ));
-            }
+        // Policy 2: `.add(` is only pointer arithmetic when it sits in
+        // an unsafe context; a safe method named `add` is fine.
+        if check_ptr_add && code.contains(".add(") && items.in_unsafe(i) {
+            findings.push(Finding::lexical(
+                file,
+                i,
+                POLICY_UNCHECKED,
+                items,
+                ".add(",
+                "raw-pointer arithmetic (`.add(` in an unsafe context) outside \
+                 the allowlisted kernel modules"
+                    .to_string(),
+            ));
         }
 
-        // Policy 3: thread creation only in the execution engine.
-        if !path_in(file, THREAD_ALLOWLIST) {
-            for token in ["thread::spawn", "thread::scope"] {
-                if code.contains(token) {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_THREADS,
-                        items,
-                        token,
-                        format!(
-                            "`{token}` outside crates/kernels/src/engine.rs — all \
-                             parallelism goes through ExecEngine"
-                        ),
-                    ));
-                }
+        let in_test = any_test_exempt && items.in_test(i);
+        for rule in &rules {
+            if rule.skip_tests && in_test {
+                continue;
             }
-        }
-
-        // Policy 4: every non-SeqCst ordering in the engine or the
-        // telemetry crate needs its justification marker, at the use
-        // site or in the enclosing function's doc block.
-        if (path_in(file, ORDERING_SCOPE) || in_telemetry(file)) && !items.in_test(i) {
-            for (ordering, marker) in ORDERINGS {
-                if code.contains(ordering) && !justified(s, items, i, marker) {
-                    let site = items
-                        .enclosing_fn(i)
-                        .map_or_else(|| "module scope".to_string(), |f| format!("fn `{}`", f.name));
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_ORDERING,
-                        items,
-                        ordering,
-                        format!(
-                            "`{ordering}` in {site} without a `{marker}` marker comment \
-                             justifying it against the dispatch handshake"
-                        ),
-                    ));
+            for token in rule.tokens {
+                if !has_token(code, token) || rule.marker.is_some_and(|m| justified(s, items, i, m))
+                {
+                    continue;
                 }
-            }
-        }
-
-        // Policy 5: the telemetry crate must stay lock-free — its
-        // counters ride inside kernel dispatch, where blocking would
-        // perturb the very timings being collected.
-        if in_telemetry(file) {
-            for token in ["Mutex", "RwLock", "Condvar", "Barrier", "mpsc"] {
-                if has_token(code, token) {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_TELEMETRY,
-                        items,
-                        token,
-                        format!(
-                            "`{token}` in crates/telemetry — telemetry must never block; \
-                             use relaxed atomics (hot path) or owned values (cold path)"
-                        ),
-                    ));
+                let site = items
+                    .enclosing_fn(i)
+                    .map_or_else(|| "module scope".to_string(), |f| format!("fn `{}`", f.name));
+                let mut message = format!("`{token}` in {site} {}", rule.reason);
+                if let Some(m) = rule.marker {
+                    message += &format!(" (escape marker: `{m}`)");
                 }
-            }
-        }
-
-        // Policy 6: socket types only in the exposition module — one
-        // file is the workspace's entire network surface.
-        if !path_in(file, SOCKET_ALLOWLIST) {
-            for token in ["TcpListener", "TcpStream", "UdpSocket", "UnixListener", "UnixStream"] {
-                if has_token(code, token) {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_SOCKETS,
-                        items,
-                        token,
-                        format!(
-                            "`{token}` outside crates/telemetry/src/exposition.rs — all \
-                             network I/O goes through the metrics exposition module"
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // Policy 7: no panics in the dispatch/telemetry hot paths.
-        if !hot_fns.is_empty() && !items.in_test(i) {
-            if let Some(f) = items.enclosing_fn(i).filter(|f| hot_fns.contains(&f.name.as_str())) {
-                for token in [".unwrap()", ".expect("] {
-                    if code.contains(token) && !justified(s, items, i, "panic-ok") {
-                        findings.push(Finding::lexical(
-                            file,
-                            i,
-                            POLICY_PANIC,
-                            items,
-                            token,
-                            format!(
-                                "`{token}` in hot-path fn `{}` without a `panic-ok` marker — \
-                                 a panic mid-dispatch poisons the worker handshake",
-                                f.name
-                            ),
-                        ));
-                    }
-                }
-                if has_index_expr(code) && !justified(s, items, i, "indexing-ok") {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_PANIC,
-                        items,
-                        "indexing",
-                        format!(
-                            "indexing in hot-path fn `{}` without an `indexing-ok` marker \
-                             naming why the index is in bounds",
-                            f.name
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // Policy 8: narrowing casts in the sparse-format builders
-        // must be checked or justified.
-        if file.contains(CAST_SCOPE) && !items.in_test(i) {
-            for cast in NARROWING_CASTS {
-                if has_token(code, cast) && !justified(s, items, i, "cast-ok") {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_CAST,
-                        items,
-                        cast,
-                        format!(
-                            "narrowing `{cast}` in the sparse builders without a `cast-ok` \
-                             marker — use `try_from`/`index_u32` so truncation is an error, \
-                             not corruption"
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // Policy 9: explicit SIMD only in the microkernel menu
-        // module, where every intrinsic has a scalar twin and a
-        // bitwise-identity test. A `simd-ok` marker names the rare
-        // exception (e.g. a bare prefetch hint with no lane math).
-        if !file.contains(SIMD_PREFIX) {
-            for token in SIMD_TOKENS {
-                if has_token(code, token) && !justified(s, items, i, "simd-ok") {
-                    findings.push(Finding::lexical(
-                        file,
-                        i,
-                        POLICY_SIMD,
-                        items,
-                        token,
-                        format!(
-                            "`{token}` outside crates/kernels/src/micro/ — explicit SIMD \
-                             lives in the microkernel menu (with its scalar twin) or \
-                             carries a `simd-ok` marker naming why it cannot"
-                        ),
-                    ));
-                }
+                findings.push(Finding::lexical(file, i, rule.policy, items, token, message));
             }
         }
     }
@@ -1381,9 +1289,10 @@ const FIXTURES: &[(&str, &str, &[&str])] = &[
     // exposition module's own path (policy 6's single allowlist entry).
     ("socket_outside_exposition.rs", "crates/sim/src/fixture.rs", &[POLICY_SOCKETS]),
     ("socket_outside_exposition.rs", "crates/telemetry/src/exposition.rs", &[]),
-    // Policy 7 fires only inside the named hot functions of a hot
-    // file; the same source is fine anywhere else.
-    ("panic_in_hot_path.rs", "crates/kernels/src/engine.rs", &[POLICY_PANIC]),
+    // Panic sinks inside the hot functions of a root file are policy
+    // 11's, like the ones they reach; the same source is fine in a
+    // file with no roots.
+    ("panic_in_hot_path.rs", "crates/kernels/src/engine.rs", &[flow::POLICY_PANIC_FLOW]),
     ("panic_in_hot_path.rs", "crates/kernels/src/schedule.rs", &[]),
     // Policy 8 fires only under crates/sparse/src/.
     ("cast_narrowing.rs", "crates/sparse/src/csr.rs", &[POLICY_CAST]),
@@ -1439,11 +1348,16 @@ const FIXTURES: &[(&str, &str, &[&str])] = &[
     ("lock_order_unmodeled.rs", "crates/sim/src/fixture.rs", &[locks::POLICY_LOCK_ORDER]),
     ("lock_order_marked.rs", "crates/sim/src/fixture.rs", &[]),
     ("lock_order_hierarchy.rs", "crates/sim/src/fixture.rs", &[]),
-    // Policy 14 (blocking-in-hot-path): a lock in a dispatch root and
-    // one reachable through a helper; the same source under a
-    // non-root path is clean, and `blocking-ok:` justifies it.
+    // Policy 14 (blocking-in-hot-path): a lock in a dispatch root, and
+    // a lock and a Unix socket reachable through a helper (the socket
+    // also trips policy 6); the same source under a non-root path is
+    // clean, and `blocking-ok:` justifies it.
     ("blocking_in_hot_path.rs", "crates/kernels/src/engine.rs", &[locks::POLICY_BLOCKING]),
-    ("blocking_reachable.rs", "crates/kernels/src/engine.rs", &[locks::POLICY_BLOCKING]),
+    (
+        "blocking_reachable.rs",
+        "crates/kernels/src/engine.rs",
+        &[locks::POLICY_BLOCKING, POLICY_SOCKETS],
+    ),
     ("blocking_in_hot_path.rs", "crates/serve/src/scheduler.rs", &[]),
     ("blocking_marked.rs", "crates/kernels/src/engine.rs", &[]),
     // Policy 15 (condvar-discipline): a single-shot wait outside any
@@ -1653,12 +1567,14 @@ mod tests {
     #[test]
     fn panic_policy_only_fires_in_hot_fns() {
         let text = "fn run(xs: &[u64]) -> u64 {\n    xs.first().copied().unwrap_or(0) + xs.iter().next().unwrap()\n}\nfn setup(xs: &[u64]) -> u64 {\n    xs[0]\n}\n";
-        let findings = scan_source("crates/kernels/src/engine.rs", text);
-        // `.unwrap_or(` must not match; the bare `.unwrap()` in `run`
-        // must; the indexing in the cold fn `setup` must not.
+        let findings =
+            audit_files(&[("crates/kernels/src/engine.rs".to_string(), text.to_string())]);
+        // `.unwrap_or(` must not match; the bare `.unwrap()` in the
+        // root `run` must; the indexing in the unreached fn `setup`
+        // must not.
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].policy, POLICY_PANIC);
-        assert!(findings[0].message.contains("fn `run`"));
+        assert_eq!(findings[0].policy, flow::POLICY_PANIC_FLOW);
+        assert!(findings[0].message.contains("`run`"));
     }
 
     #[test]
@@ -1680,6 +1596,38 @@ mod tests {
     #[test]
     fn self_test_fixtures_pass() {
         self_test(&repo_root()).expect("fixtures behave");
+    }
+
+    /// Every single-file fixture scanned under every virtual path the
+    /// fixture table uses, one `fixture:line: key` row per finding.
+    fn fixture_cross_product() -> String {
+        let dir = repo_root().join("crates/xtask/fixtures");
+        let mut names: Vec<&str> = FIXTURES.iter().map(|(n, _, _)| *n).collect();
+        let mut paths: Vec<&str> = FIXTURES.iter().map(|(_, p, _)| *p).collect();
+        names.sort_unstable();
+        names.dedup();
+        paths.sort_unstable();
+        paths.dedup();
+        let mut rows = Vec::new();
+        for name in names {
+            let text = std::fs::read_to_string(dir.join(name)).expect("fixture exists");
+            for path in &paths {
+                for f in audit_files(&[(path.to_string(), text.clone())]) {
+                    rows.push(format!("{name}:{}: {}", f.line, f.key()));
+                }
+            }
+        }
+        rows.sort();
+        rows.join("\n") + "\n"
+    }
+
+    #[test]
+    fn golden_policy_keys_on_fixture_cross_product() {
+        let got = fixture_cross_product();
+        let want =
+            std::fs::read_to_string(repo_root().join("crates/xtask/fixtures/policies.golden"))
+                .expect("golden file exists");
+        assert_eq!(got, want, "finding keys drifted from fixtures/policies.golden");
     }
 
     #[test]

@@ -68,7 +68,9 @@ fn audit_json_reports_schema_and_findings() {
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout);
     let doc = spmv_telemetry::JsonValue::parse(&text).expect("stdout is valid JSON");
-    assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("spmv-audit/1"), "{text}");
+    assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("spmv-audit/2"), "{text}");
+    let elapsed = doc.get("elapsed_ms").and_then(|v| v.as_f64()).expect("elapsed_ms number");
+    assert!(elapsed >= 0.0, "{text}");
     let findings = doc.get("findings").and_then(|v| v.as_array()).expect("findings array");
     assert!(!findings.is_empty());
     let f = &findings[0];
@@ -216,6 +218,7 @@ fn fixtures_directory_matches_the_fixture_table() {
         "callgraph/lib.rs",
         "callgraph/worker.rs",
         "callgraph/edges.golden",
+        "policies.golden",
         "lock_order_cycle.rs",
         "lock_order_chain.rs",
         "lock_order_unmodeled.rs",
@@ -258,9 +261,27 @@ fn audit_strict_fails_on_stale_baseline() {
     assert!(err.contains("stale baseline entry"), "{err}");
     assert!(err.contains("audit FAILED") && err.contains("--strict"), "{err}");
 
-    // With the stale entry pruned, strict passes again.
-    std::fs::write(&baseline, "thread-containment|crates/sim/src/offender.rs|f|thread::spawn\n")
-        .expect("rewrite baseline");
+    // A key on the retired `panic-safety` policy (folded into
+    // `panic-flow`) is stale even where its finding still exists under
+    // the new name, so --strict fails on an old local baseline.
+    let kernels = dir.join("crates/kernels/src");
+    std::fs::create_dir_all(&kernels).expect("create kernels dir");
+    std::fs::write(kernels.join("engine.rs"), "fn run(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n")
+        .expect("write engine root");
+    let live = "thread-containment|crates/sim/src/offender.rs|f|thread::spawn\n\
+                panic-flow|crates/kernels/src/engine.rs|run|.unwrap()\n";
+    let retired = "panic-safety|crates/kernels/src/engine.rs|run|.unwrap()";
+    std::fs::write(&baseline, format!("{live}{retired}\n")).expect("rewrite baseline");
+    let out = xtask(&["audit", "--strict", "--root", root, "--baseline", bl]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("stale baseline entry (no matching finding): {retired}")),
+        "{err}"
+    );
+
+    // With the stale entries pruned, strict passes again.
+    std::fs::write(&baseline, live).expect("rewrite baseline");
     let out = xtask(&["audit", "--strict", "--root", root, "--baseline", bl]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&dir).ok();
