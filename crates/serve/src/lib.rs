@@ -10,7 +10,10 @@
 //!
 //! * [`registry`] — upload/register → validate ([`Validated`]
 //!   witnesses) → tune once (PR 6 menu search) → serve many. Kernels
-//!   are built once per matrix and pinned for the process lifetime;
+//!   are built once per matrix and pinned for the process lifetime.
+//!   A [`RegisteredMatrix`] owns everything about its matrix: the
+//!   kernels behind its one `run` entry point, its live roofline
+//!   cell and its recent-request ring;
 //! * [`scheduler`] — admission control with bounded-queue
 //!   backpressure (overload sheds with HTTP 503 instead of growing
 //!   latency), plus same-matrix request coalescing onto the
@@ -31,8 +34,8 @@
 //! carries a RequestId through a six-stage span timeline in the trace
 //! ring (`admitted → queued → batched → dispatched → kernel →
 //! responded`), surfaces as a latency-bucket exemplar on `/metrics`,
-//! and feeds the per-matrix roofline-attainment monitor queried via
-//! `GET /v1/observe/{name}` (DESIGN.md §13).
+//! and feeds its matrix's roofline-attainment cell and request ring,
+//! queried via `GET /v1/observe/{name}` (DESIGN.md §13).
 //!
 //! [`Validated`]: spmv_sparse::Validated
 
@@ -40,6 +43,6 @@ pub mod registry;
 pub mod scheduler;
 pub mod service;
 
-pub use registry::{MatrixRegistry, Mode, RegisterError, RegisteredMatrix};
-pub use scheduler::{Observation, Scheduler, SubmitError, DEFAULT_QUEUE_CAP};
+pub use registry::{MatrixRegistry, Mode, Observation, RegisterError, RegisteredMatrix};
+pub use scheduler::{Scheduler, SubmitError, DEFAULT_QUEUE_CAP};
 pub use service::{build_x, digest, SpmvService};

@@ -8,13 +8,21 @@
 //! long-lived kernel objects — the **tuned** menu winner (throughput
 //! path, tolerance-level reproducibility) and the multi-vector
 //! **batch** kernel, which accumulates in scalar order and so is
-//! bitwise-identical to the serial reference at any thread count. The
-//! batch kernel runs every coalesced same-matrix batch and, at width
-//! 1, every single exact request. Serving then costs one kernel
-//! dispatch per request (or per batch), which is what amortizes the
-//! tuning investment across request volume — the economics of
-//! Elafrou's lightweight selection method applied at the service
-//! layer.
+//! bitwise-identical to the serial reference at any thread count.
+//! [`RegisteredMatrix::run`] is the one dispatch entry point: a tuned
+//! single request runs on the tuned kernel, every other request (an
+//! exact single or any coalesced batch) on the batch kernel. Serving
+//! then costs one kernel dispatch per request (or per batch), which
+//! is what amortizes the tuning investment across request volume —
+//! the economics of Elafrou's lightweight selection method applied at
+//! the service layer.
+//!
+//! A [`RegisteredMatrix`] is the one owner of everything about its
+//! matrix: the kernels, the tuner's plan, the live roofline cell
+//! (built from the tuner's bound at registration) and the ring of
+//! recent request breakdowns. Nothing about a matrix is keyed by its
+//! name anywhere else, so registering a name again on a new registry
+//! starts from fresh state.
 //!
 //! Registered matrices are pinned for the process lifetime (the CSR
 //! storage is leaked to `'static` so kernel plans, which borrow it,
@@ -24,19 +32,43 @@
 //! operational model of the daemon anyway. ROADMAP tracks dynamic
 //! matrix lifecycles.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use spmv_kernels::{build_kernel, SpmmKernel, SpmvKernel};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, Validated};
-use spmv_telemetry::roofline::{self, RooflineId};
+use spmv_telemetry::{Roofline, RooflineSample};
 use spmv_tuner::menu;
 use spmv_tuner::KernelPlan;
 
 /// Longest accepted matrix name.
 const MAX_NAME_LEN: usize = 64;
+
+/// Recent observations kept per matrix for `/v1/observe`.
+pub(crate) const OBSERVATION_CAP: usize = 32;
+
+/// One completed request's stage breakdown, kept in its matrix's
+/// bounded ring for `GET /v1/observe/{name}` and the load generator's
+/// `--trace-sample` report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observation {
+    /// The request's process-unique id.
+    pub rid: u64,
+    /// Batch width the request was coalesced into (1 = solo).
+    pub batch: usize,
+    /// Admission → batch-pop wait.
+    pub queue_seconds: f64,
+    /// Kernel busy seconds (slowest thread of the dispatch).
+    pub kernel_seconds: f64,
+    /// Admission → response delivery.
+    pub total_seconds: f64,
+    /// Measured dispatch throughput fed to the roofline cell.
+    pub gflops: f64,
+    /// Whether a result (vs. a kernel failure) was delivered.
+    pub ok: bool,
+}
 
 /// One registered, tuned, ready-to-serve matrix.
 pub struct RegisteredMatrix {
@@ -50,9 +82,12 @@ pub struct RegisteredMatrix {
     /// The tuner's decision record for `/v1/matrices` introspection.
     plan: KernelPlan,
     nthreads: usize,
-    /// Roofline-monitor slot for live attainment tracking; `None`
-    /// when the monitor's slot table was full at registration.
-    roofline: Option<RooflineId>,
+    /// Live attainment against the tuner's bound; `None` when that
+    /// bound is not a positive finite number.
+    roofline: Option<Roofline>,
+    /// Recent completed-request breakdowns (bounded ring, newest
+    /// last), touched once per delivery, off the kernel dispatch.
+    recent: Mutex<VecDeque<Observation>>,
 }
 
 impl RegisteredMatrix {
@@ -91,54 +126,51 @@ impl RegisteredMatrix {
         self.nthreads
     }
 
-    /// One SpMV in the requested mode. `x.len() == ncols`.
-    pub fn spmv(&self, x: &[f64], mode: Mode) -> Vec<f64> {
-        self.spmv_timed(x, mode).0
-    }
-
-    /// [`spmv`](RegisteredMatrix::spmv), also reporting the kernel's
-    /// busy seconds (slowest thread — the dispatch's critical path),
-    /// which the scheduler feeds to the roofline monitor and the
-    /// request timeline.
-    pub fn spmv_timed(&self, x: &[f64], mode: Mode) -> (Vec<f64>, f64) {
-        let mut y = vec![0.0; self.nrows()];
-        let times = match mode {
-            // The batch kernel at width 1 is the exact kernel.
-            Mode::Exact => {
-                let mut ys = [y];
-                let times = self.batch.run_multi(&[x], &mut ys);
-                [y] = ys;
-                times
-            }
-            Mode::Tuned => self.tuned.run_timed(x, &mut y),
-        };
-        (y, times.max())
-    }
-
-    /// One coalesced batch over *separate* request vectors: each
-    /// `xs[j]` is read in place and its result returned as an
-    /// independent vector, so the scheduler pays no interleave /
-    /// deinterleave passes. Scalar accumulation order —
-    /// bitwise-serial per vector.
-    pub fn spmm_multi(&self, xs: &[&[f64]]) -> Vec<Vec<f64>> {
-        self.spmm_multi_timed(xs).0
-    }
-
-    /// [`spmm_multi`](RegisteredMatrix::spmm_multi), also reporting
-    /// the batch kernel's busy seconds (slowest thread).
-    pub fn spmm_multi_timed(&self, xs: &[&[f64]]) -> (Vec<Vec<f64>>, f64) {
+    /// Runs one dispatch over the request vectors `xs` (each
+    /// `ncols` long), returning one result per vector plus the
+    /// kernel's busy seconds (slowest thread — the dispatch's critical
+    /// path), which the scheduler feeds to the roofline cell and the
+    /// request timeline. A single [`Mode::Tuned`] request runs on the
+    /// tuned kernel; everything else — an exact single or any batch —
+    /// runs on the batch kernel, which reads each `xs[j]` in place in
+    /// scalar accumulation order, so its results are bitwise-serial.
+    pub fn run(&self, xs: &[&[f64]], mode: Mode) -> (Vec<Vec<f64>>, f64) {
         let mut ys: Vec<Vec<f64>> = xs.iter().map(|_| vec![0.0; self.nrows()]).collect();
-        let times = self.batch.run_multi(xs, &mut ys);
+        let times = match (mode, xs, ys.as_mut_slice()) {
+            (Mode::Tuned, [x], [y]) => self.tuned.run_timed(x, y),
+            _ => self.batch.run_multi(xs, &mut ys),
+        };
         (ys, times.max())
     }
 
     /// Folds one dispatch's measured throughput into this matrix's
-    /// roofline-attainment EWMA (no-op if the monitor was full at
-    /// registration).
+    /// roofline-attainment EWMA (no-op when it has no bound).
     pub fn observe_gflops(&self, gflops: f64) {
-        if let Some(id) = self.roofline {
-            roofline::monitor().observe(id, gflops);
+        if let Some(r) = &self.roofline {
+            r.observe(gflops);
         }
+    }
+
+    /// The live roofline attainment, `None` when the tuner's bound
+    /// was not a positive finite number.
+    pub fn roofline(&self) -> Option<RooflineSample> {
+        self.roofline.as_ref().map(Roofline::sample)
+    }
+
+    /// Appends one completed request to the recent-request ring,
+    /// dropping the oldest beyond [`OBSERVATION_CAP`].
+    pub fn record_request(&self, obs: Observation) {
+        let mut ring = self.recent.lock().unwrap_or_else(|p| p.into_inner());
+        if ring.len() >= OBSERVATION_CAP {
+            ring.pop_front();
+        }
+        ring.push_back(obs);
+    }
+
+    /// Recent completed-request breakdowns, oldest first (empty when
+    /// the matrix has served nothing yet).
+    pub fn recent(&self) -> Vec<Observation> {
+        self.recent.lock().unwrap_or_else(|p| p.into_inner()).iter().cloned().collect()
     }
 }
 
@@ -244,11 +276,10 @@ impl MatrixRegistry {
         let a: &'static Csr = Box::leak(Box::new(a));
         let machine = MachineModel::host();
         let (plan, _trace) = menu::search_or_cached(a, &machine, self.nthreads, self.tune_reps);
-        // Feed the live attainment monitor the simulated ceiling the
-        // tuner selected against; measured per-dispatch throughput is
-        // folded in by the scheduler via `observe_gflops`.
-        let bound = menu::roofline_bound_gflops(a, &machine, plan.spec);
-        let roofline = roofline::monitor().register(name, bound);
+        // The live roofline cell measures against the simulated
+        // ceiling the tuner selected against; the scheduler folds in
+        // measured per-dispatch throughput via `observe_gflops`.
+        let roofline = Roofline::new(menu::roofline_bound_gflops(a, &machine, plan.spec));
         let tuned = build_kernel(a, plan.spec, self.nthreads).kernel;
         let batch = SpmmKernel::new(a, self.nthreads);
         let matrix = Arc::new(RegisteredMatrix {
@@ -259,6 +290,7 @@ impl MatrixRegistry {
             plan,
             nthreads: self.nthreads,
             roofline,
+            recent: Mutex::new(VecDeque::new()),
         });
         match self.lock().entry(name.to_string()) {
             std::collections::hash_map::Entry::Occupied(_) => {
@@ -325,13 +357,13 @@ mod tests {
 
         let m = reg.register("banded", a).expect("register");
         assert_eq!(m.nrows(), 200);
-        let y = m.spmv(&x, Mode::Exact);
-        for (got, want) in y.iter().zip(&y_ref) {
+        let (ys, _) = m.run(&[&x], Mode::Exact);
+        for (got, want) in ys[0].iter().zip(&y_ref) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
         // Tuned mode serves too (tolerance check only).
-        let y_tuned = m.spmv(&x, Mode::Tuned);
-        for (got, want) in y_tuned.iter().zip(&y_ref) {
+        let (ys, _) = m.run(&[&x], Mode::Tuned);
+        for (got, want) in ys[0].iter().zip(&y_ref) {
             assert!((got - want).abs() <= 1e-10 * want.abs().max(1.0));
         }
     }
@@ -378,7 +410,8 @@ mod tests {
         let xs: Vec<Vec<f64>> =
             (0..k).map(|j| (0..m.ncols()).map(|i| ((i + j) as f64).cos()).collect()).collect();
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
-        let ys = m.spmm_multi(&x_refs);
+        // Tuned or not, a batch runs on the scalar-order kernel.
+        let (ys, _) = m.run(&x_refs, Mode::Tuned);
         assert_eq!(ys.len(), k);
         for (x, y) in xs.iter().zip(&ys) {
             let mut y_ref = vec![0.0; m.nrows()];
@@ -390,29 +423,46 @@ mod tests {
     }
 
     #[test]
-    fn registration_feeds_the_roofline_monitor() {
+    fn registration_builds_the_roofline_cell() {
         let reg = registry();
         let a = gen::banded(150, 3, 0.9, 5).unwrap();
         let m = reg.register("roofline-reg-probe", a).expect("register");
-        let s = roofline::monitor().get("roofline-reg-probe").expect("monitored");
+        let s = m.roofline().expect("monitored");
         assert!(s.bound_gflops > 0.0, "tuner bound is a positive ceiling");
         assert_eq!(s.samples, 0, "no dispatches yet");
         m.observe_gflops(s.bound_gflops * 0.5);
-        let s = roofline::monitor().get("roofline-reg-probe").unwrap();
+        let s = m.roofline().unwrap();
         assert_eq!(s.samples, 1);
         assert!((s.attainment - 0.5).abs() < 1e-9, "attainment {}", s.attainment);
     }
 
     #[test]
-    fn timed_paths_report_kernel_seconds() {
+    fn reregistering_a_name_on_a_new_registry_starts_a_fresh_roofline() {
+        let a = gen::banded(100, 3, 0.9, 6).unwrap();
+        let first = registry();
+        let m1 = first.register("fresh-roofline", a.clone()).unwrap();
+        m1.observe_gflops(1.0);
+        m1.observe_gflops(2.0);
+        assert_eq!(m1.roofline().expect("positive bound").samples, 2);
+        let second = registry();
+        let m2 = second.register("fresh-roofline", a).unwrap();
+        let s = m2.roofline().expect("positive bound");
+        assert_eq!(s.samples, 0, "the roofline belongs to the matrix, not its name");
+        assert_eq!(s.achieved_gflops, 0.0, "no EWMA carried over");
+    }
+
+    #[test]
+    fn run_reports_kernel_seconds() {
         let reg = registry();
         let a = gen::banded(200, 4, 0.9, 3).unwrap();
         let m = reg.register("timed", a).unwrap();
         let x = vec![1.0; m.ncols()];
-        let (y, secs) = m.spmv_timed(&x, Mode::Exact);
-        assert_eq!(y.len(), m.nrows());
-        assert!(secs > 0.0, "busy seconds must be positive, got {secs}");
-        let (ys, bsecs) = m.spmm_multi_timed(&[&x, &x]);
+        for mode in [Mode::Exact, Mode::Tuned] {
+            let (ys, secs) = m.run(&[&x], mode);
+            assert_eq!((ys.len(), ys[0].len()), (1, m.nrows()));
+            assert!(secs > 0.0, "{mode:?}: busy seconds must be positive, got {secs}");
+        }
+        let (ys, bsecs) = m.run(&[&x, &x], Mode::Exact);
         assert_eq!(ys.len(), 2);
         assert!(bsecs > 0.0);
     }

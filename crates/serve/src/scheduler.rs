@@ -39,11 +39,12 @@
 //! the `lifecycle` protocol in `crates/check`. The completion path
 //! also attaches the RequestId and its queue/kernel breakdown as the
 //! latency histogram bucket's exemplar, folds the dispatch's measured
-//! GFLOP/s into the matrix's roofline-attainment EWMA, and keeps a
-//! bounded ring of recent [`Observation`]s per matrix for
-//! `GET /v1/observe/{name}`.
+//! GFLOP/s into the matrix's roofline-attainment EWMA, and appends an
+//! [`Observation`] to the matrix's own bounded ring for
+//! `GET /v1/observe/{name}`. Both live in the [`RegisteredMatrix`],
+//! so delivery takes no scheduler-wide lock for them.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,13 +54,10 @@ use std::time::Instant;
 use spmv_kernels::engine::with_dispatch_tag;
 use spmv_telemetry::{serve_latency, serve_stats, tracer, EventKind};
 
-use crate::registry::{Mode, RegisteredMatrix};
+use crate::registry::{Mode, Observation, RegisteredMatrix};
 
 /// Default bound on queued-but-unserved requests.
 pub const DEFAULT_QUEUE_CAP: usize = 256;
-
-/// Recent observations kept per matrix for `/v1/observe`.
-const OBSERVATION_CAP: usize = 32;
 
 /// Process-unique request identifiers, starting at 1 so `0` can mean
 /// "no request" in the engine's dispatch-tag context.
@@ -99,27 +97,6 @@ struct SchedState {
     shutdown: bool,
 }
 
-/// One completed request's stage breakdown, kept in a bounded
-/// per-matrix ring for `GET /v1/observe/{name}` and the load
-/// generator's `--trace-sample` report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observation {
-    /// The request's process-unique id.
-    pub rid: u64,
-    /// Batch width the request was coalesced into (1 = solo).
-    pub batch: usize,
-    /// Admission → batch-pop wait.
-    pub queue_seconds: f64,
-    /// Kernel busy seconds (slowest thread of the dispatch).
-    pub kernel_seconds: f64,
-    /// Admission → response delivery.
-    pub total_seconds: f64,
-    /// Measured dispatch throughput fed to the roofline monitor.
-    pub gflops: f64,
-    /// Whether a result (vs. a kernel failure) was delivered.
-    pub ok: bool,
-}
-
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -148,10 +125,6 @@ pub struct Scheduler {
     work: Condvar,
     queue_cap: usize,
     batch_max: usize,
-    /// Recent completed-request breakdowns per matrix name (bounded
-    /// ring, newest last). Touched once per completion — off the
-    /// kernel dispatch path.
-    observations: Mutex<HashMap<String, VecDeque<Observation>>>,
 }
 
 impl Scheduler {
@@ -163,7 +136,6 @@ impl Scheduler {
             work: Condvar::new(),
             queue_cap: queue_cap.max(1),
             batch_max: batch_max.max(1),
-            observations: Mutex::new(HashMap::new()),
         }
     }
 
@@ -268,23 +240,12 @@ impl Scheduler {
         self.work.notify_all();
     }
 
-    /// Recent completed-request breakdowns for `name`, oldest first
-    /// (empty when the matrix has served nothing recently).
-    pub fn observations(&self, name: &str) -> Vec<Observation> {
-        self.observations
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(name)
-            .map(|ring| ring.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Executes one batch and delivers every result: single requests
-    /// on the mode's SpMV kernel, true batches on the SpMM kernel
-    /// (one matrix traversal for the whole batch). A panicking kernel
-    /// is caught: the batch's requests get [`SubmitError::KernelFailed`]
-    /// and the worker survives — with the lifecycle stages still
-    /// closed, so timelines never dangle.
+    /// Executes one batch as one [`RegisteredMatrix::run`] dispatch
+    /// (one matrix traversal for the whole batch; the lead request's
+    /// mode picks the kernel of a single) and delivers every result.
+    /// A panicking kernel is caught: the batch's requests get
+    /// [`SubmitError::KernelFailed`] and the worker survives — with
+    /// the lifecycle stages still closed, so timelines never dangle.
     fn execute(&self, batch: Vec<Pending>) {
         let k = batch.len();
         let trace = tracer();
@@ -316,14 +277,8 @@ impl Scheduler {
         // RequestId, linking the engine timeline to this request.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             with_dispatch_tag(lead_rid, || {
-                if k == 1 {
-                    let job = &batch[0];
-                    let (y, secs) = job.matrix.spmv_timed(&job.x, job.mode);
-                    (vec![y], secs)
-                } else {
-                    let xs: Vec<&[f64]> = batch.iter().map(|job| job.x.as_slice()).collect();
-                    matrix.spmm_multi_timed(&xs)
-                }
+                let xs: Vec<&[f64]> = batch.iter().map(|job| job.x.as_slice()).collect();
+                matrix.run(&xs, batch[0].mode)
             })
         }));
         let dispatch_secs = t_dispatch.elapsed().as_secs_f64();
@@ -404,22 +359,15 @@ impl Scheduler {
         if trace.enabled() {
             trace.record(EventKind::Stage, 0, "responded", trace.now_ns(), 1, job.rid);
         }
-        {
-            let mut obs = self.observations.lock().unwrap_or_else(|p| p.into_inner());
-            let ring = obs.entry(job.matrix.name().to_string()).or_default();
-            if ring.len() >= OBSERVATION_CAP {
-                ring.pop_front();
-            }
-            ring.push_back(Observation {
-                rid: job.rid,
-                batch,
-                queue_seconds,
-                kernel_seconds,
-                total_seconds,
-                gflops,
-                ok,
-            });
-        }
+        job.matrix.record_request(Observation {
+            rid: job.rid,
+            batch,
+            queue_seconds,
+            kernel_seconds,
+            total_seconds,
+            gflops,
+            ok,
+        });
         let mut slot = job.done.slot.lock().unwrap_or_else(|p| p.into_inner());
         *slot = Some(y);
         job.done.ready.notify_all();
@@ -453,7 +401,7 @@ fn pop_batch(queue: &mut VecDeque<Pending>, batch_max: usize) -> Vec<Pending> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MatrixRegistry;
+    use crate::registry::{MatrixRegistry, OBSERVATION_CAP};
     use spmv_sparse::{gen, Csr};
 
     fn two_matrices() -> (Arc<RegisteredMatrix>, Arc<RegisteredMatrix>) {
@@ -531,12 +479,12 @@ mod tests {
 
     #[test]
     fn execute_records_observations_with_unique_rids() {
-        let (a, _) = two_matrices();
+        let (a, b) = two_matrices();
         let s = Scheduler::new(8, 8);
         let jobs: Vec<Pending> = (0..3).map(|i| pending(&a, i as f64)).collect();
         let rids: Vec<u64> = jobs.iter().map(|j| j.rid).collect();
         s.execute(jobs);
-        let obs = s.observations("sched-a");
+        let obs = a.recent();
         assert_eq!(obs.len(), 3);
         assert_eq!(obs.iter().map(|o| o.rid).collect::<Vec<_>>(), rids);
         for o in &obs {
@@ -544,15 +492,15 @@ mod tests {
             assert_eq!(o.batch, 3);
             assert!(o.kernel_seconds > 0.0);
             assert!(o.total_seconds >= o.kernel_seconds);
-            assert!(o.gflops > 0.0, "measured throughput feeds the roofline monitor");
+            assert!(o.gflops > 0.0, "measured throughput feeds the roofline cell");
         }
-        assert!(s.observations("sched-b").is_empty());
+        assert!(b.recent().is_empty());
         // The ring is bounded: many more completions keep only the
         // newest OBSERVATION_CAP.
         for _ in 0..OBSERVATION_CAP + 5 {
             s.execute(vec![pending(&a, 1.0)]);
         }
-        assert_eq!(s.observations("sched-a").len(), OBSERVATION_CAP);
+        assert_eq!(a.recent().len(), OBSERVATION_CAP);
     }
 
     #[test]

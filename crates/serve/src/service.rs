@@ -15,7 +15,12 @@
 //! | `GET /v1/matrices` | — | JSON list of registered matrices |
 //! | `POST /v1/spmv/{name}[?mode=tuned][&digest=1]` | request spec | one SpMV via the scheduler |
 //! | `GET /v1/observe/{name}` | — | JSON roofline attainment + recent request timelines |
+//! | `GET /metrics` | — | the telemetry scrape plus each matrix's `spmv_roofline_*` families |
 //! | `POST /control/stop` | — | stop the serve lanes (drain + exit) |
+//!
+//! Every per-matrix answer (`/v1/matrices`, `/v1/observe/{name}`, the
+//! roofline families on `/metrics`) reads the [`RegisteredMatrix`]
+//! itself, which owns its roofline cell and recent-request ring.
 //!
 //! The SpMV request body is a one-line *spec*, not the vector itself:
 //! `fill <v>` (constant vector) or `seed <n>` (deterministic LCG
@@ -35,7 +40,7 @@ use std::time::Instant;
 
 use spmv_sparse::mm;
 use spmv_telemetry::metrics::serve_encode;
-use spmv_telemetry::{Handled, HttpHandler, HttpRequest, HttpResponse, JsonValue};
+use spmv_telemetry::{Handled, HttpHandler, HttpRequest, HttpResponse, JsonValue, MetricsRegistry};
 
 use crate::registry::{MatrixRegistry, Mode, RegisterError, RegisteredMatrix};
 use crate::scheduler::{Scheduler, SubmitError};
@@ -129,11 +134,11 @@ impl SpmvService {
     /// `GET /v1/observe/{name}`: the matrix's roofline attainment
     /// plus the stage breakdown of its most recent requests.
     fn observe(&self, name: &str) -> HttpResponse {
-        if self.registry.get(name).is_none() {
+        let Some(matrix) = self.registry.get(name) else {
             return HttpResponse::text(404, format!("no matrix {name:?} registered\n"));
-        }
+        };
         let mut doc = JsonValue::obj().with("matrix", name);
-        doc = match spmv_telemetry::monitor().get(name) {
+        doc = match matrix.roofline() {
             Some(r) => doc.with(
                 "roofline",
                 JsonValue::obj()
@@ -145,9 +150,8 @@ impl SpmvService {
             ),
             None => doc.with("roofline", JsonValue::Null),
         };
-        let requests: Vec<JsonValue> = self
-            .scheduler
-            .observations(name)
+        let requests: Vec<JsonValue> = matrix
+            .recent()
             .iter()
             .map(|o| {
                 JsonValue::obj()
@@ -163,6 +167,18 @@ impl SpmvService {
         doc = doc.with("requests", JsonValue::Arr(requests));
         HttpResponse::json(200, doc.render_pretty(2) + "\n")
     }
+
+    /// `GET /metrics`: the process-wide scrape plus the roofline
+    /// families of every registered matrix.
+    fn metrics(&self) -> HttpResponse {
+        let mut reg = MetricsRegistry::gather();
+        for m in self.registry.list() {
+            if let Some(r) = m.roofline() {
+                reg.record_roofline(m.name(), &r);
+            }
+        }
+        HttpResponse::prometheus(&reg)
+    }
 }
 
 impl HttpHandler for SpmvService {
@@ -172,6 +188,7 @@ impl HttpHandler for SpmvService {
                 return Handled::Stop(HttpResponse::text(200, "stopping\n"))
             }
             ("GET", "/v1/matrices") => return Handled::Response(self.list()),
+            ("GET", "/metrics") => return Handled::Response(self.metrics()),
             _ => {}
         }
         if let Some(name) = req.path.strip_prefix("/v1/matrices/") {
@@ -197,10 +214,11 @@ impl HttpHandler for SpmvService {
 }
 
 /// JSON summary of one registered matrix: static shape and tuning
-/// facts plus the live roofline attainment (null until the drift
-/// monitor has seen at least one dispatch), so `GET /v1/matrices`
-/// alone is enough to spot a drifted matrix without scraping
-/// `/metrics` or hitting `/v1/observe/{name}` per matrix.
+/// facts plus the live roofline attainment (`0.0` from registration
+/// until the first dispatch lands; null only when the tuner's bound
+/// is not a positive finite number), so `GET /v1/matrices` alone is
+/// enough to spot a drifted matrix without scraping `/metrics` or
+/// hitting `/v1/observe/{name}` per matrix.
 fn matrix_summary(m: &RegisteredMatrix) -> JsonValue {
     let doc = JsonValue::obj()
         .with("name", m.name())
@@ -210,7 +228,7 @@ fn matrix_summary(m: &RegisteredMatrix) -> JsonValue {
         .with("kernel", m.plan().spec.id())
         .with("tuned_gflops", m.plan().gflops)
         .with("nthreads", m.nthreads());
-    match spmv_telemetry::monitor().get(m.name()) {
+    match m.roofline() {
         Some(r) => doc.with("attainment", r.attainment),
         None => doc.with("attainment", JsonValue::Null),
     }
@@ -309,6 +327,15 @@ mod tests {
         }
     }
 
+    fn get(path: &str) -> HttpRequest {
+        HttpRequest {
+            method: "GET".into(),
+            path: path.into(),
+            query: String::new(),
+            body: Vec::new(),
+        }
+    }
+
     fn mm_bytes(a: &spmv_sparse::Csr) -> Vec<u8> {
         let mut out = Vec::new();
         mm::write_csr(&mut out, a).expect("serialize");
@@ -338,10 +365,10 @@ mod tests {
         // the spec/digest helpers the route is built from.
         let m = svc.registry().get("m0").unwrap();
         let x = build_x("seed 7", m.ncols()).unwrap();
-        let y = m.spmv(&x, Mode::Exact);
+        let (ys, _) = m.run(&[&x], Mode::Exact);
         let mut y_ref = vec![0.0; serial.nrows()];
         serial.spmv(&x, &mut y_ref);
-        assert_eq!(digest(&y), digest(&y_ref));
+        assert_eq!(digest(&ys[0]), digest(&y_ref));
     }
 
     #[test]
@@ -394,23 +421,9 @@ mod tests {
     #[test]
     fn observe_route_reports_roofline_and_recent_requests() {
         let svc = service();
-        assert_eq!(
-            response(svc.handle(&HttpRequest {
-                method: "GET".into(),
-                path: "/v1/observe/ghost".into(),
-                query: String::new(),
-                body: Vec::new(),
-            }))
-            .status,
-            404
-        );
+        assert_eq!(response(svc.handle(&get("/v1/observe/ghost"))).status, 404);
         svc.registry().register("obs-m", gen::banded(60, 2, 0.9, 3).unwrap()).unwrap();
-        let reply = response(svc.handle(&HttpRequest {
-            method: "GET".into(),
-            path: "/v1/observe/obs-m".into(),
-            query: String::new(),
-            body: Vec::new(),
-        }));
+        let reply = response(svc.handle(&get("/v1/observe/obs-m")));
         assert_eq!(reply.status, 200);
         let doc = JsonValue::parse(&String::from_utf8_lossy(&reply.body)).unwrap();
         assert_eq!(doc.get("matrix").and_then(JsonValue::as_str), Some("obs-m"));
@@ -425,12 +438,7 @@ mod tests {
         let svc = service();
         svc.registry().register("zz", spmv_sparse::Csr::identity(3)).unwrap();
         svc.registry().register("aa", spmv_sparse::Csr::identity(3)).unwrap();
-        let list = response(svc.handle(&HttpRequest {
-            method: "GET".into(),
-            path: "/v1/matrices".into(),
-            query: String::new(),
-            body: Vec::new(),
-        }));
+        let list = response(svc.handle(&get("/v1/matrices")));
         let text = String::from_utf8_lossy(&list.body).to_string();
         assert!(text.find("aa").unwrap() < text.find("zz").unwrap(), "{text}");
         // Each entry carries the selected menu kernel and the live
@@ -441,22 +449,123 @@ mod tests {
         assert_eq!(items.len(), 2);
         for m in items {
             assert!(m.get("kernel").and_then(JsonValue::as_str).is_some(), "{text}");
-            // Registration wires the drift monitor, so attainment is
+            // Registration builds the roofline cell, so attainment is
             // numeric (0.0 before any dispatch), not null.
             assert!(m.get("attainment").and_then(JsonValue::as_f64).is_some(), "{text}");
         }
 
         assert!(matches!(svc.handle(&post("/control/stop", "", b"")), Handled::Stop(_)));
+        // The service answers `/metrics` itself, adding each
+        // matrix's roofline families to the telemetry scrape.
+        let metrics = response(svc.handle(&get("/metrics")));
+        assert_eq!(metrics.content_type, "text/plain; version=0.0.4; charset=utf-8");
+        let text = String::from_utf8_lossy(&metrics.body);
+        for name in ["aa", "zz"] {
+            let line = format!("spmv_roofline_attainment{{matrix=\"{name}\"}} 0\n");
+            assert_eq!(text.matches(&line).count(), 1, "{text}");
+        }
+        assert!(text.contains("\nspmv_serve_admitted_total "), "{text}");
         // Unrelated paths fall through to the telemetry built-ins.
-        assert!(matches!(
-            svc.handle(&HttpRequest {
-                method: "GET".into(),
-                path: "/metrics".into(),
-                query: String::new(),
-                body: Vec::new(),
-            }),
-            Handled::NotHandled
-        ));
+        assert!(matches!(svc.handle(&get("/trace")), Handled::NotHandled));
+    }
+
+    fn json_reply(h: Handled) -> JsonValue {
+        let reply = response(h);
+        let text = String::from_utf8_lossy(&reply.body).into_owned();
+        assert_eq!(reply.status, 200, "{text}");
+        JsonValue::parse(&text).unwrap_or_else(|e| panic!("{e:?}: {text}"))
+    }
+
+    /// An object's keys, sorted.
+    fn key_set(v: &JsonValue) -> Vec<&str> {
+        let mut keys: Vec<&str> =
+            v.entries().expect("JSON object").iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn json_surfaces_keep_their_key_sets() {
+        let svc = service();
+        let m = svc.registry().register("keys", gen::banded(50, 2, 0.9, 8).unwrap()).unwrap();
+        // One request through the scheduler itself, not the
+        // `/v1/spmv` route, so the process-wide encode counter stays
+        // untouched for `encode_counter_counts_delivered_replies_only`.
+        let served = Mutex::new(None);
+        let (svc_ref, m_ref, served_ref) = (&svc, &m, &served);
+        ExecEngine::new(2).run(&move |lane| {
+            if lane == 0 {
+                svc_ref.scheduler().worker_loop();
+            } else {
+                let r = svc_ref.scheduler().submit(
+                    std::sync::Arc::clone(m_ref),
+                    Mode::Exact,
+                    vec![1.0; m_ref.ncols()],
+                );
+                *served_ref.lock().unwrap() = Some(r);
+                svc_ref.scheduler().shutdown();
+            }
+        });
+        served.into_inner().unwrap().expect("lane 1 ran").expect("request served");
+
+        let observe = json_reply(svc.handle(&get("/v1/observe/keys")));
+        assert_eq!(key_set(&observe), ["matrix", "requests", "roofline"]);
+        assert_eq!(
+            key_set(observe.get("roofline").unwrap()),
+            ["achieved_gflops", "attainment", "bound_gflops", "drift_total", "samples"]
+        );
+        let requests = observe.get("requests").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(requests.len(), 1);
+        assert_eq!(
+            key_set(&requests[0]),
+            ["batch", "gflops", "kernel_seconds", "ok", "queue_seconds", "rid", "total_seconds"]
+        );
+
+        let list = json_reply(svc.handle(&get("/v1/matrices")));
+        assert_eq!(key_set(&list), ["matrices"]);
+        let items = list.get("matrices").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(items.len(), 1);
+        assert_eq!(
+            key_set(&items[0]),
+            ["attainment", "kernel", "name", "ncols", "nnz", "nrows", "nthreads", "tuned_gflops"]
+        );
+    }
+
+    #[test]
+    fn sixty_five_matrices_all_report_attainment() {
+        let svc = service();
+        for i in 0..65 {
+            svc.registry()
+                .register(&format!("many-{i:02}"), spmv_sparse::Csr::identity(4))
+                .unwrap();
+        }
+        let list = json_reply(svc.handle(&get("/v1/matrices")));
+        let items = list.get("matrices").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(items.len(), 65);
+        for m in items {
+            assert!(
+                m.get("attainment").and_then(JsonValue::as_f64).is_some(),
+                "{} reports no attainment",
+                m.get("name").and_then(JsonValue::as_str).unwrap_or("?")
+            );
+        }
+    }
+
+    #[test]
+    fn non_positive_bound_reports_null_and_exports_no_roofline() {
+        let svc = service();
+        // No stored entries: zero flops, so the roofline bound is 0.
+        let empty = b"%%MatrixMarket matrix coordinate real general\n4 4 0\n";
+        let summary = json_reply(svc.handle(&post("/v1/matrices/no-bound", "", empty)));
+        assert_eq!(summary.get("attainment"), Some(&JsonValue::Null));
+        let list = json_reply(svc.handle(&get("/v1/matrices")));
+        let items = list.get("matrices").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(items[0].get("attainment"), Some(&JsonValue::Null));
+        let observe = json_reply(svc.handle(&get("/v1/observe/no-bound")));
+        assert_eq!(observe.get("roofline"), Some(&JsonValue::Null));
+        let metrics = response(svc.handle(&get("/metrics")));
+        let metrics = String::from_utf8_lossy(&metrics.body);
+        assert!(!metrics.contains("matrix=\"no-bound\""), "{metrics}");
     }
 
     #[test]

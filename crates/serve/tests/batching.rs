@@ -122,7 +122,7 @@ fn batching_saves_matrix_passes_and_stays_bitwise_serial() {
     // Warm the engine pools and page in the matrix once.
     let unbatched_scheduler = Scheduler::new(1024, 1);
     let batched_scheduler = Scheduler::new(1024, 8);
-    let _ = matrix.spmv(&inputs[0], Mode::Exact);
+    let _ = matrix.run(&[&inputs[0]], Mode::Exact);
 
     let unbatched = drive(&unbatched_scheduler, &matrix, &inputs, &expected);
     assert_eq!(unbatched.batches, 0, "batch_max = 1 must never coalesce");

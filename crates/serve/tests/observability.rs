@@ -20,8 +20,9 @@
 //!   printed, not asserted: a wall-clock bound races the scheduler on
 //!   small hosts.
 //!
-//! One test function by design: the tracer, serve counters and
-//! roofline monitor are process-global, so this binary owns them.
+//! One test function by design: the tracer and the serve counters
+//! are process-global, so this binary owns them. (The roofline cell
+//! is not: it belongs to the registered matrix.)
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -35,7 +35,9 @@
 //!
 //! Built-in routes:
 //! * `GET /metrics` — Prometheus text format 0.0.4
-//!   ([`MetricsRegistry::gather`]);
+//!   ([`MetricsRegistry::gather`]; a mounted handler may answer it
+//!   first to add its own families, through the same
+//!   [`HttpResponse::prometheus`]);
 //! * `GET /trace`   — Chrome trace-event JSON of the global tracer
 //!   (load in Perfetto);
 //! * `GET /`        — plain-text index.
@@ -134,6 +136,16 @@ impl HttpResponse {
             content_type: "application/json; charset=utf-8",
             headers: Vec::new(),
             body: body.into(),
+        }
+    }
+
+    /// A `200` scrape of `registry` in Prometheus text format 0.0.4.
+    pub fn prometheus(registry: &MetricsRegistry) -> HttpResponse {
+        HttpResponse {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            headers: Vec::new(),
+            body: registry.render().into_bytes(),
         }
     }
 
@@ -549,12 +561,7 @@ fn builtin_route(req: &HttpRequest) -> HttpResponse {
         return HttpResponse::text(405, "method not allowed\n");
     }
     match req.path.as_str() {
-        "/metrics" => HttpResponse {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            headers: Vec::new(),
-            body: MetricsRegistry::gather().render().into_bytes(),
-        },
+        "/metrics" => HttpResponse::prometheus(&MetricsRegistry::gather()),
         "/trace" => {
             let mut doc = tracer().to_chrome_trace().render();
             doc.push('\n');

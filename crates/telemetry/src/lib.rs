@@ -18,11 +18,13 @@
 //!   (schema in DESIGN.md) and reading it back for regression gating;
 //! * [`trace`] — a lock-free fixed-capacity ring buffer of per-thread
 //!   dispatch events with a Chrome trace-event (Perfetto) exporter;
-//! * [`roofline`] — the live per-matrix attainment monitor folding
-//!   measured kernel throughput into EWMAs against the tuner's
-//!   simulated roofline bounds, with a drift counter for re-tuning;
+//! * [`roofline`] — the live attainment cell one served matrix owns,
+//!   folding measured kernel throughput into an EWMA against the
+//!   tuner's simulated roofline bound, with a drift counter for
+//!   re-tuning;
 //! * [`registry`] — one labeled metrics namespace over the counters,
-//!   spans and tracer, rendered as Prometheus text exposition;
+//!   spans and tracer, plus the `spmv_roofline_*` families a caller
+//!   records per matrix, rendered as Prometheus text exposition;
 //! * [`exposition`] — the `std::net` HTTP endpoint serving
 //!   `/metrics` and `/trace` (the only socket code in the workspace).
 //!
@@ -35,9 +37,10 @@
 //! `crates/telemetry` under the same thread-containment and
 //! ordering-justification rules as the execution engine, plus a
 //! telemetry-wide lock-freedom rule. Only the exposition module may
-//! touch sockets. The trace, histogram and roofline emit paths are
-//! dispatch roots: nothing in them, or in what they call, may panic
-//! or allocate without a `panic-ok`/`indexing-ok`/`alloc-ok` marker.
+//! touch sockets. The trace and histogram emit paths and the roofline
+//! cell's `observe` are dispatch roots: nothing in them, or in what
+//! they call, may panic or allocate without a
+//! `panic-ok`/`indexing-ok`/`alloc-ok` marker.
 
 pub mod exposition;
 pub mod hist;
@@ -58,7 +61,7 @@ pub use hist::{
 pub use json::{JsonParseError, JsonValue};
 pub use metrics::{DispatchSnapshot, DispatchStats, TimeCounter};
 pub use registry::{MetricKind, MetricsRegistry};
-pub use roofline::{monitor, RooflineId, RooflineMonitor, RooflineSample};
+pub use roofline::{Roofline, RooflineSample};
 pub use span::{Span, SpanSet};
 pub use stats::{imbalance, median};
 pub use trace::{chrome_trace, tracer, EventKind, TraceBuffer, TraceEvent};

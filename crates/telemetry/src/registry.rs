@@ -22,7 +22,7 @@ use crate::hist::{serve_latency, serve_stats, Exemplar, HistogramSnapshot, Laten
 use crate::metrics::{
     engine_dispatch, menu_selection, preprocessing, profiling_runs, serve_encode,
 };
-use crate::roofline::monitor;
+use crate::roofline::RooflineSample;
 use crate::span::SpanSet;
 use crate::trace::tracer;
 
@@ -340,39 +340,46 @@ impl MetricsRegistry {
             MetricKind::Counter,
             encode.seconds(),
         );
-        for m in monitor().snapshot() {
-            reg.push_labeled(
-                "spmv_roofline_attainment",
-                "Measured GFLOP/s EWMA over the tuner's simulated roofline bound (1.0 = at \
-                 the roofline; 0 until the first dispatch).",
-                MetricKind::Gauge,
-                &[("matrix", &m.name)],
-                m.attainment,
-            );
-            reg.push_labeled(
-                "spmv_roofline_bound_gflops",
-                "Simulated roofline bound from the tuner's machine model, GFLOP/s.",
-                MetricKind::Gauge,
-                &[("matrix", &m.name)],
-                m.bound_gflops,
-            );
-            reg.push_labeled(
-                "spmv_roofline_achieved_gflops",
-                "EWMA of measured kernel throughput, GFLOP/s.",
-                MetricKind::Gauge,
-                &[("matrix", &m.name)],
-                m.achieved_gflops,
-            );
-            reg.push_labeled(
-                "spmv_roofline_drift_total",
-                "Drift episodes: attainment stayed below threshold for N consecutive windows.",
-                MetricKind::Counter,
-                &[("matrix", &m.name)],
-                m.drift_total as f64,
-            );
-        }
         reg.record_latency_histogram(&serve_latency().snapshot());
         reg
+    }
+
+    /// Exports one matrix's roofline attainment as the four
+    /// `spmv_roofline_*{matrix}` families. The serving plane records
+    /// one per registered matrix on top of
+    /// [`gather`](MetricsRegistry::gather), since each matrix owns its
+    /// cell.
+    pub fn record_roofline(&mut self, matrix: &str, s: &RooflineSample) {
+        let labels = [("matrix", matrix)];
+        self.push_labeled(
+            "spmv_roofline_attainment",
+            "Measured GFLOP/s EWMA over the tuner's simulated roofline bound (1.0 = at \
+             the roofline; 0 until the first dispatch).",
+            MetricKind::Gauge,
+            &labels,
+            s.attainment,
+        );
+        self.push_labeled(
+            "spmv_roofline_bound_gflops",
+            "Simulated roofline bound from the tuner's machine model, GFLOP/s.",
+            MetricKind::Gauge,
+            &labels,
+            s.bound_gflops,
+        );
+        self.push_labeled(
+            "spmv_roofline_achieved_gflops",
+            "EWMA of measured kernel throughput, GFLOP/s.",
+            MetricKind::Gauge,
+            &labels,
+            s.achieved_gflops,
+        );
+        self.push_labeled(
+            "spmv_roofline_drift_total",
+            "Drift episodes: attainment stayed below threshold for N consecutive windows.",
+            MetricKind::Counter,
+            &labels,
+            s.drift_total as f64,
+        );
     }
 
     /// Exports a serving-latency snapshot in Prometheus histogram
@@ -514,6 +521,7 @@ fn format_value(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roofline::Roofline;
 
     #[test]
     fn render_golden_counter_and_gauge() {
@@ -696,29 +704,60 @@ mod tests {
         assert_eq!(text.matches(" # {").count(), 1, "{text}");
     }
 
+    /// Renders the roofline families for `name`: bound 10 GFLOP/s,
+    /// one 5 GFLOP/s dispatch folded in.
+    fn roofline_families(name: &str) -> String {
+        let cell = Roofline::new(10.0).expect("positive bound");
+        cell.observe(5.0);
+        let mut reg = MetricsRegistry::new();
+        reg.record_roofline(name, &cell.sample());
+        reg.render()
+    }
+
     #[test]
-    fn gather_exports_roofline_families_once_registered() {
-        // The global monitor is shared process state: use a name no
-        // other test registers and only assert presence.
-        let id = monitor().register("registry-gather-probe", 10.0).expect("slot");
-        monitor().observe(id, 5.0);
-        let text = MetricsRegistry::gather().render();
-        assert!(
-            text.contains("spmv_roofline_attainment{matrix=\"registry-gather-probe\"} 0.5"),
-            "{text}"
-        );
-        assert!(
-            text.contains("spmv_roofline_bound_gflops{matrix=\"registry-gather-probe\"} 10"),
-            "{text}"
-        );
-        assert!(
-            text.contains("spmv_roofline_achieved_gflops{matrix=\"registry-gather-probe\"} 5"),
-            "{text}"
-        );
-        assert!(
-            text.contains("spmv_roofline_drift_total{matrix=\"registry-gather-probe\"} 0"),
-            "{text}"
-        );
+    fn roofline_families_keep_their_help_type_and_label_shape() {
+        let text = roofline_families("roofline-pin");
+        for header in [
+            "# HELP spmv_roofline_attainment Measured GFLOP/s EWMA over the tuner's simulated \
+             roofline bound (1.0 = at the roofline; 0 until the first dispatch).",
+            "# TYPE spmv_roofline_attainment gauge",
+            "# HELP spmv_roofline_bound_gflops Simulated roofline bound from the tuner's machine \
+             model, GFLOP/s.",
+            "# TYPE spmv_roofline_bound_gflops gauge",
+            "# HELP spmv_roofline_achieved_gflops EWMA of measured kernel throughput, GFLOP/s.",
+            "# TYPE spmv_roofline_achieved_gflops gauge",
+            "# HELP spmv_roofline_drift_total Drift episodes: attainment stayed below threshold \
+             for N consecutive windows.",
+            "# TYPE spmv_roofline_drift_total counter",
+        ] {
+            assert_eq!(text.lines().filter(|l| *l == header).count(), 1, "{header} in:\n{text}");
+        }
+        for sample in [
+            "spmv_roofline_attainment{matrix=\"roofline-pin\"} 0.5",
+            "spmv_roofline_bound_gflops{matrix=\"roofline-pin\"} 10",
+            "spmv_roofline_achieved_gflops{matrix=\"roofline-pin\"} 5",
+            "spmv_roofline_drift_total{matrix=\"roofline-pin\"} 0",
+        ] {
+            assert_eq!(text.lines().filter(|l| *l == sample).count(), 1, "{sample} in:\n{text}");
+        }
+        // Label shape: every roofline sample carries exactly one
+        // label, `matrix`, and belongs to one of the four families.
+        for line in text.lines().filter(|l| l.starts_with("spmv_roofline_")) {
+            let (family, rest) = line.split_once('{').expect("labeled sample");
+            assert!(
+                matches!(
+                    family,
+                    "spmv_roofline_attainment"
+                        | "spmv_roofline_bound_gflops"
+                        | "spmv_roofline_achieved_gflops"
+                        | "spmv_roofline_drift_total"
+                ),
+                "{line}"
+            );
+            let (labels, _value) = rest.split_once("} ").expect("closed label set");
+            assert!(labels.starts_with("matrix=\"") && labels.ends_with('"'), "{line}");
+            assert_eq!(labels.matches('=').count(), 1, "{line}");
+        }
     }
 
     #[test]

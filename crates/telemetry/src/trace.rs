@@ -143,9 +143,9 @@ impl Slot {
 }
 
 /// Packs up to [`NAME_BYTES`] of `name` (truncated at a char
-/// boundary) into little-endian words. Shared with the roofline
-/// monitor, whose per-matrix slots store names the same lock-free way.
-pub(crate) fn pack_name(name: &str) -> [u64; NAME_BYTES / 8] {
+/// boundary) into little-endian words, so a trace slot stores its
+/// event name in atomics without locking or allocating.
+fn pack_name(name: &str) -> [u64; NAME_BYTES / 8] {
     let mut cut = name.len().min(NAME_BYTES);
     while !name.is_char_boundary(cut) {
         cut -= 1;
@@ -164,7 +164,7 @@ pub(crate) fn pack_name(name: &str) -> [u64; NAME_BYTES / 8] {
 }
 
 /// Decodes a packed name, trimming the zero padding.
-pub(crate) fn unpack_name(words: &[u64; NAME_BYTES / 8]) -> String {
+fn unpack_name(words: &[u64; NAME_BYTES / 8]) -> String {
     let mut bytes = [0u8; NAME_BYTES];
     for (chunk, w) in bytes.chunks_exact_mut(8).zip(words.iter()) {
         chunk.copy_from_slice(&w.to_le_bytes());

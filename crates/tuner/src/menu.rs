@@ -190,7 +190,7 @@ fn optimistic_format_bytes(a: &Csr, spec: KernelSpec) -> f64 {
 /// Simulated roofline bound for running `spec` on `a`: the GFLOP/s
 /// ceiling its (optimistic) memory traffic permits at the machine
 /// model's bandwidth for this working-set size. The search prunes
-/// candidates on it; the serving plane's roofline monitor compares
+/// candidates on it; each served matrix's roofline cell compares
 /// live measured throughput against the selected plan's bound.
 pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, spec: KernelSpec) -> f64 {
     let flops = 2.0 * a.nnz() as f64;

@@ -78,7 +78,8 @@ const HOT_PATHS: &[(&str, &[&str])] = &[
     ("crates/kernels/src/engine.rs", &["run", "run_labeled", "worker_loop", "traced_claim"]),
     ("crates/telemetry/src/trace.rs", &["record", "pack_name"]),
     // Request-span emit paths: per-completion exemplar stores and
-    // per-dispatch roofline folds ride inside serve delivery.
+    // the per-dispatch fold into a matrix's own roofline cell ride
+    // inside serve delivery.
     ("crates/telemetry/src/hist.rs", &["observe_ns", "observe_with_exemplar", "record"]),
     ("crates/telemetry/src/roofline.rs", &["observe"]),
 ];
