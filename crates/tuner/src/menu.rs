@@ -152,18 +152,17 @@ impl MenuTrace {
     }
 }
 
-/// Structural fingerprint of a matrix, used as the plan-cache key.
-/// Hashes the dimensions plus a bounded sample of the row pointer
-/// and column structure — O(1) in matrix size, collision-unlikely
-/// for distinct suite matrices, and deterministic across runs.
+/// Structural fingerprint of a matrix, used as the plan-cache key:
+/// a hash of the dimensions and the full `rowptr` and `colind`
+/// arrays (values do not change a kernel's speed). One O(nnz) pass,
+/// far below the cost of the search it saves, and deterministic
+/// across runs. Two matrices with equal row lengths but different
+/// columns get different keys.
 pub fn fingerprint(a: &Csr) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    (a.nrows(), a.ncols(), a.nnz()).hash(&mut h);
-    let rowptr = a.rowptr();
-    let stride = (rowptr.len() / 64).max(1);
-    for v in rowptr.iter().step_by(stride) {
-        v.hash(&mut h);
-    }
+    (a.nrows(), a.ncols()).hash(&mut h);
+    a.rowptr().hash(&mut h);
+    a.colind().hash(&mut h);
     h.finish()
 }
 
@@ -351,6 +350,22 @@ mod tests {
         let c = gen::banded(1_000, 4, 1.0, 3).unwrap();
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_eq!(fingerprint(&a), fingerprint(&c));
+    }
+
+    #[test]
+    fn same_row_lengths_with_other_columns_miss_the_plan_cache() {
+        // Identical rowptr, permuted colind: the identity and the
+        // anti-diagonal permutation matrix.
+        let n = 1_000;
+        let a = Csr::identity(n);
+        let reversed: Vec<u32> = (0..n as u32).rev().collect();
+        let b = Csr::from_raw(n, n, a.rowptr().to_vec(), reversed, vec![1.0; n]).unwrap();
+        assert_eq!(a.rowptr(), b.rowptr());
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+        let m = MachineModel::host();
+        let _ = search_or_cached(&a, &m, 3, 1);
+        let (plan, trace) = search_or_cached(&b, &m, 3, 1);
+        assert!(!plan.cached && !trace.cached, "b must be searched, not served a's plan");
     }
 
     #[test]
