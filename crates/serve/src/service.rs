@@ -80,7 +80,7 @@ impl SpmvService {
     }
 
     fn register(&self, name: &str, req: &HttpRequest) -> HttpResponse {
-        let a = match mm::read_csr(req.body.as_slice()) {
+        let a = match mm::parse_csr(&req.body) {
             Ok(a) => a,
             Err(e) => return HttpResponse::text(400, format!("matrix parse error: {e}\n")),
         };

@@ -81,7 +81,7 @@ impl Coo {
         Ok(Coo { nrows, ncols, rows, cols, values })
     }
 
-    fn check_shape(nrows: usize, ncols: usize) -> Result<()> {
+    pub(crate) fn check_shape(nrows: usize, ncols: usize) -> Result<()> {
         if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
             return Err(SparseError::DimensionMismatch {
                 detail: format!("shape {nrows}x{ncols} exceeds u32 index space"),

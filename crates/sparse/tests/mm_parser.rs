@@ -29,8 +29,6 @@ enum Expect {
     /// [`SparseError::DimensionMismatch`] (shape beyond the `u32`
     /// index space).
     Shape,
-    /// [`SparseError::Io`].
-    Io,
 }
 
 fn ok(
@@ -194,8 +192,8 @@ fn golden() -> Vec<(&'static str, Vec<u8>, Expect)> {
         ("empty matrix", general("4 4 0\n"), ok(4, 4, &[0, 0, 0, 0, 0], &[], &[])),
         ("zero-by-zero matrix", general("0 0 0\n"), ok(0, 0, &[0], &[], &[])),
         ("replacement character value", general("1 1 1\n1 1 \u{fffd}\n"), Expect::Parse(3)),
-        // Bytes that are not UTF-8 fail the read as a stream error.
-        ("non-UTF-8 value", [&general("1 1 1\n1 1 ")[..], b"\xff\n"].concat(), Expect::Io),
+        // Bytes that are not UTF-8 are a parse error on their line.
+        ("non-UTF-8 value", [&general("1 1 1\n1 1 ")[..], b"\xff\n"].concat(), Expect::Parse(3)),
     ]
 }
 
@@ -219,7 +217,6 @@ fn check(name: &str, input: &[u8], want: &Expect) {
             assert_eq!((r, c), (row, col), "{name}: offending entry");
         }
         (Expect::Shape, Err(SparseError::DimensionMismatch { .. })) => {}
-        (Expect::Io, Err(SparseError::Io(_))) => {}
         _ => panic!("{name}: expected {want:?}, got {got:?}"),
     }
 }
