@@ -439,6 +439,24 @@ mod tests {
     }
 
     #[test]
+    fn menu_sections_with_other_keys_compare() {
+        // A baseline written before the shortlist (with
+        // `bound_pruned`) against one written after it (with
+        // `classes` and `regret`): only the shared metrics compare.
+        let doc = traj_with_menu(10.0, 5.0, "inner-vect", "csr/avx2-a2", 7.5).render();
+        let with = |extra: &str| {
+            let text = doc.replace("\"cached\":false", &format!("\"cached\":false,{extra}"));
+            assert_ne!(text, doc, "menu section not found");
+            JsonValue::parse(&text).expect("valid JSON")
+        };
+        let old = with("\"candidates\":13,\"bound_pruned\":0,\"timed\":13");
+        let new = with("\"classes\":\"{MB}\",\"candidates\":13,\"timed\":6,\"regret\":1.01");
+        let report = compare(&old, &new, &CompareOptions::default()).expect("compare");
+        assert!(!report.regressed(), "{}", report.render());
+        assert!(report.deltas.iter().any(|d| d.metric == "host menu gflops m1"));
+    }
+
+    #[test]
     fn schema_mismatch_is_an_error() {
         let good = traj(10.0, 5.0, "inner-vect");
         let bad = JsonValue::obj().with("schema", "other/1");

@@ -8,7 +8,9 @@
 //!   trajectory diffs isolate model changes from host noise);
 //! * host-measured GFLOP/s and preprocessing cost for the baseline
 //!   and every single-optimization variant, plus the microkernel
-//!   menu search's selected kernel and its throughput;
+//!   menu search's selected kernel, its throughput, the bottleneck
+//!   classes that chose its shortlist, the candidates it timed and
+//!   its regret against timing the whole menu;
 //!
 //! plus a trailing `telemetry` section with the process-wide dispatch
 //! / preprocessing / profiling counters accumulated during the run.
@@ -21,6 +23,7 @@ use std::path::Path;
 use spmv_kernels::micro::menu;
 use spmv_kernels::variant::{build_kernel, KernelSpec, KernelVariant};
 use spmv_machine::MachineModel;
+use spmv_sparse::Csr;
 use spmv_telemetry::{metrics, tracer, JsonValue};
 use spmv_tuner::profile::ProfileClassifier;
 
@@ -178,7 +181,6 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
     let flops = 2.0 * a.nnz() as f64;
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
-    let candidates = menu(a.ncols());
     let mut variants = Vec::new();
     let mut classic = Vec::new();
     for v in host_variants() {
@@ -186,13 +188,10 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
         built.kernel.run(&x, &mut y); // warm-up
         let (best, times) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
         let gflops = flops / best.max(1e-12) / 1e9;
-        // A variant whose built spec is a menu candidate (`vec` is
-        // `csr/unrolled`; `comp` is `delta` when the deltas encode)
-        // ran the same kernel, so its measurement is one more sample
-        // of that candidate.
-        if candidates.contains(&built.spec) {
-            classic.push((built.spec.id(), gflops));
-        }
+        // Every variant's measurement is one more sample of the spec
+        // it built (`vec` is `csr/unrolled`; `comp` is `delta` when
+        // the deltas encode), for the menu section below.
+        classic.push((built.spec, gflops));
         variants.push(
             JsonValue::obj()
                 .with("variant", v.to_string())
@@ -206,63 +205,80 @@ fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
     JsonValue::obj()
         .with("nthreads", nthreads)
         .with("variants", JsonValue::Arr(variants))
-        .with("menu", menu_entry(nm, nthreads, &candidates, &classic))
+        .with("menu", menu_entry(nm, nthreads, &classic))
 }
 
-/// The tuner's menu-search decision for this matrix: the selected
-/// microkernel and its measured throughput, so `--compare` can
-/// regression-gate menu wins between trajectories. Scalars only — the
-/// full candidate lists live in `spmvtune explain`'s trace, and
-/// keeping this section list-free keeps the document's key-path
-/// structure byte-stable across runs.
-fn menu_entry(
-    nm: &NamedMatrix,
-    nthreads: usize,
-    candidates: &[KernelSpec],
-    classic: &[(String, f64)],
-) -> JsonValue {
+/// Rounds of the regret's head-to-head re-measurement.
+const HEAD_TO_HEAD_ROUNDS: usize = 5;
+
+/// The tuner's menu-search decision for this matrix, and its regret
+/// against timing the whole menu.
+///
+/// `selected`/`gflops` are the shortlist's best on this host: every
+/// candidate the search timed is re-measured with the classic
+/// variants' best-of protocol (same process, same warm pool), and the
+/// classic variants' measurements of the same kernels count as
+/// further samples — the search's single-warm-up timings can misrank
+/// near-ties, and `--compare` gates this number against the classic
+/// variants'. `regret` is the exhaustive-menu winner ÷ the shortlist
+/// winner: every menu candidate is timed to find the exhaustive
+/// winner, then it and the search's pick are re-measured head to
+/// head (1 when they are the same spec). Scalars only — the candidate
+/// lists live in `spmvtune explain`'s trace, and keeping this section
+/// list-free keeps the document's key-path structure byte-stable
+/// across runs.
+fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) -> JsonValue {
     let a = &nm.matrix;
-    let flops = 2.0 * a.nnz() as f64;
     let (plan, trace) =
         spmv_tuner::menu::search_or_cached(a, &MachineModel::host(), nthreads, HOST_REPS);
-    // Re-measure every candidate the search timed, with the same
-    // best-of protocol the classic variants use (same process, same
-    // warm pool), and let the re-measurement refine the selection:
-    // the search's single-warm-up timings can misrank near-ties, and
-    // this section's claim is "the menu's best on this host", gated
-    // by `--compare` against the classic variants' numbers.
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
-    let mut selected = plan.spec.id();
-    let mut gflops = plan.gflops;
-    for t in &trace.timed {
-        let Some(&spec) = candidates.iter().find(|s| s.id() == t.id) else { continue };
-        let built = build_kernel(a, spec, nthreads);
-        built.kernel.run(&x, &mut y); // warm-up
-        let (best, _) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
-        let gf = flops / best.max(1e-12) / 1e9;
+    let gflops_of = |spec| spmv_tuner::menu::measure(a, spec, nthreads, HOST_REPS).0;
+    let shortlisted = |spec: &KernelSpec| trace.timed.iter().any(|t| t.spec == *spec);
+    let (mut selected, mut gflops) = (plan.spec, plan.gflops);
+    let remeasured = trace.timed.iter().map(|t| (t.spec, gflops_of(t.spec)));
+    for (spec, gf) in remeasured.chain(classic.iter().copied().filter(|(s, _)| shortlisted(s))) {
         if gf > gflops {
-            gflops = gf;
-            selected = t.id.clone();
+            (selected, gflops) = (spec, gf);
         }
     }
-    // The classic variants' measurements of the same kernels (see
-    // `host_entry`) are further samples — same best-of-the-samples
-    // de-noising as within one measurement.
-    for (id, gf) in classic {
-        if *gf > gflops {
-            gflops = *gf;
-            selected = id.clone();
-        }
-    }
+
+    let candidates = menu(a.ncols());
+    let exhaustive = candidates
+        .iter()
+        .map(|&spec| (spec, gflops_of(spec)))
+        .fold((plan.spec, 0.0), |best, c| if c.1 > best.1 { c } else { best })
+        .0;
+    let regret = if exhaustive == plan.spec {
+        1.0
+    } else {
+        let [exhaustive_gf, shortlist_gf] = head_to_head(a, [exhaustive, plan.spec], nthreads);
+        exhaustive_gf / shortlist_gf.max(1e-12)
+    };
     JsonValue::obj()
-        .with("selected", selected)
+        .with("selected", selected.id())
         .with("gflops", gflops)
         .with("search_seconds", plan.search_seconds)
         .with("cached", plan.cached)
-        .with("candidates", trace.considered.len())
-        .with("bound_pruned", trace.pruned.len())
-        .with("timed", trace.timed.len())
+        .with("classes", plan.classes.to_string())
+        .with("candidates", candidates.len())
+        .with("timed", plan.timed)
+        .with("regret", regret)
+}
+
+/// Best-of GFLOP/s of two specs, measured in alternating rounds so
+/// both see the same host conditions.
+fn head_to_head(a: &Csr, specs: [KernelSpec; 2], nthreads: usize) -> [f64; 2] {
+    let built = specs.map(|spec| build_kernel(a, spec, nthreads));
+    let x = vec![1.0f64; a.ncols()];
+    let mut y = vec![0.0f64; a.nrows()];
+    let mut best = [0.0f64; 2];
+    for _ in 0..HEAD_TO_HEAD_ROUNDS {
+        for (b, k) in best.iter_mut().zip(&built) {
+            k.kernel.run(&x, &mut y); // warm-up
+            let (secs, _) = k.kernel.run_repeated(&x, &mut y, HOST_REPS);
+            *b = b.max(k.kernel.gflops(secs, a.nnz()));
+        }
+    }
+    best
 }
 
 /// The process-wide counters accumulated while the trajectory ran.
@@ -321,7 +337,8 @@ mod tests {
             "\"menu\":",
             "\"selected\":",
             "\"search_seconds\":",
-            "\"bound_pruned\":",
+            "\"classes\":",
+            "\"regret\":",
             "\"telemetry\":",
             "\"engine_dispatch\":",
             "\"profiling_runs\":",

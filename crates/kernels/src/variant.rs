@@ -329,22 +329,27 @@ impl KernelSpec {
         KernelSpec { inner, ..KernelSpec::of(Format::Csr) }
     }
 
-    /// Stable identifier of a menu candidate, used in traces and bench
-    /// output (`csr/avx2-a2`, `csr/unrolled`, `sell/c8`, `delta`).
-    /// Specs off the menu are identified by their `Debug` form.
+    /// Stable identifier of a menu candidate or a single-optimization
+    /// spec, used in traces and bench output (`csr/avx2-a2`,
+    /// `csr/unrolled`, `sell/c8`, `delta`, `csr/prefetch`,
+    /// `csr/guided`, `decomposed`, `bcsr`). Other specs are identified
+    /// by their `Debug` form.
     pub fn id(&self) -> String {
-        if self.schedule == Schedule::NnzBalanced {
-            match (self.format, self.inner) {
-                (Format::Csr, InnerLoop::Micro(m)) => return format!("csr/{}", m.id()),
-                (Format::Csr, InnerLoop::Unrolled) => return "csr/unrolled".to_string(),
-                (Format::Sell { chunk, sigma }, _) if sigma == 32 * chunk => {
-                    return format!("sell/c{chunk}");
-                }
-                (Format::Delta, _) => return "delta".to_string(),
-                _ => {}
+        match (self.format, self.inner, self.schedule) {
+            (Format::Csr, InnerLoop::Micro(m), Schedule::NnzBalanced) => format!("csr/{}", m.id()),
+            (Format::Csr, InnerLoop::Unrolled, Schedule::NnzBalanced) => "csr/unrolled".into(),
+            (Format::Csr, InnerLoop::Prefetch, Schedule::NnzBalanced) => "csr/prefetch".into(),
+            (Format::Csr, InnerLoop::Scalar, Schedule::Guided) => "csr/guided".into(),
+            (Format::Sell { chunk, sigma }, _, Schedule::NnzBalanced) if sigma == 32 * chunk => {
+                format!("sell/c{chunk}")
             }
+            (Format::Delta, _, Schedule::NnzBalanced) => "delta".into(),
+            (Format::Decomposed { or_delta: false }, InnerLoop::Scalar, Schedule::NnzBalanced) => {
+                "decomposed".into()
+            }
+            (Format::Bcsr { or_delta: false }, _, Schedule::NnzBalanced) => "bcsr".into(),
+            _ => format!("{self:?}"),
         }
-        format!("{self:?}")
     }
 }
 
@@ -554,5 +559,31 @@ mod tests {
         let a = gen::banded(200, 2, 1.0, 5).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::AutoSchedule), 2);
         assert!(built.kernel.name().contains("Guided"));
+    }
+
+    #[test]
+    fn single_optimization_specs_have_short_ids() {
+        let ids: Vec<String> = Optimization::EXTENDED
+            .iter()
+            .map(|&o| KernelSpec::from(KernelVariant::single(o)).id())
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                "csr/unrolled",
+                "csr/prefetch",
+                "delta",
+                "decomposed",
+                "csr/guided",
+                "bcsr",
+                "sell/c8"
+            ]
+        );
+        // Off-table specs keep their Debug form.
+        let guided_delta = KernelSpec::from(KernelVariant::of(&[
+            Optimization::Compress,
+            Optimization::AutoSchedule,
+        ]));
+        assert_eq!(guided_delta.id(), format!("{guided_delta:?}"));
     }
 }

@@ -9,7 +9,8 @@
 //! selection argument. This crate is that reuse loop as a service:
 //!
 //! * [`registry`] — upload/register → validate ([`Validated`]
-//!   witnesses) → tune once (PR 6 menu search) → serve many. Kernels
+//!   witnesses) → tune once (classify, then time the class
+//!   shortlist of the menu) → serve many. Kernels
 //!   are built once per matrix and pinned for the process lifetime.
 //!   A [`RegisteredMatrix`] owns everything about its matrix: the
 //!   kernels behind its one `run` entry point, its live roofline

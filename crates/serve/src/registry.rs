@@ -1,10 +1,14 @@
 //! Matrix registry: the tune-once/serve-many half of the serving
 //! plane.
 //!
-//! Registration is the expensive, once-per-matrix path: the uploaded
-//! matrix is structurally validated (the same [`Validated`] witness
-//! the kernels' unchecked fast paths demand), handed to the PR 6 menu
-//! search for a tuned kernel selection, and lowered onto two
+//! Registration is the expensive, once-per-matrix path: the upload is
+//! parsed in place from the request body (`mm::parse_csr`, one byte
+//! scan that builds CSR directly for row-ordered files), structurally
+//! validated (the same [`Validated`] witness the kernels' unchecked
+//! fast paths demand), and handed to the menu search, which
+//! classifies the matrix's bottlenecks with three host
+//! micro-benchmarks and times only the shortlist those classes map
+//! to. The winner is lowered onto two
 //! long-lived kernel objects — the **tuned** menu winner (throughput
 //! path, tolerance-level reproducibility) and the multi-vector
 //! **batch** kernel, which accumulates in scalar order and so is
@@ -79,7 +83,8 @@ pub struct RegisteredMatrix {
     /// Multi-vector kernel for coalesced batches and exact singles
     /// (scalar order, so its results are bitwise-serial).
     batch: SpmmKernel<'static>,
-    /// The tuner's decision record for `/v1/matrices` introspection.
+    /// The tuner's decision record (winner, class set, candidates
+    /// timed) for `/v1/matrices` introspection.
     plan: KernelPlan,
     nthreads: usize,
     /// Live attainment against the tuner's bound; `None` when that
@@ -116,7 +121,8 @@ impl RegisteredMatrix {
         self.a
     }
 
-    /// The tuner's winning plan.
+    /// The tuner's winning plan, with the bottleneck classes its
+    /// shortlist was drawn from.
     pub fn plan(&self) -> &KernelPlan {
         &self.plan
     }

@@ -11,8 +11,8 @@
 //!
 //! | route | body | effect |
 //! |---|---|---|
-//! | `POST /v1/matrices/{name}` | MatrixMarket text | validate + tune + register; JSON summary |
-//! | `GET /v1/matrices` | — | JSON list of registered matrices |
+//! | `POST /v1/matrices/{name}` | MatrixMarket text | parse in place + validate + tune + register; JSON summary |
+//! | `GET /v1/matrices` | — | JSON list of registered matrices (kernel, classes, candidates timed, attainment) |
 //! | `POST /v1/spmv/{name}[?mode=tuned][&digest=1]` | request spec | one SpMV via the scheduler |
 //! | `GET /v1/observe/{name}` | — | JSON roofline attainment + recent request timelines |
 //! | `GET /metrics` | — | the telemetry scrape plus each matrix's `spmv_roofline_*` families |
@@ -214,7 +214,9 @@ impl HttpHandler for SpmvService {
 }
 
 /// JSON summary of one registered matrix: static shape and tuning
-/// facts plus the live roofline attainment (`0.0` from registration
+/// facts — the kernel, the bottleneck classes (paper notation, e.g.
+/// `{IMB,CMP}`) that chose its shortlist and how many candidates were
+/// timed — plus the live roofline attainment (`0.0` from registration
 /// until the first dispatch lands; null only when the tuner's bound
 /// is not a positive finite number), so `GET /v1/matrices` alone is
 /// enough to spot a drifted matrix without scraping `/metrics` or
@@ -226,6 +228,8 @@ fn matrix_summary(m: &RegisteredMatrix) -> JsonValue {
         .with("ncols", m.ncols())
         .with("nnz", m.nnz())
         .with("kernel", m.plan().spec.id())
+        .with("classes", m.plan().classes.to_string())
+        .with("timed", m.plan().timed)
         .with("tuned_gflops", m.plan().gflops)
         .with("nthreads", m.nthreads());
     match m.roofline() {
@@ -449,6 +453,11 @@ mod tests {
         assert_eq!(items.len(), 2);
         for m in items {
             assert!(m.get("kernel").and_then(JsonValue::as_str).is_some(), "{text}");
+            // Why that kernel: the class set in paper notation and
+            // the shortlist size (baseline and unrolled at least).
+            let classes = m.get("classes").and_then(JsonValue::as_str).expect("classes");
+            assert!(classes.starts_with('{') && classes.ends_with('}'), "{text}");
+            assert!(m.get("timed").and_then(JsonValue::as_f64).unwrap() >= 2.0, "{text}");
             // Registration builds the roofline cell, so attainment is
             // numeric (0.0 before any dispatch), not null.
             assert!(m.get("attainment").and_then(JsonValue::as_f64).is_some(), "{text}");
@@ -527,7 +536,18 @@ mod tests {
         assert_eq!(items.len(), 1);
         assert_eq!(
             key_set(&items[0]),
-            ["attainment", "kernel", "name", "ncols", "nnz", "nrows", "nthreads", "tuned_gflops"]
+            [
+                "attainment",
+                "classes",
+                "kernel",
+                "name",
+                "ncols",
+                "nnz",
+                "nrows",
+                "nthreads",
+                "timed",
+                "tuned_gflops"
+            ]
         );
     }
 

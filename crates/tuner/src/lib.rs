@@ -23,9 +23,11 @@
 //! * [`amortize`] — the solver-iteration amortization model of §IV-D
 //!   (`N_iters,min = t_pre / (t_MKL − t_optimizer)`), extended with
 //!   [`amortize::TuneCost`] so menu-search time is charged too;
-//! * [`menu`] — the microkernel menu search: bound-pruned candidate
-//!   timing over `spmv_kernels::micro`'s explicit-SIMD menu, with
-//!   per-matrix cached winning [`menu::KernelPlan`]s;
+//! * [`menu`] — the microkernel menu search: classify the matrix with
+//!   the host micro-benchmarks, time only the shortlist its classes
+//!   map to (through [`pool::OptimizationPool::menu_shortlist`]) over
+//!   `spmv_kernels::micro`'s menu and the pool's treatments, and cache
+//!   the winning [`menu::KernelPlan`] per matrix;
 //! * [`pool`] — the class→optimization mapping as a configurable
 //!   value, demonstrating the plug-and-play extension property.
 

@@ -3,43 +3,51 @@
 //! The menu ([`spmv_kernels::micro::menu`]) enumerates concrete
 //! kernel configurations — explicit-SIMD CSR row kernels, SELL-C-σ
 //! slice heights, delta compression. This module picks one *per
-//! matrix* the way the paper's oracle does, but cheaper:
+//! matrix* the way the paper's optimizer does: it finds the matrix's
+//! bottleneck classes first and times only the kernels that treat
+//! them, because classifying is cheaper than searching (§III):
 //!
-//! 1. time the scalar CSR baseline (one candidate, always);
-//! 2. for every other candidate, compute an **optimistic memory-bound
-//!    ceiling** from the machine's bandwidth curve (the same analytic
-//!    `P_MB` model the profile classifier uses) and *prune* the
-//!    candidate without ever building it when the ceiling cannot beat
-//!    the best measured GFLOP/s so far;
-//! 3. build + warm + best-of-reps time the survivors on the
-//!    persistent [`spmv_kernels::ExecEngine`] pool;
+//! 1. classify: the three §III-B micro-benchmarks on the host
+//!    ([`HostSource`]) and the Fig. 4 rules ([`ProfileClassifier`]);
+//! 2. shortlist ([`shortlist`]): map the class set through
+//!    [`OptimizationPool::menu_shortlist`] and expand each selected
+//!    optimization to its family of specs ([`family`]), next to the
+//!    scalar CSR baseline and `csr/unrolled`, which are always timed;
+//! 3. build + warm + best-of-reps time the shortlist on the persistent
+//!    [`spmv_kernels::ExecEngine`] pool and keep the fastest;
 //! 4. cache the winning [`KernelPlan`] keyed by (structural matrix
 //!    fingerprint, thread count), so a repeat tuning of the same
 //!    matrix pays zero search cost — the cache hit path reports
 //!    `search_seconds == 0`, which [`crate::amortize::TuneCost`]
 //!    turns into a conversion-only payoff threshold.
 //!
-//! Every search emits a [`MenuTrace`] (candidates considered /
-//! pruned / timed, the winner, search time) — rendered by `spmvtune
-//! explain` next to the classifier's decision trace — and feeds the
-//! process-wide [`spmv_telemetry::metrics::menu_selection`] gauge.
+//! Every search emits a [`MenuTrace`] (class set, candidates timed,
+//! the winner, search time) — rendered by `spmvtune explain` next to
+//! the classifier's decision trace — and feeds the process-wide
+//! [`spmv_telemetry::metrics::menu_selection`] gauge.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use spmv_kernels::micro::menu;
-use spmv_kernels::variant::{build_kernel, Format, KernelSpec};
+use spmv_kernels::baseline::InnerLoop;
+use spmv_kernels::micro::{self, menu};
+use spmv_kernels::variant::{build_kernel, Format, KernelSpec, KernelVariant, Optimization};
 use spmv_machine::MachineModel;
 use spmv_sparse::features::working_set_bytes;
-use spmv_sparse::Csr;
+use spmv_sparse::{Csr, FeatureVector};
 use spmv_telemetry::{JsonValue, SpanSet};
+
+use crate::bounds::HostSource;
+use crate::class::ClassSet;
+use crate::pool::OptimizationPool;
+use crate::profile::ProfileClassifier;
 
 /// The tuner's winning configuration for one (matrix, threads) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelPlan {
-    /// The selected menu spec.
+    /// The selected spec.
     pub spec: KernelSpec,
     /// Best-of-reps GFLOP/s measured for the winner during search.
     pub gflops: f64,
@@ -51,24 +59,17 @@ pub struct KernelPlan {
     pub search_seconds: f64,
     /// Whether this plan was served from the plan cache.
     pub cached: bool,
+    /// The bottleneck classes the shortlist was drawn from.
+    pub classes: ClassSet,
+    /// How many candidates the search timed.
+    pub timed: usize,
 }
 
-/// One pruned candidate: its id and the optimistic bound (GFLOP/s)
-/// that disqualified it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrunedCandidate {
-    /// Menu entry id.
-    pub id: String,
-    /// Optimistic memory-bound ceiling that could not beat the best
-    /// measured candidate.
-    pub bound_gflops: f64,
-}
-
-/// One timed candidate: its id and measured best-of-reps GFLOP/s.
+/// One timed candidate: its spec and measured best-of-reps GFLOP/s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedCandidate {
-    /// Menu entry id.
-    pub id: String,
+    /// The candidate.
+    pub spec: KernelSpec,
     /// Measured best-of-reps GFLOP/s on the warm pool.
     pub gflops: f64,
 }
@@ -76,17 +77,16 @@ pub struct TimedCandidate {
 /// Full record of one menu search decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MenuTrace {
-    /// Every candidate the menu offered, in search order.
-    pub considered: Vec<String>,
-    /// Candidates rejected by the bound model without being built.
-    pub pruned: Vec<PrunedCandidate>,
-    /// Candidates actually built and timed.
+    /// The bottleneck classes the shortlist was drawn from.
+    pub classes: ClassSet,
+    /// The shortlisted candidates, built and timed in search order.
     pub timed: Vec<TimedCandidate>,
     /// The winning entry's id.
     pub winner: String,
     /// Winner's measured GFLOP/s.
     pub winner_gflops: f64,
-    /// Wall-clock seconds of the whole search (zero on cache hits).
+    /// Wall-clock seconds of the whole search, classification
+    /// included (zero on cache hits).
     pub search_seconds: f64,
     /// Whether the decision was served from the plan cache.
     pub cached: bool,
@@ -96,23 +96,12 @@ impl MenuTrace {
     /// Serializes the trace (deterministic key order).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj()
-            .with("considered", self.considered.clone())
-            .with(
-                "pruned",
-                self.pruned
-                    .iter()
-                    .map(|p| {
-                        JsonValue::obj()
-                            .with("id", p.id.as_str())
-                            .with("bound_gflops", p.bound_gflops)
-                    })
-                    .collect::<Vec<_>>(),
-            )
+            .with("classes", self.classes.to_string())
             .with(
                 "timed",
                 self.timed
                     .iter()
-                    .map(|t| JsonValue::obj().with("id", t.id.as_str()).with("gflops", t.gflops))
+                    .map(|t| JsonValue::obj().with("id", t.spec.id()).with("gflops", t.gflops))
                     .collect::<Vec<_>>(),
             )
             .with("winner", self.winner.as_str())
@@ -124,23 +113,16 @@ impl MenuTrace {
     /// Renders the decision as indented text lines for `spmvtune
     /// explain`, mirroring the classifier's rule-trace style.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "menu search: {} candidates, {} bound-pruned, {} timed{}\n",
-            self.considered.len(),
-            self.pruned.len(),
+        let mut out = format!(
+            "menu search: classes {}, {} candidates timed{}\n",
+            self.classes,
             self.timed.len(),
             if self.cached { " (served from plan cache)" } else { "" },
-        ));
+        );
         for t in &self.timed {
-            let marker = if t.id == self.winner { "  <- winner" } else { "" };
-            out.push_str(&format!("  timed  {:<16} {:>8.3} GF/s{}\n", t.id, t.gflops, marker));
-        }
-        for p in &self.pruned {
-            out.push_str(&format!(
-                "  pruned {:<16} bound {:>6.3} GF/s below best measured\n",
-                p.id, p.bound_gflops
-            ));
+            let id = t.spec.id();
+            let marker = if id == self.winner { "  <- winner" } else { "" };
+            out.push_str(&format!("  timed  {id:<16} {:>8.3} GF/s{marker}\n", t.gflops));
         }
         out.push_str(&format!(
             "  winner: {} ({:.3} GF/s, search {:.1} ms)\n",
@@ -170,8 +152,7 @@ pub fn fingerprint(a: &Csr) -> u64 {
 /// (matrix data only; the shared `x`/`y` traffic is added by the
 /// caller). "Optimistic" means a lower bound on traffic — SELL
 /// assumes zero padding, delta assumes every delta fits one byte —
-/// so the derived GFLOP/s ceiling is a true upper bound and pruning
-/// on it never discards a candidate that could have won.
+/// so the derived GFLOP/s ceiling is a true upper bound.
 fn optimistic_format_bytes(a: &Csr, spec: KernelSpec) -> f64 {
     let nnz = a.nnz() as f64;
     let rows = a.nrows() as f64;
@@ -188,9 +169,9 @@ fn optimistic_format_bytes(a: &Csr, spec: KernelSpec) -> f64 {
 
 /// Simulated roofline bound for running `spec` on `a`: the GFLOP/s
 /// ceiling its (optimistic) memory traffic permits at the machine
-/// model's bandwidth for this working-set size. The search prunes
-/// candidates on it; each served matrix's roofline cell compares
-/// live measured throughput against the selected plan's bound.
+/// model's bandwidth for this working-set size. Each served matrix's
+/// roofline cell compares live measured throughput against the
+/// selected plan's bound.
 pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, spec: KernelSpec) -> f64 {
     let flops = 2.0 * a.nnz() as f64;
     let xy_bytes = ((a.ncols() + a.nrows()) * 8) as f64;
@@ -198,10 +179,57 @@ pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, spec: KernelSpec) 
     flops / ((optimistic_format_bytes(a, spec) + xy_bytes) / bw) / 1e9
 }
 
-/// Runs the full menu search for `a` on `nthreads` threads, timing
-/// candidates best-of-`reps` on the warm pool. Returns the winning
-/// plan and the decision trace. Does not consult or fill the plan
-/// cache — use [`search_or_cached`] for the amortizing entry point.
+/// The specs that apply one optimization: its single-optimization
+/// lowering ([`KernelSpec::from`]), plus the menu's other specs of the
+/// same kind — every explicit-SIMD CSR row kernel for `Vectorize`,
+/// every slice height for `SlicedEll`.
+pub fn family(opt: Optimization, menu: &[KernelSpec]) -> Vec<KernelSpec> {
+    let mut specs = vec![KernelSpec::from(KernelVariant::single(opt))];
+    specs.extend(menu.iter().filter(|s| match opt {
+        Optimization::Vectorize => {
+            s.format == Format::Csr && matches!(s.inner, InnerLoop::Micro(m) if m.is_simd())
+        }
+        Optimization::SlicedEll => matches!(s.format, Format::Sell { .. }),
+        _ => false,
+    }));
+    specs
+}
+
+/// The candidates a search times for a matrix of class set `classes`:
+/// the scalar CSR baseline and `csr/unrolled` (always), then the
+/// [`family`] of every optimization the
+/// [`OptimizationPool::menu_shortlist`] pool maps the classes to, in
+/// order and without repeats.
+pub fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<KernelSpec> {
+    let menu = menu(ncols);
+    let mut specs = vec![micro::baseline(), KernelSpec::csr(InnerLoop::Unrolled)];
+    for opt in OptimizationPool::menu_shortlist().to_variant(classes, features).iter() {
+        for spec in family(opt, &menu) {
+            if !specs.contains(&spec) {
+                specs.push(spec);
+            }
+        }
+    }
+    specs
+}
+
+/// Builds, warms and times `spec` best-of-`reps` on the warm pool:
+/// (GFLOP/s, preprocessing seconds).
+pub fn measure(a: &Csr, spec: KernelSpec, nthreads: usize, reps: usize) -> (f64, f64) {
+    let x = vec![1.0f64; a.ncols()];
+    let mut y = vec![0.0f64; a.nrows()];
+    let built = build_kernel(a, spec, nthreads);
+    built.kernel.run(&x, &mut y); // warm-up
+    let (secs, _) = built.kernel.run_repeated(&x, &mut y, reps.max(1));
+    (built.kernel.gflops(secs, a.nnz()), built.prep_seconds)
+}
+
+/// Runs the menu search for `a` on `nthreads` threads: classifies the
+/// matrix with the host micro-benchmarks (best-of-`reps`), then times
+/// its [`shortlist`] best-of-`reps` on the warm pool. Returns the
+/// winning plan and the decision trace. Does not consult or fill the
+/// plan cache — use [`search_or_cached`] for the amortizing entry
+/// point.
 pub fn search(
     a: &Csr,
     machine: &MachineModel,
@@ -209,56 +237,38 @@ pub fn search(
     reps: usize,
 ) -> (KernelPlan, MenuTrace) {
     let t_search = Instant::now();
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
+    let (bounds, _) = HostSource::new(machine.clone(), nthreads, reps).collect_with_spans(a);
+    let classes = ProfileClassifier::default().classify(&bounds);
+    let features = FeatureVector::extract(a, machine.llc_bytes(), machine.line_elems());
 
-    let candidates = menu(a.ncols());
-    let considered: Vec<String> = candidates.iter().map(|e| e.id()).collect();
-    let mut pruned = Vec::new();
     let mut timed = Vec::new();
     let mut spans = SpanSet::new();
     let mut best: Option<(f64, KernelSpec, f64)> = None; // (gflops, spec, prep)
-
-    for (i, &spec) in candidates.iter().enumerate() {
-        let id = spec.id();
-        // The first candidate (scalar CSR baseline) is always timed —
-        // pruning needs a measured floor to compare bounds against.
-        if i > 0 {
-            let ceiling = roofline_bound_gflops(a, machine, spec);
-            if let Some((best_gf, _, _)) = best {
-                if ceiling <= best_gf {
-                    pruned.push(PrunedCandidate { id, bound_gflops: ceiling });
-                    continue;
-                }
-            }
-        }
-        let (gflops, prep) = spans.time(&format!("menu:{id}"), || {
-            let built = build_kernel(a, spec, nthreads);
-            built.kernel.run(&x, &mut y); // warm-up
-            let (secs, _) = built.kernel.run_repeated(&x, &mut y, reps.max(1));
-            (built.kernel.gflops(secs, a.nnz()), built.prep_seconds)
-        });
-        timed.push(TimedCandidate { id, gflops });
+    for spec in shortlist(classes, &features, a.ncols()) {
+        let (gflops, prep) =
+            spans.time(&format!("menu:{}", spec.id()), || measure(a, spec, nthreads, reps));
+        timed.push(TimedCandidate { spec, gflops });
         if best.as_ref().is_none_or(|(b, _, _)| gflops > *b) {
             best = Some((gflops, spec, prep));
         }
     }
     spmv_telemetry::metrics::profiling_runs().add(spans.total_seconds("menu:"));
 
-    let (gflops, spec, prep_seconds) = best.expect("menu is never empty");
+    let (gflops, spec, prep_seconds) = best.expect("the shortlist is never empty");
     let search_seconds = t_search.elapsed().as_secs_f64();
     let winner = spec.id();
     spmv_telemetry::metrics::menu_selection().record_search(&winner);
-    let plan = KernelPlan { spec, gflops, prep_seconds, search_seconds, cached: false };
-    let trace = MenuTrace {
-        considered,
-        pruned,
-        timed,
-        winner,
-        winner_gflops: gflops,
+    let plan = KernelPlan {
+        spec,
+        gflops,
+        prep_seconds,
         search_seconds,
         cached: false,
+        classes,
+        timed: timed.len(),
     };
+    let trace =
+        MenuTrace { classes, timed, winner, winner_gflops: gflops, search_seconds, cached: false };
     (plan, trace)
 }
 
@@ -309,10 +319,11 @@ mod tests {
     fn search_times_baseline_and_picks_a_winner() {
         let a = gen::banded(4_000, 8, 1.0, 3).unwrap();
         let (plan, trace) = search(&a, &MachineModel::host(), 2, 2);
-        assert!(!trace.considered.is_empty());
-        // The baseline is always timed, never pruned.
-        assert_eq!(trace.timed[0].id, spmv_kernels::micro::baseline().id());
-        assert!(trace.pruned.len() + trace.timed.len() == trace.considered.len());
+        // The baseline and the unrolled loop are always timed first.
+        assert_eq!(trace.timed[0].spec, micro::baseline());
+        assert_eq!(trace.timed[1].spec, KernelSpec::csr(InnerLoop::Unrolled));
+        assert_eq!(plan.timed, trace.timed.len());
+        assert_eq!(plan.classes, trace.classes);
         assert!(plan.gflops > 0.0);
         assert!(!plan.cached);
         assert!(plan.search_seconds > 0.0);
@@ -335,6 +346,7 @@ mod tests {
         assert!(second.cached && t2.cached);
         assert_eq!(second.search_seconds, 0.0);
         assert_eq!(second.spec, first.spec);
+        assert_eq!((second.classes, second.timed), (first.classes, first.timed));
         assert_eq!(t2.winner, t1.winner);
         assert!(spmv_telemetry::metrics::menu_selection().cache_hits() > hits_before);
         // Different thread count misses the cache.
@@ -373,13 +385,58 @@ mod tests {
         let a = gen::banded(2_000, 6, 1.0, 5).unwrap();
         let (_, trace) = search(&a, &MachineModel::host(), 1, 1);
         let json = trace.to_json().render();
-        for key in ["considered", "pruned", "timed", "winner", "search_seconds", "cached"] {
+        for key in ["classes", "timed", "winner", "search_seconds", "cached"] {
             assert!(json.contains(&format!("\"{key}\"")), "{json}");
         }
         let text = trace.render_text();
-        assert!(text.contains("menu search:"), "{text}");
+        assert!(text.contains(&format!("menu search: classes {}", trace.classes)), "{text}");
         assert!(text.contains("winner:"), "{text}");
         assert!(text.contains("<- winner"), "{text}");
+    }
+
+    fn ids(specs: &[KernelSpec]) -> Vec<String> {
+        specs.iter().map(KernelSpec::id).collect()
+    }
+
+    #[test]
+    fn shortlist_times_the_class_treatments_only() {
+        use crate::class::Bottleneck::{CMP, IMB, MB, ML};
+        let a = gen::banded(2_000, 4, 1.0, 3).unwrap();
+        let f = FeatureVector::extract(&a, 30 << 20, 8);
+        let n = a.ncols();
+        let list = |classes: &[crate::Bottleneck]| ids(&shortlist(ClassSet::of(classes), &f, n));
+        // The always-timed pair, then the named specs, then `rest`.
+        let expect = |named: &[&str], rest: &[String]| -> Vec<String> {
+            let named = named.iter().map(|s| s.to_string());
+            ["csr/scalar4-a1", "csr/unrolled"]
+                .map(String::from)
+                .into_iter()
+                .chain(named)
+                .chain(rest.iter().cloned())
+                .collect()
+        };
+        let simd = ids(&family(Optimization::Vectorize, &menu(n)))[1..].to_vec();
+        assert_eq!(list(&[]), expect(&[], &[]));
+        assert_eq!(list(&[CMP]), expect(&[], &simd));
+        assert_eq!(list(&[MB]), [expect(&[], &simd), vec!["delta".to_string()]].concat());
+        assert_eq!(list(&[ML]), expect(&["csr/prefetch", "sell/c8", "sell/c4", "sell/c16"], &[]));
+        // A banded matrix has no long rows: IMB takes guided scheduling.
+        assert_eq!(list(&[IMB]), expect(&["csr/guided"], &[]));
+        // Every listed spec is distinct, even when classes overlap.
+        let mut all = list(&[MB, ML, IMB, CMP]);
+        let len = all.len();
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), len);
+    }
+
+    #[test]
+    fn shortlist_decomposes_long_rows() {
+        let a = gen::circuit(5_000, 3, 0.5, 4, 3).unwrap();
+        let f = FeatureVector::extract(&a, 30 << 20, 8);
+        assert!(f.nnz_max > 16.0 * f.nnz_avg, "fixture needs dense rows");
+        let specs = shortlist(ClassSet::of(&[crate::Bottleneck::IMB]), &f, a.ncols());
+        assert_eq!(ids(&specs), ["csr/scalar4-a1", "csr/unrolled", "decomposed"]);
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum Strategy {
     TrivialSingle,
     /// Time all 15 singles + pairs, keep the best.
     TrivialCombined,
-    /// Bound-pruned search over the explicit-SIMD microkernel menu
-    /// (see [`crate::menu`]), with per-matrix cached winning plans.
+    /// Class-shortlisted search over the explicit-SIMD microkernel
+    /// menu (see [`crate::menu`]), with per-matrix cached winning
+    /// plans.
     MenuSearch,
 }
 
@@ -98,7 +99,7 @@ impl Optimizer {
         Self::base(machine, Strategy::TrivialCombined)
     }
 
-    /// Microkernel menu search (bound-pruned, plan-cached).
+    /// Microkernel menu search (class-shortlisted, plan-cached).
     pub fn menu_search(machine: &MachineModel) -> Optimizer {
         Self::base(machine, Strategy::MenuSearch)
     }
@@ -130,10 +131,11 @@ impl Optimizer {
     }
 
     /// Classifies the matrix (empty set for sweep strategies, which
-    /// do not reason in terms of bottlenecks).
+    /// do not reason in terms of bottlenecks). The menu search
+    /// classifies the way the profile-guided optimizer does.
     pub fn classify(&self, a: &Csr) -> ClassSet {
         match self.strategy {
-            Strategy::ProfileGuided => {
+            Strategy::ProfileGuided | Strategy::MenuSearch => {
                 let source =
                     HostSource::new(self.machine.clone(), self.nthreads, self.profiling_reps);
                 let bounds = source.collect(a);
@@ -176,7 +178,7 @@ impl Optimizer {
                 );
                 let built = build_kernel(a, plan.spec, self.nthreads);
                 TunedSpmv {
-                    classes: ClassSet::EMPTY,
+                    classes: plan.classes,
                     variant: KernelVariant::BASELINE,
                     built,
                     prep_seconds: t0.elapsed().as_secs_f64(),
@@ -357,7 +359,10 @@ mod tests {
         let opt = Optimizer::menu_search(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
-        assert!(tuned.classes().is_empty());
+        // The classes the shortlist was drawn from, as cached.
+        let (plan, _) = crate::menu::search_or_cached(&a, &MachineModel::host(), 2, 3);
+        assert!(plan.cached);
+        assert_eq!(tuned.classes(), plan.classes);
         let cost = tuned.tune_cost();
         assert!(cost.search_seconds > 0.0, "first tuning must pay search time");
         assert!((cost.total() - tuned.prep_seconds).abs() < 1e-9);

@@ -232,10 +232,10 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     println!("\nbottleneck classes: {traced_classes}");
     println!("selected optimizations: {}", classes.to_variant(&fv));
 
-    // Microkernel menu search (DESIGN.md §11): which explicit-SIMD
-    // row kernel the auto-tuner picks for this matrix — candidates
-    // bound-pruned with the selected machine model, survivors timed
-    // on this host's thread pool.
+    // Microkernel menu search (DESIGN.md §11): which kernel the
+    // auto-tuner picks for this matrix — the bottleneck classes
+    // measured on this host's thread pool (analytic bounds from the
+    // selected machine model) pick the shortlist, which is timed.
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let (_, menu) = spmv_tune::tuner::menu::search_or_cached(&a, &machine, nthreads, 3);
     println!("\nmicrokernel menu for {name} ({nthreads} threads):");

@@ -38,11 +38,13 @@ fn explain_renders_the_menu_search_trace() {
     // The menu section header and its accounting line.
     assert!(text.contains("microkernel menu for"), "{text}");
     assert!(text.contains("menu search:"), "{text}");
-    assert!(text.contains("candidates"), "{text}");
-    assert!(text.contains("bound-pruned"), "{text}");
-    // The scalar CSR baseline is always timed (it is the pruning
-    // floor), and a winner is always declared.
+    assert!(text.contains("candidates timed"), "{text}");
+    // Why: the bottleneck classes that picked the shortlist.
+    assert!(text.contains("menu search: classes {"), "{text}");
+    // The scalar CSR baseline and the unrolled loop are always
+    // timed, and a winner is always declared.
     assert!(text.contains("timed  csr/scalar4-a1"), "{text}");
+    assert!(text.contains("timed  csr/unrolled"), "{text}");
     assert!(text.contains("<- winner"), "{text}");
     assert!(text.contains("winner:"), "{text}");
     assert!(text.contains("GF/s, search"), "{text}");
