@@ -9,9 +9,9 @@
 //!
 //! 1. classify: the three §III-B micro-benchmarks on the host
 //!    ([`HostSource`]) and the Fig. 4 rules ([`ProfileClassifier`]);
-//! 2. shortlist ([`shortlist`]): map the class set through
+//! 2. shortlist (`shortlist`): map the class set through
 //!    [`OptimizationPool::menu_shortlist`] and expand each selected
-//!    optimization to its family of specs ([`family`]), next to the
+//!    optimization to its family of specs (`family`), next to the
 //!    scalar CSR baseline and `csr/unrolled`, which are always timed;
 //! 3. build + warm + best-of-reps time the shortlist on the persistent
 //!    [`spmv_kernels::ExecEngine`] pool and keep the fastest;
@@ -183,7 +183,7 @@ pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, spec: KernelSpec) 
 /// lowering ([`KernelSpec::from`]), plus the menu's other specs of the
 /// same kind — every explicit-SIMD CSR row kernel for `Vectorize`,
 /// every slice height for `SlicedEll`.
-pub fn family(opt: Optimization, menu: &[KernelSpec]) -> Vec<KernelSpec> {
+fn family(opt: Optimization, menu: &[KernelSpec]) -> Vec<KernelSpec> {
     let mut specs = vec![KernelSpec::from(KernelVariant::single(opt))];
     specs.extend(menu.iter().filter(|s| match opt {
         Optimization::Vectorize => {
@@ -200,7 +200,7 @@ pub fn family(opt: Optimization, menu: &[KernelSpec]) -> Vec<KernelSpec> {
 /// [`family`] of every optimization the
 /// [`OptimizationPool::menu_shortlist`] pool maps the classes to, in
 /// order and without repeats.
-pub fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<KernelSpec> {
+fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<KernelSpec> {
     let menu = menu(ncols);
     let mut specs = vec![micro::baseline(), KernelSpec::csr(InnerLoop::Unrolled)];
     for opt in OptimizationPool::menu_shortlist().to_variant(classes, features).iter() {
@@ -226,7 +226,7 @@ pub fn measure(a: &Csr, spec: KernelSpec, nthreads: usize, reps: usize) -> (f64,
 
 /// Runs the menu search for `a` on `nthreads` threads: classifies the
 /// matrix with the host micro-benchmarks (best-of-`reps`), then times
-/// its [`shortlist`] best-of-`reps` on the warm pool. Returns the
+/// its `shortlist` best-of-`reps` on the warm pool. Returns the
 /// winning plan and the decision trace. Does not consult or fill the
 /// plan cache — use [`search_or_cached`] for the amortizing entry
 /// point.

@@ -79,7 +79,7 @@ impl OptimizationPool {
     }
 
     /// The pool the menu search shortlists through
-    /// ([`crate::menu::shortlist`]): the paper's mapping with SELL-C-σ
+    /// (`menu::shortlist`): the paper's mapping with SELL-C-σ
     /// added to the `ML` treatment, since σ-sorted slices regularize
     /// the irregular rows whose `x` accesses prefetchers miss.
     pub fn menu_shortlist() -> OptimizationPool {
