@@ -104,6 +104,11 @@ impl<'a> Lines<'a> {
     }
 }
 
+/// Bytes that separate fields within a line (`\n` ends the line).
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
+}
+
 /// The whitespace-separated fields of one line. ASCII bytes are
 /// classified directly; a non-ASCII character is decoded and tested
 /// with [`char::is_whitespace`], so the field boundaries are those of
@@ -122,7 +127,7 @@ impl<'a> Fields<'a> {
     /// whitespace.
     fn class(&self, pos: usize) -> (usize, bool) {
         match self.line.as_bytes()[pos] {
-            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => (1, true),
+            b if is_blank(b) => (1, true),
             b if b.is_ascii() => (1, false),
             _ => self
                 .line
@@ -175,11 +180,6 @@ fn parse_index(s: &str, what: &str, line: usize) -> Result<usize> {
         v = v.checked_mul(10).and_then(|v| v.checked_add(usize::from(d))).ok_or_else(invalid)?;
     }
     Ok(v)
-}
-
-/// Bytes that separate fields within a line (`\n` ends the line).
-fn is_blank(b: u8) -> bool {
-    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
 }
 
 /// 1-based `(row, col, value)` of one entry line.

@@ -25,7 +25,7 @@
 //!   [`amortize::TuneCost`] so menu-search time is charged too;
 //! * [`menu`] — the microkernel menu search: classify the matrix with
 //!   the host micro-benchmarks, time only the shortlist its classes
-//!   map to (through [`pool::OptimizationPool::menu_shortlist`]) over
+//!   map to (through the paper's [`pool::OptimizationPool`]) over
 //!   `spmv_kernels::micro`'s menu and the pool's treatments, and cache
 //!   the winning [`menu::KernelPlan`] per matrix;
 //! * [`pool`] — the class→optimization mapping as a configurable

@@ -9,8 +9,8 @@
 //!
 //! 1. classify: the three §III-B micro-benchmarks on the host
 //!    ([`HostSource`]) and the Fig. 4 rules ([`ProfileClassifier`]);
-//! 2. shortlist (`shortlist`): map the class set through
-//!    [`OptimizationPool::menu_shortlist`] and expand each selected
+//! 2. shortlist (`shortlist`): map the class set through the paper's
+//!    mapping ([`OptimizationPool::default`]) and expand each selected
 //!    optimization to its family of specs (`family`), next to the
 //!    scalar CSR baseline and `csr/unrolled`, which are always timed;
 //! 3. build + warm + best-of-reps time the shortlist on the persistent
@@ -197,13 +197,13 @@ fn family(opt: Optimization, menu: &[KernelSpec]) -> Vec<KernelSpec> {
 
 /// The candidates a search times for a matrix of class set `classes`:
 /// the scalar CSR baseline and `csr/unrolled` (always), then the
-/// [`family`] of every optimization the
-/// [`OptimizationPool::menu_shortlist`] pool maps the classes to, in
-/// order and without repeats.
+/// [`family`] of every optimization the paper's mapping
+/// ([`OptimizationPool::default`]) gives the classes, in order and
+/// without repeats.
 fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<KernelSpec> {
     let menu = menu(ncols);
     let mut specs = vec![micro::baseline(), KernelSpec::csr(InnerLoop::Unrolled)];
-    for opt in OptimizationPool::menu_shortlist().to_variant(classes, features).iter() {
+    for opt in OptimizationPool::default().to_variant(classes, features).iter() {
         for spec in family(opt, &menu) {
             if !specs.contains(&spec) {
                 specs.push(spec);
@@ -419,7 +419,7 @@ mod tests {
         assert_eq!(list(&[]), expect(&[], &[]));
         assert_eq!(list(&[CMP]), expect(&[], &simd));
         assert_eq!(list(&[MB]), [expect(&[], &simd), vec!["delta".to_string()]].concat());
-        assert_eq!(list(&[ML]), expect(&["csr/prefetch", "sell/c8", "sell/c4", "sell/c16"], &[]));
+        assert_eq!(list(&[ML]), expect(&["csr/prefetch"], &[]));
         // A banded matrix has no long rows: IMB takes guided scheduling.
         assert_eq!(list(&[IMB]), expect(&["csr/guided"], &[]));
         // Every listed spec is distinct, even when classes overlap.

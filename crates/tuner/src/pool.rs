@@ -78,16 +78,6 @@ impl OptimizationPool {
         pool
     }
 
-    /// The pool the menu search shortlists through
-    /// (`menu::shortlist`): the paper's mapping with SELL-C-σ
-    /// added to the `ML` treatment, since σ-sorted slices regularize
-    /// the irregular rows whose `x` accesses prefetchers miss.
-    pub fn menu_shortlist() -> OptimizationPool {
-        let mut pool = OptimizationPool::default();
-        pool.ml.push(Optimization::SlicedEll);
-        pool
-    }
-
     /// Maps a detected class set to the joint optimization variant.
     pub fn to_variant(&self, classes: ClassSet, features: &FeatureVector) -> KernelVariant {
         let mut v = KernelVariant::BASELINE;
