@@ -111,8 +111,8 @@ fn is_blank(b: u8) -> bool {
 
 /// The whitespace-separated fields of one line. ASCII bytes are
 /// classified directly; a non-ASCII character is decoded and tested
-/// with [`char::is_whitespace`], so the field boundaries are those of
-/// `str::split_whitespace`.
+/// with [`char::is_whitespace`], so fields split on exactly the
+/// Unicode whitespace `str` splitting uses.
 struct Fields<'a> {
     line: &'a str,
     pos: usize,
