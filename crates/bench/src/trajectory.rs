@@ -220,13 +220,13 @@ const HEAD_TO_HEAD_ROUNDS: usize = 5;
 /// classic variants' measurements of the same kernels count as
 /// further samples — the search's single-warm-up timings can misrank
 /// near-ties, and `--compare` gates this number against the classic
-/// variants'. `regret` is the exhaustive-menu winner ÷ the shortlist
-/// winner: every menu candidate is timed to find the exhaustive
-/// winner, then it and the search's pick are re-measured head to
-/// head (1 when they are the same spec). Scalars only — the candidate
-/// lists live in `spmvtune explain`'s trace, and keeping this section
-/// list-free keeps the document's key-path structure byte-stable
-/// across runs.
+/// variants'. `regret` is the best of every menu and shortlist
+/// candidate ÷ `selected`, all re-measured head to head in the same
+/// alternating rounds, so it is at least 1 and a candidate the
+/// shortlist dropped that would have won raises it. Scalars only —
+/// the candidate lists live in `spmvtune explain`'s trace, and
+/// keeping this section list-free keeps the document's key-path
+/// structure byte-stable across runs.
 fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) -> JsonValue {
     let a = &nm.matrix;
     let (plan, trace) =
@@ -242,17 +242,14 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
     }
 
     let candidates = menu(a.ncols());
-    let exhaustive = candidates
-        .iter()
-        .map(|&spec| (spec, gflops_of(spec)))
-        .fold((plan.spec, 0.0), |best, c| if c.1 > best.1 { c } else { best })
-        .0;
-    let regret = if exhaustive == plan.spec {
-        1.0
-    } else {
-        let [exhaustive_gf, shortlist_gf] = head_to_head(a, [exhaustive, plan.spec], nthreads);
-        exhaustive_gf / shortlist_gf.max(1e-12)
-    };
+    let mut rivals = vec![selected];
+    for spec in candidates.iter().copied().chain(trace.timed.iter().map(|t| t.spec)) {
+        if !rivals.contains(&spec) {
+            rivals.push(spec);
+        }
+    }
+    let rival_gflops = head_to_head(a, &rivals, nthreads);
+    let regret = rival_gflops.iter().copied().fold(0.0, f64::max) / rival_gflops[0].max(1e-12);
     JsonValue::obj()
         .with("selected", selected.id())
         .with("gflops", gflops)
@@ -264,13 +261,13 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
         .with("regret", regret)
 }
 
-/// Best-of GFLOP/s of two specs, measured in alternating rounds so
-/// both see the same host conditions.
-fn head_to_head(a: &Csr, specs: [KernelSpec; 2], nthreads: usize) -> [f64; 2] {
-    let built = specs.map(|spec| build_kernel(a, spec, nthreads));
+/// Best-of GFLOP/s of each spec, measured in alternating rounds so
+/// all see the same host conditions.
+fn head_to_head(a: &Csr, specs: &[KernelSpec], nthreads: usize) -> Vec<f64> {
+    let built: Vec<_> = specs.iter().map(|&spec| build_kernel(a, spec, nthreads)).collect();
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
-    let mut best = [0.0f64; 2];
+    let mut best = vec![0.0f64; specs.len()];
     for _ in 0..HEAD_TO_HEAD_ROUNDS {
         for (b, k) in best.iter_mut().zip(&built) {
             k.kernel.run(&x, &mut y); // warm-up
@@ -344,6 +341,12 @@ mod tests {
             "\"profiling_runs\":",
         ] {
             assert!(json.contains(key), "missing {key} in {}", &json[..json.len().min(400)]);
+        }
+        // Regret compares the selected kernel with a set that holds it.
+        for rest in json.split("\"regret\":").skip(1) {
+            let end = rest.find([',', '}']).expect("regret is followed by more JSON");
+            let regret: f64 = rest[..end].parse().expect("regret is a number");
+            assert!(regret >= 1.0, "regret {regret} below 1");
         }
         // 17 suite matrices × (baseline + 5 singles) host variants.
         assert_eq!(json.matches("\"prep_seconds\":").count(), 17 * 6);

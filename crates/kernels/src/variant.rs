@@ -330,10 +330,10 @@ impl KernelSpec {
     }
 
     /// Stable identifier of a menu candidate or a single-optimization
-    /// spec, used in traces and bench output (`csr/avx2-a2`,
-    /// `csr/unrolled`, `sell/c8`, `delta`, `csr/prefetch`,
-    /// `csr/guided`, `decomposed`, `bcsr`). Other specs are identified
-    /// by their `Debug` form.
+    /// spec the shortlist can time, used in traces and bench output
+    /// (`csr/avx2-a2`, `csr/unrolled`, `sell/c8`, `delta`,
+    /// `csr/prefetch`, `csr/guided`, `decomposed`). Other specs are
+    /// identified by their `Debug` form.
     pub fn id(&self) -> String {
         match (self.format, self.inner, self.schedule) {
             (Format::Csr, InnerLoop::Micro(m), Schedule::NnzBalanced) => format!("csr/{}", m.id()),
@@ -347,7 +347,6 @@ impl KernelSpec {
             (Format::Decomposed { or_delta: false }, InnerLoop::Scalar, Schedule::NnzBalanced) => {
                 "decomposed".into()
             }
-            (Format::Bcsr { or_delta: false }, _, Schedule::NnzBalanced) => "bcsr".into(),
             _ => format!("{self:?}"),
         }
     }
@@ -563,22 +562,11 @@ mod tests {
 
     #[test]
     fn single_optimization_specs_have_short_ids() {
-        let ids: Vec<String> = Optimization::EXTENDED
+        let ids: Vec<String> = Optimization::ALL
             .iter()
             .map(|&o| KernelSpec::from(KernelVariant::single(o)).id())
             .collect();
-        assert_eq!(
-            ids,
-            [
-                "csr/unrolled",
-                "csr/prefetch",
-                "delta",
-                "decomposed",
-                "csr/guided",
-                "bcsr",
-                "sell/c8"
-            ]
-        );
+        assert_eq!(ids, ["csr/unrolled", "csr/prefetch", "delta", "decomposed", "csr/guided"]);
         // Off-table specs keep their Debug form.
         let guided_delta = KernelSpec::from(KernelVariant::of(&[
             Optimization::Compress,

@@ -180,18 +180,15 @@ pub fn roofline_bound_gflops(a: &Csr, machine: &MachineModel, spec: KernelSpec) 
 }
 
 /// The specs that apply one optimization: its single-optimization
-/// lowering ([`KernelSpec::from`]), plus the menu's other specs of the
-/// same kind — every explicit-SIMD CSR row kernel for `Vectorize`,
-/// every slice height for `SlicedEll`.
+/// lowering ([`KernelSpec::from`]), plus every explicit-SIMD CSR row
+/// kernel on the menu for `Vectorize`.
 fn family(opt: Optimization, menu: &[KernelSpec]) -> Vec<KernelSpec> {
     let mut specs = vec![KernelSpec::from(KernelVariant::single(opt))];
-    specs.extend(menu.iter().filter(|s| match opt {
-        Optimization::Vectorize => {
+    if opt == Optimization::Vectorize {
+        specs.extend(menu.iter().filter(|s| {
             s.format == Format::Csr && matches!(s.inner, InnerLoop::Micro(m) if m.is_simd())
-        }
-        Optimization::SlicedEll => matches!(s.format, Format::Sell { .. }),
-        _ => false,
-    }));
+        }));
+    }
     specs
 }
 

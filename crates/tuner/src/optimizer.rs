@@ -131,11 +131,11 @@ impl Optimizer {
     }
 
     /// Classifies the matrix (empty set for sweep strategies, which
-    /// do not reason in terms of bottlenecks). The menu search
-    /// classifies the way the profile-guided optimizer does.
+    /// do not reason in terms of bottlenecks, and for the menu search,
+    /// whose classes come with its plan: [`TunedSpmv::classes`]).
     pub fn classify(&self, a: &Csr) -> ClassSet {
         match self.strategy {
-            Strategy::ProfileGuided | Strategy::MenuSearch => {
+            Strategy::ProfileGuided => {
                 let source =
                     HostSource::new(self.machine.clone(), self.nthreads, self.profiling_reps);
                 let bounds = source.collect(a);
