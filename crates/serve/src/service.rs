@@ -32,8 +32,9 @@
 //! element per line: 16 lowercase hex digits and `\n`, so exactly 17
 //! bytes per element ([`encode_hex`]). It is lossless, so clients can
 //! assert bitwise equality against a serial reference. With
-//! `digest=1` the response collapses to one FNV-1a line over those
-//! bits, which keeps loadgen response parsing off the latency path.
+//! `digest=1` the response collapses to one line holding a 64-bit
+//! hash of those bits ([`digest`], four independent multiply lanes),
+//! which keeps loadgen response parsing off the latency path.
 //! Encoding either body is timed into `spmv_serve_encode_*`.
 
 use std::time::Instant;
@@ -296,18 +297,51 @@ pub fn encode_hex(y: &[f64]) -> Vec<u8> {
     out
 }
 
-/// FNV-1a over the result's IEEE-754 bit patterns — order-sensitive,
-/// bit-sensitive, cheap. Public so the load generator can verify
-/// digests offline.
+/// Multiplier of every [`digest`] step.
+const DIGEST_K: u64 = 0xa076_1d64_78bd_642f;
+
+/// Starting states of the four [`digest`] lanes, lane 0 first.
+const DIGEST_LANES: [u64; 4] =
+    [0xe703_7ed1_a0b4_28db, 0x8ebc_6af0_9c88_c6e3, 0x5899_65cc_7537_4cc3, 0x1d8e_4e27_c47d_124f];
+
+/// wyhash's "mum": the full 128-bit product of `a` and `b`, its high
+/// 64 bits xored with its low 64 bits.
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p >> 64) as u64 ^ p as u64
+}
+
+/// The `digest=1` reply hash over the result's IEEE-754 bit patterns:
+/// order-, bit- and length-sensitive, one multiply per element. Public
+/// so the load generator and tests verify digests offline.
+///
+/// With `bits(v)` = `v.to_bits()`, `fold(a, b)` = the 128-bit product
+/// `a·b` with its high and low 64-bit halves xored, `K` =
+/// `0xa0761d6478bd642f` and `n = y.len()`:
+///
+/// 1. Lane `l` (0..4) starts at `DIGEST_LANES[l]` = `0xe7037ed1a0b428db`,
+///    `0x8ebc6af09c88c6e3`, `0x589965cc75374cc3`, `0x1d8e4e27c47d124f`
+///    and takes elements `l, l+4, …` below `4·⌊n/4⌋`, each one as
+///    `h = fold(h ^ bits(y[i]), K)`.
+/// 2. `acc = n` (as `u64`); then for lanes 0, 1, 2, 3 in that order
+///    `acc = fold(acc ^ lane, K)`; then for the `n % 4` tail elements in
+///    order `acc = fold(acc ^ bits(y[i]), K)`.
+/// 3. The digest is `fold(acc, K)`.
+///
+/// The four lanes are independent dependency chains, so the hash is
+/// bound by multiply throughput, not by the latency of one serial
+/// chain. Changing any of this changes the wire protocol.
 pub fn digest(y: &[f64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in y {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+    let mut lanes = DIGEST_LANES;
+    let mut quads = y.chunks_exact(4);
+    for quad in &mut quads {
+        for (h, v) in lanes.iter_mut().zip(quad) {
+            *h = fold(*h ^ v.to_bits(), DIGEST_K);
         }
     }
-    h
+    let tail = quads.remainder().iter().map(|v| v.to_bits());
+    let acc = lanes.into_iter().chain(tail).fold(y.len() as u64, |acc, w| fold(acc ^ w, DIGEST_K));
+    fold(acc, DIGEST_K)
 }
 
 #[cfg(test)]
@@ -315,6 +349,7 @@ mod tests {
     use std::sync::Mutex;
 
     use super::*;
+    use proptest::prelude::*;
     use spmv_kernels::ExecEngine;
     use spmv_sparse::gen;
 
@@ -397,12 +432,20 @@ mod tests {
         assert_eq!(response(svc.handle(&post("/v1/matrices/dup", "", &body))).status, 409);
     }
 
-    #[test]
-    fn queue_full_maps_to_503() {
+    /// A service that sheds every admitted request, so `handle` runs
+    /// the whole spec path without needing a worker. Its one matrix,
+    /// `p`, is the 5×5 identity.
+    fn shedding_service() -> SpmvService {
         let svc =
             SpmvService { registry: MatrixRegistry::new(1, 1), scheduler: Scheduler::rejecting() };
-        svc.registry().register("m", spmv_sparse::Csr::identity(4)).unwrap();
-        let reply = response(svc.handle(&post("/v1/spmv/m", "", b"fill 1")));
+        svc.registry().register("p", spmv_sparse::Csr::identity(5)).unwrap();
+        svc
+    }
+
+    #[test]
+    fn queue_full_maps_to_503() {
+        let svc = shedding_service();
+        let reply = response(svc.handle(&post("/v1/spmv/p", "", b"fill 1")));
         assert_eq!(reply.status, 503);
         // Shed responses tell clients when to come back.
         assert!(
@@ -601,6 +644,143 @@ mod tests {
         assert_ne!(digest(&y), digest(&[1.0, -2.0, 3.50000001]));
     }
 
+    /// `[1, -2, 3, -4, …]`: distinct, signed, exactly representable.
+    fn ramp(n: usize) -> Vec<f64> {
+        (1..=n).map(|i| if i % 2 == 0 { -(i as f64) } else { i as f64 }).collect()
+    }
+
+    #[test]
+    fn digest_golden_values() {
+        // Changing any of these is a wire-protocol change: clients
+        // (spmv-loadgen, servebench, the CI oracle) recompute them.
+        let golden = [
+            (0, 0xdea6_6469_63cc_5ab4),
+            (1, 0xc2d1_1ddf_343e_539a),
+            (3, 0xdba3_c6ac_6902_a6dd),
+            (4, 0x333c_1453_43f0_0a62),
+            (5, 0xd803_4f26_a99b_199f),
+            (9, 0x2be1_ec2a_9145_a461),
+        ];
+        for (n, want) in golden {
+            assert_eq!(digest(&ramp(n)), want, "ramp({n}) = {:#018x}", digest(&ramp(n)));
+        }
+    }
+
+    #[test]
+    fn digest_detects_every_single_bit_flip() {
+        // Lanes 0, 1, 3, lane 0's second and lane 1's second element,
+        // and the tail (10 = 2·4 + 2).
+        let y = ramp(10);
+        let base = digest(&y);
+        for i in [0, 1, 3, 4, 5, y.len() - 1] {
+            for bit in 0..64 {
+                let mut z = y.clone();
+                z[i] = f64::from_bits(z[i].to_bits() ^ (1 << bit));
+                assert_ne!(digest(&z), base, "bit {bit} of y[{i}]");
+            }
+        }
+    }
+
+    #[test]
+    fn digest_detects_reordering_sign_pairs_length_and_signed_zero() {
+        let y = ramp(10);
+        let base = digest(&y);
+        for i in 0..y.len() - 1 {
+            let mut z = y.clone();
+            z.swap(i, i + 1);
+            assert_ne!(digest(&z), base, "swap y[{i}] and y[{}]", i + 1);
+        }
+        for i in 0..y.len() - 4 {
+            // Same lane, so only the step order can tell them apart.
+            let mut z = y.clone();
+            z.swap(i, i + 4);
+            assert_ne!(digest(&z), base, "swap y[{i}] and y[{}]", i + 4);
+            // Under a step linear in the sign bit (xor, then multiply
+            // mod 2^64) a bit-63 flip stays a bit-63 flip, so two in
+            // one lane cancel; the fold's high half spreads it over
+            // the whole lane state.
+            let mut z = y.clone();
+            z[i] = -z[i];
+            z[i + 4] = -z[i + 4];
+            assert_ne!(digest(&z), base, "negate y[{i}] and y[{}]", i + 4);
+        }
+        for n in 0..9 {
+            let y = ramp(n);
+            let mut longer = y.clone();
+            longer.push(0.0);
+            assert_ne!(digest(&longer), digest(&y), "append 0.0 to ramp({n})");
+        }
+        assert_ne!(digest(&[0.0]), digest(&[-0.0]));
+        assert_ne!(digest(&[0.0; 4]), digest(&[0.0, 0.0, 0.0, -0.0]));
+    }
+
+    /// The `seed <n>` recurrence, written out independently of
+    /// `seeded_x`: `s_0 = a·n + c`, `s_{k+1} = a·s_k + c` (mod 2^64),
+    /// element `k` the top 53 bits of `s_{k+1}` mapped onto `[-2, 2)`.
+    fn lcg_oracle(n: u64, len: usize) -> Vec<f64> {
+        const A: u64 = 6364136223846793005;
+        const C: u64 = 1442695040888963407;
+        let mut s = A.wrapping_mul(n).wrapping_add(C);
+        let mut x = Vec::with_capacity(len);
+        for _ in 0..len {
+            s = A.wrapping_mul(s).wrapping_add(C);
+            x.push(4.0 * ((s >> 11) as f64 / 9007199254740992.0) - 2.0);
+        }
+        x
+    }
+
+    /// Asserts the spec parser's answer: 503 (shed) for a valid spec,
+    /// 400 otherwise.
+    fn assert_spec_status(svc: &SpmvService, body: &[u8], query: &str) {
+        let status = response(svc.handle(&post("/v1/spmv/p", query, body))).status;
+        let valid = build_x(String::from_utf8_lossy(body).trim(), 5).is_ok();
+        assert_eq!(status, if valid { 503 } else { 400 }, "body {body:?}");
+    }
+
+    const SPEC_WORDS: [&[u8]; 8] =
+        [b"fill", b"seed", b"FILL", b"", b"nan", b"-inf", b"\xff\xfe", b"\xe2\x82"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, non-UTF-8 included: 400 or 503, no panic.
+        #[test]
+        fn spec_parser_survives_arbitrary_bytes(
+            body in proptest::collection::vec(0u8..=255, 0..48),
+            digest_query in 0usize..2,
+        ) {
+            let svc = shedding_service();
+            assert_spec_status(&svc, &body, ["", "digest=1"][digest_query]);
+        }
+
+        /// Near-miss specs: a keyword (or junk) plus a numeric-looking
+        /// token up to 100 000 bytes long, extra tokens and odd
+        /// whitespace. Long digit runs overflow `u64` (400) but still
+        /// parse as `f64` (503).
+        #[test]
+        fn spec_parser_survives_oversized_tokens(
+            word in 0usize..SPEC_WORDS.len(),
+            digit in 0u8..10,
+            len in 0usize..100_000,
+            sign in 0usize..3,
+            extra in 0usize..3,
+        ) {
+            let svc = shedding_service();
+            let mut body = SPEC_WORDS[word].to_vec();
+            body.extend_from_slice([&b" "[..], b"\t-", b"  +"][sign]);
+            body.resize(body.len() + len, b'0' + digit);
+            body.extend_from_slice([&b"\n"[..], b" 1", b" seed 2 "][extra]);
+            assert_spec_status(&svc, &body, "");
+        }
+
+        /// `seed <n>` is the LCG recurrence for every `n` and length.
+        #[test]
+        fn seed_spec_matches_the_lcg_recurrence(n in 0u64..u64::MAX, len in 0usize..300) {
+            let x = build_x(&format!("seed {n}"), len).unwrap();
+            prop_assert_eq!(x, lcg_oracle(n, len));
+        }
+    }
+
     /// The wire format `encode_hex` must reproduce byte for byte.
     fn format_oracle(y: &[f64]) -> Vec<u8> {
         y.iter().flat_map(|v| format!("{:016x}\n", v.to_bits()).into_bytes()).collect()
@@ -665,29 +845,47 @@ mod tests {
         assert_eq!(response(svc.handle(&post("/v1/spmv/enc", "", b"bad spec"))).status, 400);
         assert_eq!(serve_encode().count(), before, "4xx replies encode nothing");
 
-        // Lane 0 drains the scheduler; lane 1 submits one request and
-        // then shuts the scheduler down so lane 0 returns.
-        let handled: Mutex<Option<Handled>> = Mutex::new(None);
+        // Lane 0 drains the scheduler; lane 1 submits a full-vector
+        // and a digest request, one after the other, and then shuts
+        // the scheduler down so lane 0 returns.
+        let handled: Mutex<Vec<(Handled, u64)>> = Mutex::new(Vec::new());
         let (svc_ref, handled_ref) = (&svc, &handled);
         ExecEngine::new(2).run(&move |lane| {
             if lane == 0 {
                 svc_ref.scheduler().worker_loop();
             } else {
-                let h = svc_ref.handle(&post("/v1/spmv/enc", "", b"seed 3"));
-                *handled_ref.lock().unwrap() = Some(h);
+                for query in ["", "digest=1"] {
+                    let h = svc_ref.handle(&post("/v1/spmv/enc", query, b"seed 3"));
+                    handled_ref.lock().unwrap().push((h, serve_encode().count()));
+                }
                 svc_ref.scheduler().shutdown();
             }
         });
-        let reply = response(handled.into_inner().unwrap().expect("lane 1 ran"));
-        assert_eq!(reply.status, 200);
+        let mut handled = handled.into_inner().unwrap().into_iter();
         let x = build_x("seed 3", a.ncols()).unwrap();
         let mut y = vec![0.0; a.nrows()];
         a.spmv(&x, &mut y);
-        assert_eq!(reply.body, encode_hex(&y));
-        assert_eq!(serve_encode().count(), before + 1, "one reply, one encode");
+
+        let (full, count) = handled.next().expect("lane 1 ran");
+        let full = response(full);
+        assert_eq!(full.status, 200);
+        assert_eq!(full.body, encode_hex(&y));
+        assert_eq!(count, before + 1, "one full-vector reply, one encode");
+
+        // The digest is timed into the same counter.
+        let (digested, count) = handled.next().expect("lane 1 sent the digest request");
+        let digested = response(digested);
+        assert_eq!(digested.status, 200);
+        let line = String::from_utf8(digested.body).unwrap();
+        let rid = line
+            .strip_prefix(&format!("digest {:016x} rid ", digest(&y)))
+            .and_then(|rest| rest.strip_suffix('\n'))
+            .unwrap_or_else(|| panic!("digest reply {line:?}"));
+        assert!(rid.parse::<u64>().is_ok(), "{line:?}");
+        assert_eq!(count, before + 2, "one digest reply, one encode");
 
         // The scheduler is shut down now: the 503 encodes nothing.
         assert_eq!(response(svc.handle(&post("/v1/spmv/enc", "", b"seed 3"))).status, 503);
-        assert_eq!(serve_encode().count(), before + 1, "503 replies encode nothing");
+        assert_eq!(serve_encode().count(), before + 2, "503 replies encode nothing");
     }
 }
