@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use spmv_kernels::baseline::{row_sum_scalar, CsrKernel};
 use spmv_kernels::schedule::{execute_spawn, Schedule, YPtr};
@@ -38,12 +39,12 @@ fn spmv_spawn(a: &Csr, nthreads: usize, x: &[f64], y: &mut [f64]) {
     });
 }
 
-fn cases() -> Vec<(&'static str, Csr)> {
+fn cases() -> Vec<(&'static str, Arc<Csr>)> {
     vec![
         // ~10k nnz: dispatch overhead dominates.
-        ("small", gen::banded(2_000, 2, 1.0, 1).expect("valid")),
+        ("small", Arc::new(gen::banded(2_000, 2, 1.0, 1).expect("valid"))),
         // ~5M nnz: compute dominates; the paths must tie.
-        ("large", gen::banded(250_000, 10, 1.0, 2).expect("valid")),
+        ("large", Arc::new(gen::banded(250_000, 10, 1.0, 2).expect("valid"))),
     ]
 }
 

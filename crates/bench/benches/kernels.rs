@@ -4,17 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
 use spmv_sparse::gen;
 
 fn bench_variants(c: &mut Criterion) {
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let cases = vec![
-        ("banded", gen::banded(60_000, 24, 0.9, 1).expect("valid")),
-        ("circuit", gen::circuit(80_000, 4, 0.3, 6, 2).expect("valid")),
-        ("powerlaw", gen::powerlaw(60_000, 8, 1.9, 3).expect("valid")),
-    ];
+    let cases = [
+        ("banded", gen::banded(60_000, 24, 0.9, 1)),
+        ("circuit", gen::circuit(80_000, 4, 0.3, 6, 2)),
+        ("powerlaw", gen::powerlaw(60_000, 8, 1.9, 3)),
+    ]
+    .map(|(name, a)| (name, Arc::new(a.expect("valid"))));
     for (name, a) in &cases {
         let mut group = c.benchmark_group(format!("spmv/{name}"));
         group.throughput(Throughput::Elements(a.nnz() as u64));

@@ -3,13 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
 use spmv_solvers::{cg, gmres, Jacobi};
 use spmv_sparse::gen;
 
 fn bench_cg_iterations(c: &mut Criterion) {
-    let a = gen::stencil_2d(120, 120).expect("valid grid");
+    let a = Arc::new(gen::stencil_2d(120, 120).expect("valid grid"));
     let n = a.nrows();
     let b_rhs = vec![1.0f64; n];
     let precond = Jacobi::new(&a);
@@ -17,7 +18,7 @@ fn bench_cg_iterations(c: &mut Criterion) {
     c.bench_function("solvers/cg_20_iters_baseline", |bch| {
         bch.iter(|| {
             let mut x = vec![0.0f64; n];
-            black_box(cg(&a, &b_rhs, &mut x, Some(&precond), 0.0, 20));
+            black_box(cg(&*a, &b_rhs, &mut x, Some(&precond), 0.0, 20));
         });
     });
 

@@ -34,7 +34,10 @@
 //! * `--trace-sample K` print the K slowest requests (by client
 //!   latency) with their server-side stage breakdowns, joined by
 //!   RequestId against `GET /v1/observe/{name}` — the quick "why was
-//!   that request slow?" view without opening a Chrome trace;
+//!   that request slow?" view without opening a Chrome trace. The
+//!   daemon keeps only a short ring of recent requests, so each lane
+//!   fetches a request's breakdown the moment it enters that lane's
+//!   K slowest;
 //! * `--stop`     post `/control/stop` when done (shuts the daemon
 //!   down, for bounded CI runs).
 //!
@@ -134,84 +137,88 @@ fn run(args: &[String]) -> Result<bool, CliError> {
     let errors = AtomicU64::new(0);
     let mismatches = AtomicU64::new(0);
     let hist = LatencyHistogram::new();
-    // (client latency, rid, seed) per completed request, kept only
-    // when --trace-sample asked for the slow-request report.
-    let samples = std::sync::Mutex::new(Vec::<(f64, u64, u64)>::new());
+    // Each lane's `--trace-sample` slowest requests, merged at the end.
+    let samples = std::sync::Mutex::new(Vec::<Slow>::new());
 
     eprintln!("spmv-loadgen: replaying {requests} request(s) over {lanes} lane(s), mode {mode}");
     let t0 = Instant::now();
     let engine = ExecEngine::new(lanes);
-    engine.run(&|_lane| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= requests {
-            break;
-        }
-        let seed = i % SEED_SPACE;
-        let mode_q = match mode.as_str() {
-            "exact" => "",
-            "tuned" => "&mode=tuned",
-            _ => {
-                if i.is_multiple_of(2) {
-                    ""
-                } else {
-                    "&mode=tuned"
-                }
+    engine.run(&|_lane| {
+        let mut slowest = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= requests {
+                break;
             }
-        };
-        let target = format!("/v1/spmv/{name}?digest=1{mode_q}");
-        let spec = format!("seed {seed}");
-        let sent = Instant::now();
-        match http_request(&addr, "POST", &target, spec.as_bytes()) {
-            Ok((200, body)) => {
-                let latency = sent.elapsed().as_secs_f64();
-                hist.observe(latency);
-                completed.fetch_add(1, Ordering::Relaxed);
-                let text = String::from_utf8_lossy(&body);
-                // Response shape: `digest <hex> rid <n>`.
-                let mut tokens = text.split_whitespace();
-                let got = match (tokens.next(), tokens.next()) {
-                    (Some("digest"), Some(h)) => u64::from_str_radix(h, 16).ok(),
-                    _ => None,
-                };
-                let rid = match (tokens.next(), tokens.next()) {
-                    (Some("rid"), Some(r)) => r.parse::<u64>().ok(),
-                    _ => None,
-                };
-                // Exact mode is bitwise-reproducible, so its digest
-                // must equal the serial reference's. Tuned mode only
-                // promises tolerance-level agreement — its responses
-                // are checked for shape, not bits. A missing rid is a
-                // protocol break either way.
-                let verifiable = mode_q.is_empty();
-                if got.is_none()
-                    || rid.is_none()
-                    || (verifiable && got != Some(expected[seed as usize]))
-                {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
+            let seed = i % SEED_SPACE;
+            let mode_q = match mode.as_str() {
+                "exact" => "",
+                "tuned" => "&mode=tuned",
+                _ => {
+                    if i.is_multiple_of(2) {
+                        ""
+                    } else {
+                        "&mode=tuned"
+                    }
                 }
-                if trace_sample > 0 {
-                    if let Some(rid) = rid {
-                        samples.lock().unwrap().push((latency, rid, seed));
+            };
+            let target = format!("/v1/spmv/{name}?digest=1{mode_q}");
+            let spec = format!("seed {seed}");
+            let sent = Instant::now();
+            match http_request(&addr, "POST", &target, spec.as_bytes()) {
+                Ok((200, body)) => {
+                    let latency = sent.elapsed().as_secs_f64();
+                    hist.observe(latency);
+                    completed.fetch_add(1, Ordering::Relaxed);
+                    let text = String::from_utf8_lossy(&body);
+                    // Response shape: `digest <hex> rid <n>`.
+                    let mut tokens = text.split_whitespace();
+                    let got = match (tokens.next(), tokens.next()) {
+                        (Some("digest"), Some(h)) => u64::from_str_radix(h, 16).ok(),
+                        _ => None,
+                    };
+                    let rid = match (tokens.next(), tokens.next()) {
+                        (Some("rid"), Some(r)) => r.parse::<u64>().ok(),
+                        _ => None,
+                    };
+                    // Exact mode is bitwise-reproducible, so its digest
+                    // must equal the serial reference's. Tuned mode only
+                    // promises tolerance-level agreement — its responses
+                    // are checked for shape, not bits. A missing rid is a
+                    // protocol break either way.
+                    let verifiable = mode_q.is_empty();
+                    if got.is_none()
+                        || rid.is_none()
+                        || (verifiable && got != Some(expected[seed as usize]))
+                    {
+                        mismatches.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if trace_sample > 0 {
+                        if let Some(rid) = rid {
+                            let slow = Slow { latency, rid, seed, breakdown: None };
+                            keep_if_slow(&mut slowest, trace_sample, slow, &addr, &name);
+                        }
+                    }
+                }
+                Ok((503, _)) => {
+                    shed.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok((s, body)) => {
+                    if errors.fetch_add(1, Ordering::Relaxed) < 5 {
+                        eprintln!(
+                            "spmv-loadgen: request {i} failed ({s}): {}",
+                            String::from_utf8_lossy(&body).trim()
+                        );
+                    }
+                }
+                Err(e) => {
+                    if errors.fetch_add(1, Ordering::Relaxed) < 5 {
+                        eprintln!("spmv-loadgen: request {i} transport error: {e}");
                     }
                 }
             }
-            Ok((503, _)) => {
-                shed.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok((s, body)) => {
-                if errors.fetch_add(1, Ordering::Relaxed) < 5 {
-                    eprintln!(
-                        "spmv-loadgen: request {i} failed ({s}): {}",
-                        String::from_utf8_lossy(&body).trim()
-                    );
-                }
-            }
-            Err(e) => {
-                if errors.fetch_add(1, Ordering::Relaxed) < 5 {
-                    eprintln!("spmv-loadgen: request {i} transport error: {e}");
-                }
-            }
         }
+        samples.lock().unwrap().extend(slowest);
     });
     let elapsed = t0.elapsed().as_secs_f64();
 
@@ -221,17 +228,8 @@ fn run(args: &[String]) -> Result<bool, CliError> {
         .filter(|(s, _)| *s == 200)
         .map(|(_, b)| String::from_utf8_lossy(&b).into_owned())
         .unwrap_or_default();
-    // Fetch per-request breakdowns while the daemon is still up.
-    let slow = if trace_sample > 0 {
-        Some(slow_request_report(
-            &addr,
-            &name,
-            samples.into_inner().unwrap_or_default(),
-            trace_sample,
-        ))
-    } else {
-        None
-    };
+    let slow = (trace_sample > 0)
+        .then(|| slow_request_report(samples.into_inner().unwrap_or_default(), trace_sample));
     if stop {
         let _ = http_request(&addr, "POST", "/control/stop", b"");
     }
@@ -293,33 +291,48 @@ fn run(args: &[String]) -> Result<bool, CliError> {
     Ok(ok)
 }
 
-/// The `--trace-sample` report: the `k` slowest completed requests by
-/// client latency, joined by RequestId against the daemon's
-/// `GET /v1/observe/{name}` stage breakdowns. The daemon keeps only a
-/// bounded ring of recent observations, so a slow request from early
-/// in the run may have been evicted — it is still listed with its
-/// client-side latency.
-fn slow_request_report(
-    addr: &str,
-    name: &str,
-    mut samples: Vec<(f64, u64, u64)>,
-    k: usize,
-) -> String {
-    samples.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    samples.truncate(k);
-    let observed = http_request(addr, "GET", &format!("/v1/observe/{name}"), b"")
+/// One completed request, with its server-side stage breakdown once
+/// fetched.
+struct Slow {
+    latency: f64,
+    rid: u64,
+    seed: u64,
+    breakdown: Option<JsonValue>,
+}
+
+/// Keeps `slowest` as the `k` slowest requests a lane has completed,
+/// slowest first. A request that enters it has its breakdown fetched
+/// from `GET /v1/observe/{name}` right away: the daemon records a
+/// request in its bounded ring before replying, and only the few
+/// requests completed since then can have pushed it out.
+fn keep_if_slow(slowest: &mut Vec<Slow>, k: usize, mut slow: Slow, addr: &str, name: &str) {
+    if slowest.len() >= k && slowest.last().is_some_and(|s| s.latency >= slow.latency) {
+        return;
+    }
+    slow.breakdown = http_request(addr, "GET", &format!("/v1/observe/{name}"), b"")
         .ok()
         .filter(|(s, _)| *s == 200)
-        .and_then(|(_, b)| JsonValue::parse(&String::from_utf8_lossy(&b)).ok());
+        .and_then(|(_, b)| JsonValue::parse(&String::from_utf8_lossy(&b)).ok())
+        .and_then(|doc| {
+            doc.get("requests")?
+                .as_array()?
+                .iter()
+                .find(|o| o.get("rid").and_then(JsonValue::as_u64) == Some(slow.rid))
+                .cloned()
+        });
+    slowest.push(slow);
+    slowest.sort_by(|a, b| b.latency.total_cmp(&a.latency));
+    slowest.truncate(k);
+}
+
+/// The `--trace-sample` report: the `k` slowest completed requests by
+/// client latency across all lanes, with the stage breakdowns their
+/// lanes fetched.
+fn slow_request_report(mut samples: Vec<Slow>, k: usize) -> String {
+    samples.sort_by(|a, b| b.latency.total_cmp(&a.latency));
+    samples.truncate(k);
     let mut out = format!("  slowest {} request(s) by client latency:\n", samples.len());
-    for (latency, rid, seed) in &samples {
-        let breakdown = observed
-            .as_ref()
-            .and_then(|doc| doc.get("requests"))
-            .and_then(JsonValue::as_array)
-            .and_then(|items| {
-                items.iter().find(|o| o.get("rid").and_then(JsonValue::as_u64) == Some(*rid))
-            });
+    for Slow { latency, rid, seed, breakdown } in &samples {
         match breakdown {
             Some(o) => {
                 let get = |key: &str| o.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);

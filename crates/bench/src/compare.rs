@@ -334,8 +334,7 @@ mod tests {
                 JsonValue::obj()
                     .with("selected", menu_selected)
                     .with("gflops", menu_gflops)
-                    .with("search_seconds", 0.01)
-                    .with("cached", false),
+                    .with("search_seconds", 0.01),
             );
         JsonValue::obj().with("schema", SCHEMA).with("scale", 0.05).with("nthreads", 1u64).with(
             "matrices",
@@ -444,16 +443,23 @@ mod tests {
         // `bound_pruned`) against one written after it (with
         // `classes` and `regret`): only the shared metrics compare.
         let doc = traj_with_menu(10.0, 5.0, "inner-vect", "csr/avx2-a2", 7.5).render();
+        let anchor = "\"search_seconds\":0.01";
         let with = |extra: &str| {
-            let text = doc.replace("\"cached\":false", &format!("\"cached\":false,{extra}"));
+            let text = doc.replace(anchor, &format!("{anchor},{extra}"));
             assert_ne!(text, doc, "menu section not found");
             JsonValue::parse(&text).expect("valid JSON")
         };
-        let old = with("\"candidates\":13,\"bound_pruned\":0,\"timed\":13");
         let new = with("\"classes\":\"{MB}\",\"candidates\":13,\"timed\":6,\"regret\":1.01");
-        let report = compare(&old, &new, &CompareOptions::default()).expect("compare");
-        assert!(!report.regressed(), "{}", report.render());
-        assert!(report.deltas.iter().any(|d| d.metric == "host menu gflops m1"));
+        for old in [
+            with("\"cached\":false,\"candidates\":13,\"bound_pruned\":0,\"timed\":13"),
+            // A baseline from before the plan cache went still
+            // carries `cached`.
+            with("\"cached\":false,\"classes\":\"{MB}\",\"candidates\":13,\"timed\":6"),
+        ] {
+            let report = compare(&old, &new, &CompareOptions::default()).expect("compare");
+            assert!(!report.regressed(), "{}", report.render());
+            assert!(report.deltas.iter().any(|d| d.metric == "host menu gflops m1"));
+        }
     }
 
     #[test]

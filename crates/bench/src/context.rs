@@ -1,6 +1,8 @@
 //! Shared experiment context: platforms, suite loading and per-matrix
 //! analysis pipelines.
 
+use std::sync::Arc;
+
 use spmv_kernels::variant::KernelVariant;
 use spmv_machine::MachineModel;
 use spmv_sim::bounds::{collect_bounds, Bounds};
@@ -74,7 +76,7 @@ pub struct NamedMatrix {
     /// Name of the UF matrix the preset stands in for.
     pub name: &'static str,
     /// The generated matrix.
-    pub matrix: Csr,
+    pub matrix: Arc<Csr>,
 }
 
 /// Generates the full representative suite at `scale`.
@@ -83,9 +85,9 @@ pub fn load_suite(scale: f64) -> Vec<NamedMatrix> {
         .iter()
         .map(|m| NamedMatrix {
             name: m.name,
-            matrix: m
-                .generate(scale)
-                .unwrap_or_else(|e| panic!("suite preset {} failed: {e}", m.name)),
+            matrix: Arc::new(
+                m.generate(scale).unwrap_or_else(|e| panic!("suite preset {} failed: {e}", m.name)),
+            ),
         })
         .collect()
 }

@@ -10,6 +10,7 @@
 //! not need to predict absolute milliseconds — the optimizer only
 //! consumes *orderings* — so rank agreement is the relevant score.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
@@ -23,24 +24,23 @@ use crate::table::{f, Table};
 /// One validation case.
 struct Case {
     name: &'static str,
-    matrix: Csr,
+    matrix: Arc<Csr>,
 }
 
 fn cases(scale: f64) -> Vec<Case> {
     let s = |v: usize| ((v as f64 * scale) as usize).max(64);
-    vec![
-        Case { name: "banded", matrix: gen::banded(s(60_000), 24, 0.9, 1).expect("valid") },
-        Case {
-            name: "stencil",
-            matrix: gen::stencil_2d(s(300), 300.max((300.0 * scale) as usize)).expect("valid"),
-        },
-        Case { name: "powerlaw", matrix: gen::powerlaw(s(60_000), 8, 1.9, 2).expect("valid") },
-        Case { name: "circuit", matrix: gen::circuit(s(80_000), 4, 0.3, 6, 3).expect("valid") },
+    [
+        ("banded", gen::banded(s(60_000), 24, 0.9, 1)),
+        ("stencil", gen::stencil_2d(s(300), 300.max((300.0 * scale) as usize))),
+        ("powerlaw", gen::powerlaw(s(60_000), 8, 1.9, 2)),
+        ("circuit", gen::circuit(s(80_000), 4, 0.3, 6, 3)),
     ]
+    .map(|(name, m)| Case { name, matrix: Arc::new(m.expect("valid")) })
+    .into()
 }
 
 /// Times `reps` runs of a built kernel, returning the best seconds.
-fn time_real(a: &Csr, variant: KernelVariant, nthreads: usize, reps: usize) -> f64 {
+fn time_real(a: &Arc<Csr>, variant: KernelVariant, nthreads: usize, reps: usize) -> f64 {
     let built = build_kernel(a, variant, nthreads);
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];

@@ -19,6 +19,7 @@
 //! `bench_trajectory` binary directly.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use spmv_kernels::micro::menu;
 use spmv_kernels::variant::{build_kernel, KernelSpec, KernelVariant};
@@ -229,8 +230,7 @@ const HEAD_TO_HEAD_ROUNDS: usize = 5;
 /// structure byte-stable across runs.
 fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) -> JsonValue {
     let a = &nm.matrix;
-    let (plan, trace) =
-        spmv_tuner::menu::search_or_cached(a, &MachineModel::host(), nthreads, HOST_REPS);
+    let (plan, trace) = spmv_tuner::menu::search(a, &MachineModel::host(), nthreads, HOST_REPS);
     let gflops_of = |spec| spmv_tuner::menu::measure(a, spec, nthreads, HOST_REPS).0;
     let shortlisted = |spec: &KernelSpec| trace.timed.iter().any(|t| t.spec == *spec);
     let (mut selected, mut gflops) = (plan.spec, plan.gflops);
@@ -254,7 +254,6 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
         .with("selected", selected.id())
         .with("gflops", gflops)
         .with("search_seconds", plan.search_seconds)
-        .with("cached", plan.cached)
         .with("classes", plan.classes.to_string())
         .with("candidates", candidates.len())
         .with("timed", plan.timed)
@@ -263,7 +262,7 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
 
 /// Best-of GFLOP/s of each spec, measured in alternating rounds so
 /// all see the same host conditions.
-fn head_to_head(a: &Csr, specs: &[KernelSpec], nthreads: usize) -> Vec<f64> {
+fn head_to_head(a: &Arc<Csr>, specs: &[KernelSpec], nthreads: usize) -> Vec<f64> {
     let built: Vec<_> = specs.iter().map(|&spec| build_kernel(a, spec, nthreads)).collect();
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];

@@ -6,6 +6,7 @@
 //! kernels are measured against it.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use spmv_sparse::{Csr, MaybeValidated};
 
@@ -116,7 +117,8 @@ pub unsafe fn row_sum_scalar_unchecked(cols: &[u32], vals: &[f64], x: &[f64]) ->
 ///
 /// Holds a precomputed [`Plan`] (partition + persistent worker pool),
 /// so repeated [`run`](SpmvKernel::run) calls pay neither thread
-/// spawning nor partition recomputation.
+/// spawning nor partition recomputation. The matrix is shared, not
+/// copied: the kernel keeps a clone of the caller's `Arc<Csr>`.
 ///
 /// The matrix is structurally verified once at construction: a
 /// [`spmv_sparse::Validated`] witness admits the parallel unchecked
@@ -125,8 +127,8 @@ pub unsafe fn row_sum_scalar_unchecked(cols: &[u32], vals: &[f64], x: &[f64]) ->
 /// in-bounds structure, and panics rather than corrupting memory on
 /// anything worse).
 #[derive(Debug)]
-pub struct CsrKernel<'a> {
-    a: MaybeValidated<&'a Csr>,
+pub struct CsrKernel {
+    a: MaybeValidated<Arc<Csr>>,
     plan: Plan,
     flavor: InnerLoop,
     /// Dispatch label threaded into the engine's trace events:
@@ -134,10 +136,10 @@ pub struct CsrKernel<'a> {
     label: String,
 }
 
-impl<'a> CsrKernel<'a> {
+impl CsrKernel {
     /// Creates the paper's baseline: scalar inner loop, nnz-balanced
     /// static partitioning.
-    pub fn baseline(a: &'a Csr, nthreads: usize) -> CsrKernel<'a> {
+    pub fn baseline(a: &Arc<Csr>, nthreads: usize) -> CsrKernel {
         CsrKernel::with_options(a, nthreads, Schedule::NnzBalanced, InnerLoop::Scalar)
     }
 
@@ -148,11 +150,11 @@ impl<'a> CsrKernel<'a> {
     /// bitwise-identical scalar fallback, preserving the unchecked
     /// contract of [`InnerLoop::row_sum_unchecked`].
     pub fn with_options(
-        a: &'a Csr,
+        a: &Arc<Csr>,
         nthreads: usize,
         schedule: Schedule,
         flavor: InnerLoop,
-    ) -> CsrKernel<'a> {
+    ) -> CsrKernel {
         let (flavor, label) = match flavor {
             InnerLoop::Micro(spec) => {
                 let spec = if crate::micro::gather_compatible(a.ncols()) {
@@ -166,7 +168,7 @@ impl<'a> CsrKernel<'a> {
             InnerLoop::Unrolled => (flavor, "micro:csr/unrolled".to_string()),
             _ => (flavor, String::new()),
         };
-        let a = MaybeValidated::new(a);
+        let a = MaybeValidated::new(Arc::clone(a));
         // An unvalidated matrix never reaches the parallel path, so its
         // plan partitions nothing (a possibly-corrupt rowptr must not
         // drive partitioning arithmetic either).
@@ -180,12 +182,7 @@ impl<'a> CsrKernel<'a> {
     /// Creates a kernel running a menu microkernel (see
     /// [`crate::micro`]); shorthand for [`CsrKernel::with_options`]
     /// with [`InnerLoop::Micro`].
-    pub fn micro(
-        a: &'a Csr,
-        nthreads: usize,
-        schedule: Schedule,
-        spec: MicroSpec,
-    ) -> CsrKernel<'a> {
+    pub fn micro(a: &Arc<Csr>, nthreads: usize, schedule: Schedule, spec: MicroSpec) -> CsrKernel {
         CsrKernel::with_options(a, nthreads, schedule, InnerLoop::Micro(spec))
     }
 
@@ -223,14 +220,14 @@ impl<'a> CsrKernel<'a> {
     }
 }
 
-impl SpmvKernel for CsrKernel<'_> {
+impl SpmvKernel for CsrKernel {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
-        let a = *self.a.get();
+        let a = self.a.get();
         assert_eq!(x.len(), a.ncols(), "x length");
         assert_eq!(y.len(), a.nrows(), "y length");
         match &self.a {
             MaybeValidated::Validated(v) => {
-                let a = *v.get();
+                let a = v.get();
                 let yp = YPtr(y.as_mut_ptr());
                 self.plan.execute_labeled(&self.label, |range| {
                     self.worker(a, range, x, yp);
@@ -295,7 +292,7 @@ mod tests {
 
     #[test]
     fn baseline_matches_serial_reference() {
-        let a = gen::banded(500, 4, 0.8, 3).unwrap();
+        let a = Arc::new(gen::banded(500, 4, 0.8, 3).unwrap());
         for nthreads in [1, 2, 4, 7] {
             assert_matches_serial(&a, &CsrKernel::baseline(&a, nthreads));
         }
@@ -303,7 +300,7 @@ mod tests {
 
     #[test]
     fn all_flavors_and_schedules_match() {
-        let a = gen::powerlaw(800, 6, 2.0, 5).unwrap();
+        let a = Arc::new(gen::powerlaw(800, 6, 2.0, 5).unwrap());
         for flavor in [
             InnerLoop::Scalar,
             InnerLoop::Unrolled,
@@ -324,7 +321,7 @@ mod tests {
 
     #[test]
     fn run_timed_reports_all_threads() {
-        let a = gen::banded(300, 2, 1.0, 9).unwrap();
+        let a = Arc::new(gen::banded(300, 2, 1.0, 9).unwrap());
         let k = CsrKernel::baseline(&a, 3);
         let x = vec![1.0; 300];
         let mut y = vec![0.0; 300];
@@ -335,7 +332,8 @@ mod tests {
 
     #[test]
     fn empty_rows_produce_zero() {
-        let a = Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap();
+        let a =
+            Arc::new(Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap());
         let k = CsrKernel::baseline(&a, 2);
         let mut y = vec![9.0; 3];
         k.run(&[1.0, 1.0, 1.0], &mut y);
@@ -344,7 +342,7 @@ mod tests {
 
     #[test]
     fn gflops_helper() {
-        let a = Csr::identity(4);
+        let a = Arc::new(Csr::identity(4));
         let k = CsrKernel::baseline(&a, 1);
         // 2*nnz flops in 1 second = 8 flops/s
         assert!((k.gflops(1.0, a.nnz()) - 8e-9).abs() < 1e-18);

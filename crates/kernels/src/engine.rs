@@ -781,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn static_plan_caches_partition() {
+    fn static_plan_keeps_its_partition() {
         let rowptr: Vec<usize> = (0..=100).map(|i| i * 2).collect();
         let plan = Plan::new(Schedule::NnzBalanced, &rowptr, 4);
         assert_eq!(plan.nrows(), 100);

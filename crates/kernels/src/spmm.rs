@@ -31,6 +31,7 @@
 //! `k = 1` the kernel is the exact single-request kernel.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use spmv_sparse::{Csr, MaybeValidated};
 
@@ -48,18 +49,18 @@ pub const MAX_BATCH: usize = 8;
 /// Holds a precomputed [`Plan`] like the single-vector kernels, so a
 /// registered matrix pays partitioning once and serves batches of any
 /// width from the warm pool.
-pub struct SpmmKernel<'a> {
-    a: MaybeValidated<&'a Csr>,
+pub struct SpmmKernel {
+    a: MaybeValidated<Arc<Csr>>,
     plan: Plan,
 }
 
-impl<'a> SpmmKernel<'a> {
+impl SpmmKernel {
     /// Builds a batch kernel over the process-wide engine for
     /// `nthreads`, with the same nnz-balanced row partition as the
     /// baseline SpMV kernel.
-    pub fn new(a: &'a Csr, nthreads: usize) -> SpmmKernel<'a> {
+    pub fn new(a: &Arc<Csr>, nthreads: usize) -> SpmmKernel {
         let plan = Plan::new(Schedule::NnzBalanced, a.rowptr(), nthreads);
-        SpmmKernel { a: MaybeValidated::new(a), plan }
+        SpmmKernel { a: MaybeValidated::new(Arc::clone(a)), plan }
     }
 
     /// Rows of the underlying matrix.
@@ -91,7 +92,7 @@ impl<'a> SpmmKernel<'a> {
     /// # Panics
     /// On shape mismatch, `k == 0`, or `xs.len() != ys.len()`.
     pub fn run_multi(&self, xs: &[&[f64]], ys: &mut [Vec<f64>]) -> ThreadTimes {
-        let a = *self.a.get();
+        let a = self.a.get();
         let k = xs.len();
         assert!(k > 0, "batch width must be at least 1");
         assert_eq!(ys.len(), k, "one output vector per input vector");
@@ -103,7 +104,7 @@ impl<'a> SpmmKernel<'a> {
         }
         match &self.a {
             MaybeValidated::Validated(v) => {
-                let a = *v.get();
+                let a = v.get();
                 let yps: Vec<YPtr> = ys.iter_mut().map(|y| YPtr(y.as_mut_ptr())).collect();
                 self.plan.execute_labeled("spmm", |range| {
                     multi_worker(a, range, xs, &yps);
@@ -158,7 +159,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_bitwise_matches_serial(a: &Csr, nthreads: usize, k: usize) {
+    fn assert_bitwise_matches_serial(a: &Arc<Csr>, nthreads: usize, k: usize) {
         let xs: Vec<Vec<f64>> = (0..k).map(|j| lcg_x(a.ncols(), j as u64 + 1)).collect();
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
         let mut ys: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; a.nrows()]).collect();
@@ -180,7 +181,7 @@ mod tests {
 
     #[test]
     fn run_multi_is_bitwise_serial_without_transposes() {
-        let a = gen::banded(400, 5, 0.9, 7).unwrap();
+        let a = Arc::new(gen::banded(400, 5, 0.9, 7).unwrap());
         for nthreads in [1, 3, 4] {
             for k in [1, 2, 4, MAX_BATCH] {
                 assert_bitwise_matches_serial(&a, nthreads, k);
@@ -190,13 +191,14 @@ mod tests {
 
     #[test]
     fn powerlaw_batch_matches_serial() {
-        let a = gen::powerlaw(600, 7, 2.0, 11).unwrap();
+        let a = Arc::new(gen::powerlaw(600, 7, 2.0, 11).unwrap());
         assert_bitwise_matches_serial(&a, 4, 6);
     }
 
     #[test]
     fn empty_rows_zero_every_vector() {
-        let a = Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap();
+        let a =
+            Arc::new(Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap());
         let xs = [vec![1.0; 3], vec![2.0; 3], vec![0.5; 3]];
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
         let mut ys = vec![vec![9.0; 3]; 3];
@@ -209,7 +211,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "x length")]
     fn shape_mismatch_panics() {
-        let a = Csr::identity(4);
+        let a = Arc::new(Csr::identity(4));
         let x = [1.0; 7];
         let mut ys = vec![vec![0.0; 4]; 2];
         SpmmKernel::new(&a, 1).run_multi(&[&x, &x], &mut ys);

@@ -12,6 +12,7 @@
 //! ready-to-run [`SpmvKernel`].
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use spmv_sparse::{Bcsr, Csr, DecomposedCsr, DeltaCsr, SellCs};
@@ -397,9 +398,9 @@ impl From<KernelVariant> for KernelSpec {
 }
 
 /// A built kernel plus the preprocessing cost spent building it.
-pub struct BuiltKernel<'a> {
+pub struct BuiltKernel {
     /// The runnable kernel.
-    pub kernel: Box<dyn SpmvKernel + 'a>,
+    pub kernel: Box<dyn SpmvKernel>,
     /// Seconds spent on format conversion / setup (the `t_pre`
     /// component charged by the Table 4 amortization analysis).
     pub prep_seconds: f64,
@@ -409,7 +410,9 @@ pub struct BuiltKernel<'a> {
 }
 
 /// Builds the kernel `spec` describes for `a` (a [`KernelVariant`]
-/// is lowered through `From`), timing the format conversion.
+/// is lowered through `From`), timing the format conversion. CSR
+/// kernels share `a` (they clone the `Arc`, never the matrix); the
+/// other formats own the converted copy they build from it.
 ///
 /// Preprocessing time is measured through kernel construction: every
 /// kernel performs its one-time O(nnz) structural verification there,
@@ -418,11 +421,7 @@ pub struct BuiltKernel<'a> {
 ///
 /// # Panics
 /// When a [`Format::Sell`] spec has `chunk == 0` or `sigma < chunk`.
-pub fn build_kernel<'a>(
-    a: &'a Csr,
-    spec: impl Into<KernelSpec>,
-    nthreads: usize,
-) -> BuiltKernel<'a> {
+pub fn build_kernel(a: &Arc<Csr>, spec: impl Into<KernelSpec>, nthreads: usize) -> BuiltKernel {
     let t0 = Instant::now();
     let (kernel, spec) = lower(a, spec.into(), nthreads);
     let prep_seconds = t0.elapsed().as_secs_f64();
@@ -435,11 +434,7 @@ pub fn build_kernel<'a>(
 
 /// The untimed body of [`build_kernel`]: converts the format (or
 /// falls back) and returns the kernel with the spec it runs.
-fn lower<'a>(
-    a: &'a Csr,
-    spec: KernelSpec,
-    nthreads: usize,
-) -> (Box<dyn SpmvKernel + 'a>, KernelSpec) {
+fn lower(a: &Arc<Csr>, spec: KernelSpec, nthreads: usize) -> (Box<dyn SpmvKernel>, KernelSpec) {
     let KernelSpec { format, inner, schedule } = spec;
     let fallback = |or_delta: bool| KernelSpec {
         format: if or_delta { Format::Delta } else { Format::Csr },
@@ -508,7 +503,7 @@ mod tests {
 
     #[test]
     fn every_variant_builds_and_matches_reference() {
-        let a = gen::circuit(1200, 2, 0.4, 5, 3).unwrap();
+        let a = Arc::new(gen::circuit(1200, 2, 0.4, 5, 3).unwrap());
         let mut rng = SmallRng::seed_from_u64(2);
         let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut y_ref = vec![0.0; a.nrows()];
@@ -526,7 +521,7 @@ mod tests {
 
     #[test]
     fn decompose_falls_back_without_long_rows() {
-        let a = gen::banded(400, 3, 1.0, 1).unwrap();
+        let a = Arc::new(gen::banded(400, 3, 1.0, 1).unwrap());
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("csr"), "got {}", built.kernel.name());
         assert_eq!(built.spec.format, Format::Csr);
@@ -539,7 +534,7 @@ mod tests {
 
     #[test]
     fn decompose_used_when_long_rows_exist() {
-        let a = gen::circuit(4000, 3, 0.5, 4, 9).unwrap();
+        let a = Arc::new(gen::circuit(4000, 3, 0.5, 4, 9).unwrap());
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("decomposed"), "got {}", built.kernel.name());
         assert_eq!(built.spec, KernelVariant::single(Optimization::Decompose).into());
@@ -547,7 +542,7 @@ mod tests {
 
     #[test]
     fn compress_builds_delta_kernel_with_prep_time() {
-        let a = gen::banded(2000, 8, 1.0, 4).unwrap();
+        let a = Arc::new(gen::banded(2000, 8, 1.0, 4).unwrap());
         let built = build_kernel(&a, KernelVariant::single(Optimization::Compress), 2);
         assert!(built.kernel.name().starts_with("delta"));
         assert!(built.kernel.format_bytes() < a.footprint_bytes());
@@ -555,7 +550,7 @@ mod tests {
 
     #[test]
     fn auto_schedule_selects_guided() {
-        let a = gen::banded(200, 2, 1.0, 5).unwrap();
+        let a = Arc::new(gen::banded(200, 2, 1.0, 5).unwrap());
         let built = build_kernel(&a, KernelVariant::single(Optimization::AutoSchedule), 2);
         assert!(built.kernel.name().contains("Guided"));
     }

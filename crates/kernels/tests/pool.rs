@@ -2,6 +2,8 @@
 //! actually use it: one process-wide pool per thread count, reused
 //! across matrices, kernels, and repeated calls.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spmv_kernels::baseline::{CsrKernel, InnerLoop};
@@ -37,20 +39,21 @@ fn pool_reused_across_matrices_of_different_shapes() {
         gen::powerlaw(2_500, 6, 2.0, 3).unwrap(),
         gen::circuit(800, 3, 0.4, 5, 4).unwrap(),
         gen::banded(1_000, 4, 0.9, 1).unwrap(), // same shape again
-    ];
+    ]
+    .map(Arc::new);
     for (n, a) in matrices.iter().enumerate() {
         let k = CsrKernel::baseline(a, 4);
         assert_close_to_serial(a, &k, n as u64 + 1);
     }
     // Still the same pool instance afterwards.
-    assert!(std::sync::Arc::ptr_eq(&engine_before, &ExecEngine::global(4)));
+    assert!(Arc::ptr_eq(&engine_before, &ExecEngine::global(4)));
 }
 
 /// More workers than rows: trailing partitions are empty, every row
 /// is still produced exactly once.
 #[test]
 fn more_threads_than_rows() {
-    let a = gen::banded(5, 1, 1.0, 6).unwrap();
+    let a = Arc::new(gen::banded(5, 1, 1.0, 6).unwrap());
     for schedule in [
         Schedule::StaticRows,
         Schedule::NnzBalanced,
@@ -67,7 +70,7 @@ fn more_threads_than_rows() {
 fn more_threads_than_available_parallelism() {
     let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let nthreads = 2 * hw + 1;
-    let a = gen::powerlaw(3_000, 5, 1.8, 9).unwrap();
+    let a = Arc::new(gen::powerlaw(3_000, 5, 1.8, 9).unwrap());
     let k = CsrKernel::baseline(&a, nthreads);
     let x = random_x(a.ncols(), 3);
     let mut y = vec![0.0; a.nrows()];
@@ -80,7 +83,7 @@ fn more_threads_than_available_parallelism() {
 /// pooled engine, matches the serial reference.
 #[test]
 fn every_variant_matches_serial_through_the_pool() {
-    let a = gen::circuit(1_500, 2, 0.4, 5, 6).unwrap();
+    let a = Arc::new(gen::circuit(1_500, 2, 0.4, 5, 6).unwrap());
     for variant in KernelVariant::singles_and_pairs() {
         let built = build_kernel(&a, variant, 3);
         assert_close_to_serial(&a, built.kernel.as_ref(), 11);
@@ -92,7 +95,7 @@ fn every_variant_matches_serial_through_the_pool() {
 /// bitwise identical — not merely close — across many repeats.
 #[test]
 fn baseline_is_bitwise_identical_to_serial() {
-    let a = gen::powerlaw(1_200, 6, 1.9, 13).unwrap();
+    let a = Arc::new(gen::powerlaw(1_200, 6, 1.9, 13).unwrap());
     let k = CsrKernel::baseline(&a, 4);
     for rep in 0..50 {
         let x = random_x(a.ncols(), 100 + rep);
@@ -109,7 +112,7 @@ fn baseline_is_bitwise_identical_to_serial() {
 /// granularity) and leaves a correct y behind.
 #[test]
 fn run_repeated_times_and_computes() {
-    let a = gen::banded(4_000, 8, 1.0, 2).unwrap();
+    let a = Arc::new(gen::banded(4_000, 8, 1.0, 2).unwrap());
     let k = CsrKernel::baseline(&a, 2);
     let x = random_x(a.ncols(), 5);
     let mut y = vec![0.0; a.nrows()];

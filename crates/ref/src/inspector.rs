@@ -15,6 +15,7 @@
 //! speedup over plain CSR, mid-range preprocessing cost) the paper
 //! measures it by.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use spmv_kernels::baseline::{CsrKernel, InnerLoop};
@@ -24,25 +25,25 @@ use spmv_sparse::stats::RowStats;
 use spmv_sparse::{Csr, EllHybrid};
 
 /// Execution plan chosen by the inspector.
-enum Plan<'a> {
+enum Plan {
     /// ELL hybrid with parallel slab traversal + serial tail.
     Ell(Box<EllHybrid>),
     /// Rebalanced CSR with an unrolled inner loop.
-    Csr(CsrKernel<'a>),
+    Csr(CsrKernel),
 }
 
 /// Inspector-Executor reference implementation.
-pub struct InspectorExecutor<'a> {
-    plan: Plan<'a>,
+pub struct InspectorExecutor {
+    plan: Plan,
     nthreads: usize,
     /// Seconds spent inspecting + converting (reported to the
     /// amortization study).
     pub prep_seconds: f64,
 }
 
-impl<'a> InspectorExecutor<'a> {
+impl InspectorExecutor {
     /// Runs the inspection phase on `a` and builds the execution plan.
-    pub fn inspect(a: &'a Csr, nthreads: usize) -> InspectorExecutor<'a> {
+    pub fn inspect(a: &Arc<Csr>, nthreads: usize) -> InspectorExecutor {
         let t0 = Instant::now();
         let stats = RowStats::compute(a, 8);
         let s = stats.nnz_summary();
@@ -67,7 +68,7 @@ impl<'a> InspectorExecutor<'a> {
     }
 }
 
-impl SpmvKernel for InspectorExecutor<'_> {
+impl SpmvKernel for InspectorExecutor {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
         match &self.plan {
             Plan::Csr(k) => k.run_timed(x, y),
@@ -131,7 +132,7 @@ mod tests {
     use super::*;
     use spmv_sparse::gen;
 
-    fn check(a: &Csr, nthreads: usize) -> InspectorExecutor<'_> {
+    fn check(a: &Arc<Csr>, nthreads: usize) -> InspectorExecutor {
         let ie = InspectorExecutor::inspect(a, nthreads);
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut y_ref = vec![0.0; a.nrows()];
@@ -146,7 +147,7 @@ mod tests {
 
     #[test]
     fn regular_matrix_selects_ell() {
-        let a = gen::banded(2_000, 6, 1.0, 3).unwrap();
+        let a = Arc::new(gen::banded(2_000, 6, 1.0, 3).unwrap());
         let ie = check(&a, 4);
         assert!(ie.uses_ell(), "{}", ie.name());
         assert!(ie.prep_seconds >= 0.0);
@@ -154,20 +155,20 @@ mod tests {
 
     #[test]
     fn skewed_matrix_keeps_csr() {
-        let a = gen::circuit(3_000, 3, 0.4, 5, 7).unwrap();
+        let a = Arc::new(gen::circuit(3_000, 3, 0.4, 5, 7).unwrap());
         let ie = check(&a, 4);
         assert!(!ie.uses_ell(), "{}", ie.name());
     }
 
     #[test]
     fn powerlaw_matrix_correct_any_plan() {
-        let a = gen::powerlaw(2_000, 7, 1.9, 5).unwrap();
+        let a = Arc::new(gen::powerlaw(2_000, 7, 1.9, 5).unwrap());
         check(&a, 3);
     }
 
     #[test]
     fn single_thread_works() {
-        let a = gen::banded(500, 3, 1.0, 9).unwrap();
+        let a = Arc::new(gen::banded(500, 3, 1.0, 9).unwrap());
         check(&a, 1);
     }
 }

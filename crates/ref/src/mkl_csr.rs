@@ -5,6 +5,8 @@
 //! distribution, so skewed matrices imbalance badly — exactly the
 //! behaviour the paper's optimizers exploit.
 
+use std::sync::Arc;
+
 use spmv_kernels::baseline::{CsrKernel, InnerLoop};
 use spmv_kernels::schedule::{Schedule, ThreadTimes};
 use spmv_kernels::variant::SpmvKernel;
@@ -12,20 +14,20 @@ use spmv_sparse::Csr;
 
 /// MKL-CSR-like reference kernel.
 #[derive(Debug)]
-pub struct MklLikeCsr<'a> {
-    inner: CsrKernel<'a>,
+pub struct MklLikeCsr {
+    inner: CsrKernel,
 }
 
-impl<'a> MklLikeCsr<'a> {
+impl MklLikeCsr {
     /// Wraps `a` with `nthreads` workers.
-    pub fn new(a: &'a Csr, nthreads: usize) -> MklLikeCsr<'a> {
+    pub fn new(a: &Arc<Csr>, nthreads: usize) -> MklLikeCsr {
         MklLikeCsr {
             inner: CsrKernel::with_options(a, nthreads, Schedule::StaticRows, InnerLoop::Scalar),
         }
     }
 }
 
-impl SpmvKernel for MklLikeCsr<'_> {
+impl SpmvKernel for MklLikeCsr {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
         self.inner.run_timed(x, y)
     }
@@ -54,7 +56,7 @@ mod tests {
 
     #[test]
     fn matches_serial_reference() {
-        let a = gen::powerlaw(1_000, 8, 2.0, 3).unwrap();
+        let a = Arc::new(gen::powerlaw(1_000, 8, 2.0, 3).unwrap());
         let k = MklLikeCsr::new(&a, 4);
         let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.01).sin()).collect();
         let mut y_ref = vec![0.0; a.nrows()];
@@ -68,7 +70,7 @@ mod tests {
 
     #[test]
     fn reports_identity() {
-        let a = gen::banded(100, 2, 1.0, 1).unwrap();
+        let a = Arc::new(gen::banded(100, 2, 1.0, 1).unwrap());
         let k = MklLikeCsr::new(&a, 2);
         assert_eq!(k.name(), "mkl-like-csr");
         assert_eq!(k.nrows(), 100);

@@ -28,13 +28,12 @@
 //! name anywhere else, so registering a name again on a new registry
 //! starts from fresh state.
 //!
-//! Registered matrices are pinned for the process lifetime (the CSR
-//! storage is leaked to `'static` so kernel plans, which borrow it,
-//! can live inside shared `Arc`s with no self-referential types and
-//! no unsafe code). Deregistration/eviction is an explicit non-goal
-//! of this PR — a registry restart is a process restart, which is the
-//! operational model of the daemon anyway. ROADMAP tracks dynamic
-//! matrix lifecycles.
+//! The CSR itself sits behind one `Arc` shared by the matrix and its
+//! two kernels, so it lives exactly as long as the last
+//! `Arc<RegisteredMatrix>`: dropping the registry frees every matrix
+//! no request still holds, and a registration that loses the name
+//! race frees its tuned kernels and matrix on the spot. The registry
+//! has no route that removes or replaces a name yet (ROADMAP).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -77,12 +76,12 @@ pub struct Observation {
 /// One registered, tuned, ready-to-serve matrix.
 pub struct RegisteredMatrix {
     name: String,
-    a: &'static Csr,
+    a: Arc<Csr>,
     /// The menu-search winner (throughput path).
     tuned: Box<dyn SpmvKernel>,
     /// Multi-vector kernel for coalesced batches and exact singles
     /// (scalar order, so its results are bitwise-serial).
-    batch: SpmmKernel<'static>,
+    batch: SpmmKernel,
     /// The tuner's decision record (winner, class set, candidates
     /// timed) for `/v1/matrices` introspection.
     plan: KernelPlan,
@@ -118,7 +117,7 @@ impl RegisteredMatrix {
 
     /// The underlying matrix (serial reference computations in tests).
     pub fn csr(&self) -> &Csr {
-        self.a
+        &self.a
     }
 
     /// The tuner's winning plan, with the bottleneck classes its
@@ -264,7 +263,8 @@ impl MatrixRegistry {
     /// The tuning search runs outside the registry lock, so a slow
     /// registration does not block serving lookups; two concurrent
     /// registrations under one name race to the insert and the loser
-    /// gets [`RegisterError::Duplicate`].
+    /// gets [`RegisterError::Duplicate`] (its kernels and matrix are
+    /// freed on return).
     pub fn register(&self, name: &str, a: Csr) -> Result<Arc<RegisteredMatrix>, RegisterError> {
         if !valid_name(name) {
             return Err(RegisterError::InvalidName(name.to_string()));
@@ -278,16 +278,15 @@ impl MatrixRegistry {
         if let Err(e) = Validated::new(&a) {
             return Err(RegisterError::Invalid(e.to_string()));
         }
-        // Pin the storage for the process lifetime; see module docs.
-        let a: &'static Csr = Box::leak(Box::new(a));
+        let a = Arc::new(a);
         let machine = MachineModel::host();
-        let (plan, _trace) = menu::search_or_cached(a, &machine, self.nthreads, self.tune_reps);
+        let (plan, _trace) = menu::search(&a, &machine, self.nthreads, self.tune_reps);
         // The live roofline cell measures against the simulated
         // ceiling the tuner selected against; the scheduler folds in
         // measured per-dispatch throughput via `observe_gflops`.
-        let roofline = Roofline::new(menu::roofline_bound_gflops(a, &machine, plan.spec));
-        let tuned = build_kernel(a, plan.spec, self.nthreads).kernel;
-        let batch = SpmmKernel::new(a, self.nthreads);
+        let roofline = Roofline::new(menu::roofline_bound_gflops(&a, &machine, plan.spec));
+        let tuned = build_kernel(&a, plan.spec, self.nthreads).kernel;
+        let batch = SpmmKernel::new(&a, self.nthreads);
         let matrix = Arc::new(RegisteredMatrix {
             name: name.to_string(),
             a,
@@ -471,6 +470,40 @@ mod tests {
         let (ys, bsecs) = m.run(&[&x, &x], Mode::Exact);
         assert_eq!(ys.len(), 2);
         assert!(bsecs > 0.0);
+    }
+
+    #[test]
+    fn dropping_the_registry_frees_its_matrices() {
+        // The first cycle registers the benchmark's 70 000-row band;
+        // the other 99 keep to a small band so the test stays fast
+        // in unoptimized builds.
+        for cycle in 0..100 {
+            let rows = if cycle == 0 { 70_000 } else { 1_000 };
+            let reg = MatrixRegistry::new(1, 1);
+            let m = reg.register("band", gen::banded(rows, 3, 1.0, 7).unwrap()).expect("register");
+            let csr = Arc::downgrade(&m.a);
+            drop(reg);
+            drop(m);
+            assert!(csr.upgrade().is_none(), "cycle {cycle}: the CSR outlived its owners");
+        }
+    }
+
+    #[test]
+    fn a_matrix_outlives_its_registry_and_stays_bitwise_serial() {
+        let a = gen::powerlaw(2_000, 6, 2.0, 4).unwrap();
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut y_ref = vec![0.0; a.nrows()];
+        a.spmv(&x, &mut y_ref);
+        let reg = registry();
+        let m = reg.register("held", a).expect("register");
+        let csr = Arc::downgrade(&m.a);
+        drop(reg);
+        let (ys, _) = m.run(&[&x], Mode::Exact);
+        for (got, want) in ys[0].iter().zip(&y_ref) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        drop(m);
+        assert!(csr.upgrade().is_none(), "the last handle frees the CSR");
     }
 
     #[test]

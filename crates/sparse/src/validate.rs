@@ -29,6 +29,8 @@
 //! the `P_ML` micro-benchmark deliberately builds constant-column rows
 //! — so duplicate or unsorted columns still validate.
 
+use std::sync::Arc;
+
 use crate::error::SparseError;
 use crate::Result;
 
@@ -46,6 +48,19 @@ pub trait ValidateFormat {
 }
 
 impl<T: ValidateFormat + ?Sized> ValidateFormat for &T {
+    fn format_name(&self) -> &'static str {
+        (**self).format_name()
+    }
+
+    fn validate_structure(&self) -> Result<()> {
+        (**self).validate_structure()
+    }
+}
+
+/// A shared handle validates as its target. A [`Validated`] witness
+/// hands out only `&Arc<T>`, through which the target cannot be
+/// mutated, so the verified structure stays verified.
+impl<T: ValidateFormat + ?Sized> ValidateFormat for Arc<T> {
     fn format_name(&self) -> &'static str {
         (**self).format_name()
     }

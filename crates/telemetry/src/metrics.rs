@@ -188,7 +188,7 @@ impl DispatchSnapshot {
 }
 
 /// The tuner's menu-selection gauge: which microkernel the menu
-/// search last picked, plus search/cache-hit counts.
+/// search last picked, plus the search count.
 ///
 /// The selected id is packed into two atomic `u64` words (16 ASCII
 /// bytes, NUL-padded; longer ids truncate) so recording stays within
@@ -201,7 +201,6 @@ impl DispatchSnapshot {
 pub struct SelectionGauge {
     words: [AtomicU64; 2],
     searches: AtomicU64,
-    cache_hits: AtomicU64,
 }
 
 impl SelectionGauge {
@@ -210,7 +209,6 @@ impl SelectionGauge {
         SelectionGauge {
             words: [AtomicU64::new(0), AtomicU64::new(0)],
             searches: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
         }
     }
 
@@ -230,13 +228,6 @@ impl SelectionGauge {
     pub fn record_search(&self, id: &str) {
         // relaxed-ok: independent monotonic total.
         self.searches.fetch_add(1, Ordering::Relaxed);
-        self.store_id(id);
-    }
-
-    /// Records a plan-cache hit whose cached plan selected `id`.
-    pub fn record_cache_hit(&self, id: &str) {
-        // relaxed-ok: independent monotonic total.
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.store_id(id);
     }
 
@@ -261,19 +252,12 @@ impl SelectionGauge {
         self.searches.load(Ordering::Relaxed)
     }
 
-    /// Plan-cache hits recorded.
-    pub fn cache_hits(&self) -> u64 {
-        // relaxed-ok: aggregate read, no ordering dependency.
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
     /// Zeroes the gauge (tests and bench isolation).
     pub fn reset(&self) {
         // relaxed-ok: reset is a test/bench affordance.
         self.words[0].store(0, Ordering::Relaxed);
         self.words[1].store(0, Ordering::Relaxed); // relaxed-ok: as above.
         self.searches.store(0, Ordering::Relaxed); // relaxed-ok: as above.
-        self.cache_hits.store(0, Ordering::Relaxed); // relaxed-ok: as above.
     }
 }
 
@@ -385,10 +369,9 @@ mod tests {
         g.record_search("csr/avx512-a4");
         assert_eq!(g.selected(), "csr/avx512-a4");
         assert_eq!(g.searches(), 1);
-        assert_eq!(g.cache_hits(), 0);
-        g.record_cache_hit("sell/c8");
+        g.record_search("sell/c8");
         assert_eq!(g.selected(), "sell/c8");
-        assert_eq!(g.cache_hits(), 1);
+        assert_eq!(g.searches(), 2);
         // Longer than 16 bytes truncates rather than corrupting.
         g.record_search("a-very-long-kernel-identifier");
         assert_eq!(g.selected(), "a-very-long-kern");

@@ -243,12 +243,6 @@ impl MetricsRegistry {
             MetricKind::Counter,
             menu.searches() as f64,
         );
-        reg.push(
-            "spmv_menu_cache_hits_total",
-            "Menu plan-cache hits (searches skipped entirely).",
-            MetricKind::Counter,
-            menu.cache_hits() as f64,
-        );
         let selected = menu.selected();
         if !selected.is_empty() {
             reg.push_labeled(

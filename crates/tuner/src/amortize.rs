@@ -31,45 +31,6 @@ impl Amortization {
     }
 }
 
-/// The full one-off cost of producing a tuned kernel: format
-/// conversion *and* the tuner's own search time.
-///
-/// The original model charged only `prep_seconds`, which made a
-/// menu-searched plan look free — the search builds and times a
-/// dozen candidate kernels, and that cost must amortize exactly like
-/// preprocessing does. A plan served from the tuner's cache reports
-/// `search_seconds == 0`, so repeat executions correctly pay only
-/// conversion cost.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TuneCost {
-    /// Format conversion / setup seconds (the classic `t_pre`).
-    pub prep_seconds: f64,
-    /// Seconds the tuner spent searching (profiling candidates,
-    /// bound evaluation); zero for cached plans.
-    pub search_seconds: f64,
-}
-
-impl TuneCost {
-    /// Conversion-only cost (no search performed).
-    pub fn prep_only(prep_seconds: f64) -> TuneCost {
-        TuneCost { prep_seconds, search_seconds: 0.0 }
-    }
-
-    /// Total one-off seconds charged to the tuned kernel.
-    pub fn total(self) -> f64 {
-        self.prep_seconds + self.search_seconds
-    }
-}
-
-/// [`min_iterations`] with the full tuning cost: search time counts
-/// toward the payoff threshold alongside preprocessing.
-///
-/// # Panics
-/// Panics on negative inputs.
-pub fn min_iterations_tuned(cost: TuneCost, t_reference: f64, t_optimized: f64) -> Amortization {
-    min_iterations(cost.total(), t_reference, t_optimized)
-}
-
 /// Computes `N_iters,min` from the three time components (seconds).
 ///
 /// # Panics
@@ -161,25 +122,5 @@ mod tests {
     fn summary_of_all_never_is_none() {
         assert!(summarize(&[Amortization::Never]).is_none());
         assert!(summarize(&[]).is_none());
-    }
-
-    #[test]
-    fn search_time_counts_toward_payoff() {
-        // 10 ms prep alone -> 20 iterations; adding 10 ms of menu
-        // search doubles the threshold.
-        let prep_only = TuneCost::prep_only(0.010);
-        assert_eq!(min_iterations_tuned(prep_only, 0.001, 0.0005), Amortization::After(20));
-        let searched = TuneCost { prep_seconds: 0.010, search_seconds: 0.010 };
-        assert!((searched.total() - 0.020).abs() < 1e-12);
-        assert_eq!(min_iterations_tuned(searched, 0.001, 0.0005), Amortization::After(40));
-    }
-
-    #[test]
-    fn cached_plan_charges_no_search_time() {
-        let cached = TuneCost { prep_seconds: 0.010, search_seconds: 0.0 };
-        assert_eq!(
-            min_iterations_tuned(cached, 0.001, 0.0005),
-            min_iterations(0.010, 0.001, 0.0005)
-        );
     }
 }

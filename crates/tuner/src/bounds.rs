@@ -12,6 +12,8 @@
 //!   from the baseline's per-thread times and `P_MB` / `P_peak`
 //!   computed analytically from the machine's bandwidth.
 
+use std::sync::Arc;
+
 use spmv_kernels::baseline::CsrKernel;
 use spmv_kernels::schedule::{execute, Schedule, YPtr};
 use spmv_kernels::variant::SpmvKernel;
@@ -26,7 +28,7 @@ use spmv_telemetry::SpanSet;
 /// Produces a bound profile for a matrix.
 pub trait BoundsSource {
     /// Collects the §III-B bounds for `a`.
-    fn collect(&self, a: &Csr) -> Bounds;
+    fn collect(&self, a: &Arc<Csr>) -> Bounds;
 
     /// The machine the bounds refer to.
     fn machine(&self) -> &MachineModel;
@@ -57,7 +59,7 @@ impl SimulatedSource {
 }
 
 impl BoundsSource for SimulatedSource {
-    fn collect(&self, a: &Csr) -> Bounds {
+    fn collect(&self, a: &Arc<Csr>) -> Bounds {
         let profile = MatrixProfile::analyze(a, self.model.machine());
         collect_bounds(&self.model, &profile)
     }
@@ -99,7 +101,7 @@ impl HostSource {
     /// raw material of the paper's profiling-overhead accounting.
     /// Every span is also fed into the process-wide
     /// [`spmv_telemetry::metrics::profiling_runs`] counter.
-    pub fn collect_with_spans(&self, a: &Csr) -> (Bounds, SpanSet) {
+    pub fn collect_with_spans(&self, a: &Arc<Csr>) -> (Bounds, SpanSet) {
         let mut spans = SpanSet::new();
         let flops = 2.0 * a.nnz() as f64;
         let x = vec![1.0f64; a.ncols()];
@@ -120,7 +122,7 @@ impl HostSource {
         let p_imb = flops / t_median.max(1e-12) / 1e9;
 
         // P_ML: regularised x accesses (colind[j] = i).
-        let ml_matrix = regularized_x_matrix(a);
+        let ml_matrix = Arc::new(regularized_x_matrix(a));
         let ml_kernel = CsrKernel::baseline(&ml_matrix, self.nthreads);
         ml_kernel.run(&x, &mut y);
         let (t_ml, _) = spans.time("bound:P_ML", || self.time_kernel(&ml_kernel, &x, &mut y));
@@ -151,7 +153,7 @@ impl HostSource {
 }
 
 impl BoundsSource for HostSource {
-    fn collect(&self, a: &Csr) -> Bounds {
+    fn collect(&self, a: &Arc<Csr>) -> Bounds {
         self.collect_with_spans(a).0
     }
 
@@ -243,7 +245,7 @@ mod tests {
 
     #[test]
     fn host_source_produces_positive_bounds() {
-        let a = gen::banded(3_000, 6, 1.0, 3).unwrap();
+        let a = Arc::new(gen::banded(3_000, 6, 1.0, 3).unwrap());
         let src = HostSource::new(MachineModel::host(), 2, 2);
         let b = src.collect(&a);
         for v in [b.p_csr, b.p_mb, b.p_ml, b.p_imb, b.p_cmp, b.p_peak] {
@@ -254,7 +256,7 @@ mod tests {
 
     #[test]
     fn host_source_reports_per_bound_spans() {
-        let a = gen::banded(2_000, 5, 1.0, 9).unwrap();
+        let a = Arc::new(gen::banded(2_000, 5, 1.0, 9).unwrap());
         let src = HostSource::new(MachineModel::host(), 2, 1);
         let before = spmv_telemetry::metrics::profiling_runs().count();
         let (b, spans) = src.collect_with_spans(&a);
@@ -269,7 +271,7 @@ mod tests {
 
     #[test]
     fn simulated_source_matches_direct_sim_call() {
-        let a = gen::banded(5_000, 8, 0.9, 2).unwrap();
+        let a = Arc::new(gen::banded(5_000, 8, 0.9, 2).unwrap());
         let src = SimulatedSource::new(MachineModel::knc());
         let b1 = src.collect(&a);
         let p = MatrixProfile::analyze(&a, src.machine());

@@ -21,13 +21,15 @@
 //!   feature-guided, oracle and the two trivial sweeps, producing
 //!   runnable kernels via `spmv-kernels`;
 //! * [`amortize`] — the solver-iteration amortization model of §IV-D
-//!   (`N_iters,min = t_pre / (t_MKL − t_optimizer)`), extended with
-//!   [`amortize::TuneCost`] so menu-search time is charged too;
+//!   (`N_iters,min = t_pre / (t_MKL − t_optimizer)`), where a tuned
+//!   kernel's `t_pre` ([`TunedSpmv::prep_seconds`]) includes its
+//!   menu search or sweep;
 //! * [`menu`] — the microkernel menu search: classify the matrix with
 //!   the host micro-benchmarks, time only the shortlist its classes
 //!   map to (through the paper's [`pool::OptimizationPool`]) over
-//!   `spmv_kernels::micro`'s menu and the pool's treatments, and cache
-//!   the winning [`menu::KernelPlan`] per matrix;
+//!   `spmv_kernels::micro`'s menu and the pool's treatments, and
+//!   return the winning [`menu::KernelPlan`] to its caller, which
+//!   keeps it with the matrix's kernels;
 //! * [`pool`] — the class→optimization mapping as a configurable
 //!   value, demonstrating the plug-and-play extension property.
 

@@ -1,4 +1,4 @@
-//! Microkernel menu search with cached winning plans.
+//! Microkernel menu search.
 //!
 //! The menu ([`spmv_kernels::micro::menu`]) enumerates concrete
 //! kernel configurations — explicit-SIMD CSR row kernels, SELL-C-σ
@@ -14,21 +14,19 @@
 //!    optimization to its family of specs (`family`), next to the
 //!    scalar CSR baseline and `csr/unrolled`, which are always timed;
 //! 3. build + warm + best-of-reps time the shortlist on the persistent
-//!    [`spmv_kernels::ExecEngine`] pool and keep the fastest;
-//! 4. cache the winning [`KernelPlan`] keyed by (structural matrix
-//!    fingerprint, thread count), so a repeat tuning of the same
-//!    matrix pays zero search cost — the cache hit path reports
-//!    `search_seconds == 0`, which [`crate::amortize::TuneCost`]
-//!    turns into a conversion-only payoff threshold.
+//!    [`spmv_kernels::ExecEngine`] pool and keep the fastest.
+//!
+//! The search runs once per matrix, and its caller owns the result:
+//! the serving registry keeps the winning [`KernelPlan`] in the
+//! `RegisteredMatrix` next to the kernels built from it, so the
+//! decision is freed with the matrix.
 //!
 //! Every search emits a [`MenuTrace`] (class set, candidates timed,
 //! the winner, search time) — rendered by `spmvtune explain` next to
 //! the classifier's decision trace — and feeds the process-wide
 //! [`spmv_telemetry::metrics::menu_selection`] gauge.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use spmv_kernels::baseline::InnerLoop;
@@ -54,11 +52,8 @@ pub struct KernelPlan {
     /// Preprocessing seconds of the winner's build (format
     /// conversion; re-paid on every [`build_kernel`] call).
     pub prep_seconds: f64,
-    /// Seconds the search itself consumed; `0.0` when the plan came
-    /// from the cache.
+    /// Seconds the search itself consumed.
     pub search_seconds: f64,
-    /// Whether this plan was served from the plan cache.
-    pub cached: bool,
     /// The bottleneck classes the shortlist was drawn from.
     pub classes: ClassSet,
     /// How many candidates the search timed.
@@ -86,10 +81,8 @@ pub struct MenuTrace {
     /// Winner's measured GFLOP/s.
     pub winner_gflops: f64,
     /// Wall-clock seconds of the whole search, classification
-    /// included (zero on cache hits).
+    /// included.
     pub search_seconds: f64,
-    /// Whether the decision was served from the plan cache.
-    pub cached: bool,
 }
 
 impl MenuTrace {
@@ -107,17 +100,15 @@ impl MenuTrace {
             .with("winner", self.winner.as_str())
             .with("winner_gflops", self.winner_gflops)
             .with("search_seconds", self.search_seconds)
-            .with("cached", self.cached)
     }
 
     /// Renders the decision as indented text lines for `spmvtune
     /// explain`, mirroring the classifier's rule-trace style.
     pub fn render_text(&self) -> String {
         let mut out = format!(
-            "menu search: classes {}, {} candidates timed{}\n",
+            "menu search: classes {}, {} candidates timed\n",
             self.classes,
             self.timed.len(),
-            if self.cached { " (served from plan cache)" } else { "" },
         );
         for t in &self.timed {
             let id = t.spec.id();
@@ -132,20 +123,6 @@ impl MenuTrace {
         ));
         out
     }
-}
-
-/// Structural fingerprint of a matrix, used as the plan-cache key:
-/// a hash of the dimensions and the full `rowptr` and `colind`
-/// arrays (values do not change a kernel's speed). One O(nnz) pass,
-/// far below the cost of the search it saves, and deterministic
-/// across runs. Two matrices with equal row lengths but different
-/// columns get different keys.
-pub fn fingerprint(a: &Csr) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    (a.nrows(), a.ncols()).hash(&mut h);
-    a.rowptr().hash(&mut h);
-    a.colind().hash(&mut h);
-    h.finish()
 }
 
 /// Optimistic bytes the candidate's format must move per SpMV
@@ -212,7 +189,7 @@ fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<K
 
 /// Builds, warms and times `spec` best-of-`reps` on the warm pool:
 /// (GFLOP/s, preprocessing seconds).
-pub fn measure(a: &Csr, spec: KernelSpec, nthreads: usize, reps: usize) -> (f64, f64) {
+pub fn measure(a: &Arc<Csr>, spec: KernelSpec, nthreads: usize, reps: usize) -> (f64, f64) {
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
     let built = build_kernel(a, spec, nthreads);
@@ -224,11 +201,9 @@ pub fn measure(a: &Csr, spec: KernelSpec, nthreads: usize, reps: usize) -> (f64,
 /// Runs the menu search for `a` on `nthreads` threads: classifies the
 /// matrix with the host micro-benchmarks (best-of-`reps`), then times
 /// its `shortlist` best-of-`reps` on the warm pool. Returns the
-/// winning plan and the decision trace. Does not consult or fill the
-/// plan cache — use [`search_or_cached`] for the amortizing entry
-/// point.
+/// winning plan and the decision trace.
 pub fn search(
-    a: &Csr,
+    a: &Arc<Csr>,
     machine: &MachineModel,
     nthreads: usize,
     reps: usize,
@@ -255,57 +230,16 @@ pub fn search(
     let search_seconds = t_search.elapsed().as_secs_f64();
     let winner = spec.id();
     spmv_telemetry::metrics::menu_selection().record_search(&winner);
-    let plan = KernelPlan {
-        spec,
-        gflops,
-        prep_seconds,
-        search_seconds,
-        cached: false,
-        classes,
-        timed: timed.len(),
-    };
-    let trace =
-        MenuTrace { classes, timed, winner, winner_gflops: gflops, search_seconds, cached: false };
+    let plan =
+        KernelPlan { spec, gflops, prep_seconds, search_seconds, classes, timed: timed.len() };
+    let trace = MenuTrace { classes, timed, winner, winner_gflops: gflops, search_seconds };
     (plan, trace)
 }
 
-type PlanCache = Mutex<HashMap<(u64, usize), (KernelPlan, MenuTrace)>>;
-
-fn plan_cache() -> &'static PlanCache {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(Mutex::default)
-}
-
-/// [`search`] behind the process-wide plan cache: a repeat tuning of
-/// a structurally identical matrix on the same thread count returns
-/// the cached winner with `search_seconds == 0` and `cached == true`
-/// instead of re-running the search.
-pub fn search_or_cached(
-    a: &Csr,
-    machine: &MachineModel,
-    nthreads: usize,
-    reps: usize,
-) -> (KernelPlan, MenuTrace) {
-    let key = (fingerprint(a), nthreads.max(1));
-    if let Some((plan, trace)) = plan_cache().lock().unwrap_or_else(|p| p.into_inner()).get(&key) {
-        let mut plan = *plan;
-        plan.search_seconds = 0.0;
-        plan.cached = true;
-        let mut trace = trace.clone();
-        trace.search_seconds = 0.0;
-        trace.cached = true;
-        spmv_telemetry::metrics::menu_selection().record_cache_hit(&trace.winner);
-        return (plan, trace);
-    }
-    let (plan, trace) = search(a, machine, nthreads, reps);
-    plan_cache().lock().unwrap_or_else(|p| p.into_inner()).insert(key, (plan, trace.clone()));
-    (plan, trace)
-}
-
-/// Drops every cached plan (tests and bench isolation).
-pub fn clear_plan_cache() {
-    plan_cache().lock().unwrap_or_else(|p| p.into_inner()).clear();
-}
+/// Does nothing: no plan is cached process-wide (each search's
+/// caller owns its plan). Kept only because the serving benchmark
+/// calls it before each plane it sets up.
+pub fn clear_plan_cache() {}
 
 #[cfg(test)]
 mod tests {
@@ -314,7 +248,7 @@ mod tests {
 
     #[test]
     fn search_times_baseline_and_picks_a_winner() {
-        let a = gen::banded(4_000, 8, 1.0, 3).unwrap();
+        let a = Arc::new(gen::banded(4_000, 8, 1.0, 3).unwrap());
         let (plan, trace) = search(&a, &MachineModel::host(), 2, 2);
         // The baseline and the unrolled loop are always timed first.
         assert_eq!(trace.timed[0].spec, micro::baseline());
@@ -322,7 +256,6 @@ mod tests {
         assert_eq!(plan.timed, trace.timed.len());
         assert_eq!(plan.classes, trace.classes);
         assert!(plan.gflops > 0.0);
-        assert!(!plan.cached);
         assert!(plan.search_seconds > 0.0);
         assert_eq!(trace.winner, plan.spec.id());
         // The winner's measured throughput is the maximum of the
@@ -332,57 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_reports_zero_search_cost() {
-        clear_plan_cache();
-        let a = gen::powerlaw(3_000, 6, 2.0, 11).unwrap();
-        let m = MachineModel::host();
-        let hits_before = spmv_telemetry::metrics::menu_selection().cache_hits();
-        let (first, t1) = search_or_cached(&a, &m, 2, 1);
-        assert!(!first.cached && !t1.cached);
-        let (second, t2) = search_or_cached(&a, &m, 2, 1);
-        assert!(second.cached && t2.cached);
-        assert_eq!(second.search_seconds, 0.0);
-        assert_eq!(second.spec, first.spec);
-        assert_eq!((second.classes, second.timed), (first.classes, first.timed));
-        assert_eq!(t2.winner, t1.winner);
-        assert!(spmv_telemetry::metrics::menu_selection().cache_hits() > hits_before);
-        // Different thread count misses the cache.
-        let (third, _) = search_or_cached(&a, &m, 1, 1);
-        assert!(!third.cached);
-        clear_plan_cache();
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_structures() {
-        let a = gen::banded(1_000, 4, 1.0, 3).unwrap();
-        let b = gen::banded(1_000, 5, 1.0, 3).unwrap();
-        let c = gen::banded(1_000, 4, 1.0, 3).unwrap();
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        assert_eq!(fingerprint(&a), fingerprint(&c));
-    }
-
-    #[test]
-    fn same_row_lengths_with_other_columns_miss_the_plan_cache() {
-        // Identical rowptr, permuted colind: the identity and the
-        // anti-diagonal permutation matrix.
-        let n = 1_000;
-        let a = Csr::identity(n);
-        let reversed: Vec<u32> = (0..n as u32).rev().collect();
-        let b = Csr::from_raw(n, n, a.rowptr().to_vec(), reversed, vec![1.0; n]).unwrap();
-        assert_eq!(a.rowptr(), b.rowptr());
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        let m = MachineModel::host();
-        let _ = search_or_cached(&a, &m, 3, 1);
-        let (plan, trace) = search_or_cached(&b, &m, 3, 1);
-        assert!(!plan.cached && !trace.cached, "b must be searched, not served a's plan");
-    }
-
-    #[test]
     fn trace_serializes_and_renders() {
-        let a = gen::banded(2_000, 6, 1.0, 5).unwrap();
+        let a = Arc::new(gen::banded(2_000, 6, 1.0, 5).unwrap());
         let (_, trace) = search(&a, &MachineModel::host(), 1, 1);
         let json = trace.to_json().render();
-        for key in ["classes", "timed", "winner", "search_seconds", "cached"] {
+        for key in ["classes", "timed", "winner", "search_seconds"] {
             assert!(json.contains(&format!("\"{key}\"")), "{json}");
         }
         let text = trace.render_text();
@@ -438,7 +325,7 @@ mod tests {
 
     #[test]
     fn selected_kernel_computes_correct_product() {
-        let a = gen::circuit(2_500, 3, 0.4, 5, 7).unwrap();
+        let a = Arc::new(gen::circuit(2_500, 3, 0.4, 5, 7).unwrap());
         let (plan, _) = search(&a, &MachineModel::host(), 2, 1);
         let built = build_kernel(&a, plan.spec, 2);
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();

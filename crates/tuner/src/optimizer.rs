@@ -17,13 +17,13 @@
 //!   the oracle over their candidate sets, but paying the full sweep
 //!   cost).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use spmv_kernels::variant::{build_kernel, BuiltKernel, KernelVariant, SpmvKernel};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, FeatureVector};
 
-use crate::amortize::TuneCost;
 use crate::bounds::{BoundsSource, HostSource};
 use crate::class::ClassSet;
 use crate::featclf::{heuristic_classify, FeatureGuidedClassifier};
@@ -43,8 +43,7 @@ pub enum Strategy {
     /// Time all 15 singles + pairs, keep the best.
     TrivialCombined,
     /// Class-shortlisted search over the explicit-SIMD microkernel
-    /// menu (see [`crate::menu`]), with per-matrix cached winning
-    /// plans.
+    /// menu (see [`crate::menu`]).
     MenuSearch,
 }
 
@@ -99,7 +98,7 @@ impl Optimizer {
         Self::base(machine, Strategy::TrivialCombined)
     }
 
-    /// Microkernel menu search (class-shortlisted, plan-cached).
+    /// Microkernel menu search (class-shortlisted).
     pub fn menu_search(machine: &MachineModel) -> Optimizer {
         Self::base(machine, Strategy::MenuSearch)
     }
@@ -133,7 +132,7 @@ impl Optimizer {
     /// Classifies the matrix (empty set for sweep strategies, which
     /// do not reason in terms of bottlenecks, and for the menu search,
     /// whose classes come with its plan: [`TunedSpmv::classes`]).
-    pub fn classify(&self, a: &Csr) -> ClassSet {
+    pub fn classify(&self, a: &Arc<Csr>) -> ClassSet {
         match self.strategy {
             Strategy::ProfileGuided => {
                 let source =
@@ -158,8 +157,10 @@ impl Optimizer {
 
     /// Runs the full pipeline: classify, map classes to
     /// optimizations, build the kernel. All decision and conversion
-    /// time is accumulated in [`TunedSpmv::prep_seconds`].
-    pub fn optimize<'a>(&self, a: &'a Csr) -> TunedSpmv<'a> {
+    /// time is accumulated in [`TunedSpmv::prep_seconds`]. The tuned
+    /// kernel shares `a` rather than borrowing it, so it may outlive
+    /// the caller's handle.
+    pub fn optimize(&self, a: &Arc<Csr>) -> TunedSpmv {
         let t0 = Instant::now();
         match self.strategy {
             Strategy::Oracle | Strategy::TrivialSingle | Strategy::TrivialCombined => {
@@ -170,44 +171,28 @@ impl Optimizer {
                 self.sweep(a, candidates, t0)
             }
             Strategy::MenuSearch => {
-                let (plan, _trace) = crate::menu::search_or_cached(
-                    a,
-                    &self.machine,
-                    self.nthreads,
-                    self.profiling_reps,
-                );
+                let (plan, _trace) =
+                    crate::menu::search(a, &self.machine, self.nthreads, self.profiling_reps);
                 let built = build_kernel(a, plan.spec, self.nthreads);
                 TunedSpmv {
                     classes: plan.classes,
                     variant: KernelVariant::BASELINE,
                     built,
                     prep_seconds: t0.elapsed().as_secs_f64(),
-                    search_seconds: plan.search_seconds,
                 }
             }
             _ => {
                 let classes = self.classify(a);
                 let variant = classes.to_variant(&self.features(a));
                 let built = build_kernel(a, variant, self.nthreads);
-                TunedSpmv {
-                    classes,
-                    variant,
-                    built,
-                    prep_seconds: t0.elapsed().as_secs_f64(),
-                    search_seconds: 0.0,
-                }
+                TunedSpmv { classes, variant, built, prep_seconds: t0.elapsed().as_secs_f64() }
             }
         }
     }
 
     /// Builds and times each candidate (plus the baseline), keeping
     /// the fastest.
-    fn sweep<'a>(
-        &self,
-        a: &'a Csr,
-        mut candidates: Vec<KernelVariant>,
-        t0: Instant,
-    ) -> TunedSpmv<'a> {
+    fn sweep(&self, a: &Arc<Csr>, mut candidates: Vec<KernelVariant>, t0: Instant) -> TunedSpmv {
         candidates.insert(0, KernelVariant::BASELINE);
         let x = vec![1.0f64; a.ncols()];
         let mut y = vec![0.0f64; a.nrows()];
@@ -232,29 +217,26 @@ impl Optimizer {
             variant,
             built,
             prep_seconds: t0.elapsed().as_secs_f64(),
-            search_seconds: 0.0,
         }
     }
 }
 
 /// The product of [`Optimizer::optimize`]: a runnable tuned kernel
 /// plus provenance.
-pub struct TunedSpmv<'a> {
+pub struct TunedSpmv {
     classes: ClassSet,
     variant: KernelVariant,
-    built: BuiltKernel<'a>,
+    built: BuiltKernel,
     /// Seconds spent deciding and building (classification,
-    /// profiling/sweeping, format conversion, codegen).
+    /// profiling/sweeping or menu search, format conversion): the
+    /// one-off `t_pre` that [`crate::amortize::min_iterations`]
+    /// charges.
     pub prep_seconds: f64,
-    /// Seconds of [`prep_seconds`](TunedSpmv::prep_seconds) spent in
-    /// the menu search specifically (zero for the other strategies
-    /// and for plan-cache hits).
-    search_seconds: f64,
 }
 
-impl<'a> TunedSpmv<'a> {
+impl TunedSpmv {
     /// The runnable kernel.
-    pub fn kernel(&self) -> &(dyn SpmvKernel + 'a) {
+    pub fn kernel(&self) -> &dyn SpmvKernel {
         &*self.built.kernel
     }
 
@@ -268,16 +250,6 @@ impl<'a> TunedSpmv<'a> {
     pub fn variant(&self) -> KernelVariant {
         self.variant
     }
-
-    /// The full one-off tuning cost, split so amortization charges
-    /// search time separately from conversion (cache hits report a
-    /// pure-conversion cost).
-    pub fn tune_cost(&self) -> TuneCost {
-        TuneCost {
-            prep_seconds: (self.prep_seconds - self.search_seconds).max(0.0),
-            search_seconds: self.search_seconds,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +258,7 @@ mod tests {
     use spmv_kernels::variant::Optimization;
     use spmv_sparse::gen;
 
-    fn check_correct(tuned: &TunedSpmv<'_>, a: &Csr) {
+    fn check_correct(tuned: &TunedSpmv, a: &Csr) {
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut y_ref = vec![0.0; a.nrows()];
         a.spmv(&x, &mut y_ref);
@@ -299,7 +271,7 @@ mod tests {
 
     #[test]
     fn feature_guided_optimizes_skewed_matrix_with_decomposition() {
-        let a = gen::circuit(30_000, 3, 0.4, 5, 3).unwrap();
+        let a = Arc::new(gen::circuit(30_000, 3, 0.4, 5, 3).unwrap());
         let opt = Optimizer::feature_guided(&MachineModel::knl()).with_threads(3);
         let tuned = opt.optimize(&a);
         assert!(tuned.variant().contains(Optimization::Decompose), "{}", tuned.variant());
@@ -310,7 +282,7 @@ mod tests {
 
     #[test]
     fn feature_guided_compresses_regular_matrix() {
-        let a = gen::banded(40_000, 40, 0.9, 3).unwrap();
+        let a = Arc::new(gen::banded(40_000, 40, 0.9, 3).unwrap());
         let opt = Optimizer::feature_guided(&MachineModel::knl()).with_threads(2);
         let tuned = opt.optimize(&a);
         assert!(tuned.variant().contains(Optimization::Compress), "{}", tuned.variant());
@@ -319,7 +291,7 @@ mod tests {
 
     #[test]
     fn profile_guided_produces_correct_kernel() {
-        let a = gen::powerlaw(5_000, 8, 2.0, 5).unwrap();
+        let a = Arc::new(gen::powerlaw(5_000, 8, 2.0, 5).unwrap());
         let opt = Optimizer::profile_guided(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
@@ -327,7 +299,7 @@ mod tests {
 
     #[test]
     fn oracle_never_picks_a_broken_kernel() {
-        let a = gen::circuit(4_000, 2, 0.3, 5, 7).unwrap();
+        let a = Arc::new(gen::circuit(4_000, 2, 0.3, 5, 7).unwrap());
         let opt = Optimizer::oracle(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
@@ -335,7 +307,7 @@ mod tests {
 
     #[test]
     fn trivial_single_considers_five_variants() {
-        let a = gen::banded(2_000, 4, 1.0, 5).unwrap();
+        let a = Arc::new(gen::banded(2_000, 4, 1.0, 5).unwrap());
         let opt = Optimizer::trivial_single(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
@@ -354,22 +326,18 @@ mod tests {
 
     #[test]
     fn menu_search_produces_correct_kernel_and_tuning_cost() {
-        crate::menu::clear_plan_cache();
-        let a = gen::banded(3_000, 6, 1.0, 13).unwrap();
+        let a = Arc::new(gen::banded(3_000, 6, 1.0, 13).unwrap());
         let opt = Optimizer::menu_search(&MachineModel::host()).with_threads(2);
-        let tuned = opt.optimize(&a);
-        check_correct(&tuned, &a);
-        // The classes the shortlist was drawn from, as cached.
-        let (plan, _) = crate::menu::search_or_cached(&a, &MachineModel::host(), 2, 3);
-        assert!(plan.cached);
-        assert_eq!(tuned.classes(), plan.classes);
-        let cost = tuned.tune_cost();
-        assert!(cost.search_seconds > 0.0, "first tuning must pay search time");
-        assert!((cost.total() - tuned.prep_seconds).abs() < 1e-9);
-        // Second tuning of the same matrix hits the plan cache.
-        let tuned2 = opt.optimize(&a);
-        check_correct(&tuned2, &a);
-        assert_eq!(tuned2.tune_cost().search_seconds, 0.0);
-        crate::menu::clear_plan_cache();
+        let searches = || spmv_telemetry::metrics::menu_selection().searches();
+        // Every tuning runs its own search and charges it to
+        // `prep_seconds`: no plan is reused between tunings.
+        for round in 1..=2 {
+            let before = searches();
+            let tuned = opt.optimize(&a);
+            check_correct(&tuned, &a);
+            assert!(searches() > before, "round {round} must search");
+            assert!(tuned.prep_seconds > 0.0, "round {round} pays its search");
+            assert!(tuned.variant().is_baseline(), "the menu selects a spec, not a set");
+        }
     }
 }

@@ -150,7 +150,7 @@ mod tests {
         // End-to-end: classify (any classifier), map through the
         // extended pool, build, execute — without retraining anything.
         use spmv_kernels::variant::build_kernel;
-        let a = gen::block_dense(600, 20, 1, 3).unwrap();
+        let a = std::sync::Arc::new(gen::block_dense(600, 20, 1, 3).unwrap());
         let f = features(&a);
         let pool = OptimizationPool::with_register_blocking();
         let variant = pool.to_variant(ClassSet::of(&[Bottleneck::MB]), &f);
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn sliced_ell_pool_builds_sell_kernels_for_uneven_matrices() {
         use spmv_kernels::variant::build_kernel;
-        let a = gen::powerlaw(4_000, 8, 2.2, 5).unwrap();
+        let a = std::sync::Arc::new(gen::powerlaw(4_000, 8, 2.2, 5).unwrap());
         let f = features(&a);
         // Force the unevenness branch (no dense-row skew).
         if f.nnz_max <= 16.0 * f.nnz_avg {

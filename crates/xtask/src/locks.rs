@@ -42,7 +42,7 @@
 //!
 //! * `self.a.b` / `SELF_LIKE.a.b` → named field lock (`stem.a.b`);
 //! * `STATIC` (uppercase-initial single segment) → named static;
-//! * `helper()`-rooted chains (e.g. `plan_cache()`) → named by call;
+//! * `helper()`-rooted chains (e.g. `registry()`) → named by call;
 //! * bare lowercase single segment → local (`stem.fn.var`), excluded
 //!   from model coverage since a stack-local mutex cannot deadlock
 //!   against another function's instance of itself;
@@ -295,7 +295,7 @@ fn resolve_id(
     let from_self = recv.strip_prefix("self.");
     let path = from_self.unwrap_or(recv);
     if path.contains('(') {
-        // Call-rooted chain (`plan_cache().lock()`): the accessor
+        // Call-rooted chain (`registry().lock()`): the accessor
         // names the lock.
         return Some(LockId { name: format!("{stem}.{path}"), local: false });
     }

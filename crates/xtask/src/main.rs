@@ -91,6 +91,10 @@
 //!     guard it consumes, and holds no second lock across the wait;
 //!     notifies on paired condvars must mutate under the paired
 //!     mutex (lost-wakeup). `condvar-ok:` justifies exceptions.
+//! 16. **leak-free** — no `Box::leak` in non-test code under any
+//!     `src/` tree: a leaked value can never be freed, so per-matrix
+//!     state gets an owner (an `Arc` its users share) instead. Test
+//!     spans, and integration tests outside `src/`, are exempt.
 //!
 //! The audit first runs a self-test over `crates/xtask/fixtures/`:
 //! deliberately violating snippets it must flag, plus clean files it
@@ -760,6 +764,7 @@ const POLICY_TELEMETRY: &str = "telemetry-lock-free";
 const POLICY_SOCKETS: &str = "socket-containment";
 const POLICY_CAST: &str = "cast-narrowing";
 const POLICY_SIMD: &str = "simd-containment";
+const POLICY_LEAK: &str = "leak-free";
 
 /// Modules allowed to contain unchecked-access tokens (policy 2):
 /// the validated-format fast paths in `spmv-sparse` and the kernel
@@ -838,7 +843,8 @@ const fn ordering_rule(tokens: &'static [&'static str], marker: &'static str) ->
     }
 }
 
-/// The token policies (2 without its `.add(` half, 3, 4, 5, 6, 8, 9).
+/// The token policies (2 without its `.add(` half, 3, 4, 5, 6, 8, 9,
+/// 16).
 /// Tokens match on the code channel only, delimited by non-identifier
 /// characters ([`has_token`]), so doc references stay legal.
 const TOKEN_RULES: &[TokenRule] = &[
@@ -899,6 +905,15 @@ const TOKEN_RULES: &[TokenRule] = &[
         skip_tests: false,
         reason: "is outside crates/kernels/src/micro/ — explicit SIMD lives in the \
                  microkernel menu, next to its scalar twin",
+    },
+    TokenRule {
+        policy: POLICY_LEAK,
+        tokens: &["Box::leak"],
+        scope: Scope::CheckedIn(&["src/"]),
+        marker: None,
+        skip_tests: true,
+        reason: "can never be freed — give the value an owner (an `Arc` its users share) \
+                 so dropping the owner frees it",
     },
 ];
 
@@ -1307,6 +1322,9 @@ const FIXTURES: &[(&str, &str, &[&str])] = &[
     ("simd_outside_micro.rs", "crates/sim/src/fixture.rs", &[POLICY_SIMD]),
     ("simd_outside_micro.rs", "crates/kernels/src/micro/x86.rs", &[]),
     ("simd_with_marker.rs", "crates/sim/src/fixture.rs", &[]),
+    // Policy 16 fires on `Box::leak` in library code; the same leak
+    // in the fixture's `#[cfg(test)]` module stays quiet.
+    ("leak_outside_tests.rs", "crates/sim/src/fixture.rs", &[POLICY_LEAK]),
     ("clean.rs", "crates/kernels/src/engine.rs", &[]),
     // Policy 10 (witness-flow): a public entry reaching an unchecked
     // fast path through a helper chain, and through method dispatch;

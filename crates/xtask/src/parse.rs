@@ -520,7 +520,7 @@ impl LockOp {
 /// One lock-acquisition or condvar site (0-based line number).
 ///
 /// `recv` is the literal receiver path text: `self.state`,
-/// `done.slot`, `plan_cache()`, `REGISTRY`, … For the bare
+/// `done.slot`, `registry()`, `REGISTRY`, … For the bare
 /// `lock(&mutex)` helper form it is the first argument with `&`/`mut`
 /// stripped. Identity classification (static/field/local, `lock-id:`
 /// aliasing) happens later, in [`crate::locks`] — extraction is
@@ -558,7 +558,7 @@ const METHOD_OPS: &[(&str, LockOp, bool)] = &[
 
 /// Walks a receiver expression backwards from `end` (exclusive):
 /// identifier bytes, `.` separators, and complete `(...)` groups
-/// (call receivers like `plan_cache()`). Returns the start index.
+/// (call receivers like `registry()`). Returns the start index.
 fn recv_walk(b: &[u8], end: usize) -> usize {
     let mut j = end;
     loop {

@@ -10,13 +10,15 @@
 
 use std::time::Instant;
 
+use std::sync::Arc;
+
 use spmv_tune::prelude::*;
 use spmv_tune::solvers::{cg, Jacobi};
 use spmv_tune::tuner::amortize::{min_iterations, Amortization};
 
 fn main() {
     // -Δu = f on a 300x300 grid.
-    let a = spmv_tune::sparse::gen::stencil_2d(300, 300).expect("valid grid");
+    let a = Arc::new(spmv_tune::sparse::gen::stencil_2d(300, 300).expect("valid grid"));
     let n = a.nrows();
     println!("Poisson system: {} unknowns, {} nonzeros", n, a.nnz());
 

@@ -7,6 +7,8 @@
 //! cargo run --release --example eigenvalues
 //! ```
 
+use std::sync::Arc;
+
 use spmv_tune::prelude::*;
 use spmv_tune::solvers::power_method;
 
@@ -15,7 +17,7 @@ fn main() {
     // spectral radius 8 for the 5-point stencil, so the discrete
     // dominant eigenvalue must approach (and never exceed) 8.
     let (nx, ny) = (250, 250);
-    let a = spmv_tune::sparse::gen::stencil_2d(nx, ny).expect("valid grid");
+    let a = Arc::new(spmv_tune::sparse::gen::stencil_2d(nx, ny).expect("valid grid"));
     println!("Laplacian on a {nx}x{ny} grid: {} unknowns, {} nonzeros", a.nrows(), a.nnz());
 
     let machine = MachineModel::host();
@@ -33,7 +35,8 @@ fn main() {
 
     // And a graph example: the spectral radius of a web-graph
     // adjacency matrix bounds its growth/epidemic threshold.
-    let g = spmv_tune::sparse::gen::powerlaw(100_000, 8, 2.0, 5).expect("valid parameters");
+    let g =
+        Arc::new(spmv_tune::sparse::gen::powerlaw(100_000, 8, 2.0, 5).expect("valid parameters"));
     let tuned_g = Optimizer::feature_guided(&machine).optimize(&g);
     let kernel_g = tuned_g.kernel();
     let rg = power_method(&kernel_g, 1e-6, 20_000);

@@ -7,6 +7,8 @@
 //! cargo run --release --example pagerank
 //! ```
 
+use std::sync::Arc;
+
 use spmv_tune::prelude::*;
 
 /// Builds the column-stochastic transition matrix `P^T` of a random
@@ -28,7 +30,7 @@ fn transition_matrix(n: usize, avg_deg: usize, seed: u64) -> Csr {
 
 fn main() {
     let n = 200_000;
-    let pt = transition_matrix(n, 8, 7);
+    let pt = Arc::new(transition_matrix(n, 8, 7));
     println!("web graph: {} pages, {} links", n, pt.nnz());
 
     // Tune SpMV for the transition matrix.

@@ -13,6 +13,7 @@
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use spmv_tune::machine::MachineModel;
 use spmv_tune::prelude::*;
@@ -77,7 +78,7 @@ fn parse_machine(args: &[String]) -> Result<MachineModel, String> {
     }
 }
 
-fn load_input(args: &[String]) -> Result<(String, Csr), String> {
+fn load_input(args: &[String]) -> Result<(String, Arc<Csr>), String> {
     let Some(input) = args.first() else {
         return Err("missing INPUT argument".into());
     };
@@ -91,10 +92,10 @@ fn load_input(args: &[String]) -> Result<(String, Csr), String> {
         let preset = suite_by_name(name)
             .ok_or_else(|| format!("unknown preset {name:?} (see `spmvtune suite`)"))?;
         let m = preset.generate(scale).map_err(|e| e.to_string())?;
-        Ok((format!("{name} (scale {scale})"), m))
+        Ok((format!("{name} (scale {scale})"), Arc::new(m)))
     } else {
         let m = spmv_tune::sparse::mm::read_csr_file(input).map_err(|e| e.to_string())?;
-        Ok((input.clone(), m))
+        Ok((input.clone(), Arc::new(m)))
     }
 }
 
@@ -237,7 +238,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     // measured on this host's thread pool (analytic bounds from the
     // selected machine model) pick the shortlist, which is timed.
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let (_, menu) = spmv_tune::tuner::menu::search_or_cached(&a, &machine, nthreads, 3);
+    let (_, menu) = spmv_tune::tuner::menu::search(&a, &machine, nthreads, 3);
     println!("\nmicrokernel menu for {name} ({nthreads} threads):");
     print!("{}", menu.render_text());
     Ok(())

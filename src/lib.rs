@@ -30,10 +30,11 @@
 //! ## Quickstart
 //!
 //! ```
+//! use std::sync::Arc;
 //! use spmv_tune::prelude::*;
 //!
-//! // A small FEM-like matrix.
-//! let a = spmv_tune::sparse::gen::banded(2_000, 8, 0.9, 42).unwrap();
+//! // A small FEM-like matrix, shared with the kernel built for it.
+//! let a = Arc::new(spmv_tune::sparse::gen::banded(2_000, 8, 0.9, 42).unwrap());
 //!
 //! // Pick a platform (here: Knights Landing with flat HBM).
 //! let machine = MachineModel::knl();

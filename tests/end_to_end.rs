@@ -1,18 +1,22 @@
 //! Cross-crate integration: the full optimizer pipeline on real
 //! (host-executed) kernels, for every strategy and archetype.
 
+use std::sync::Arc;
+
 use spmv_tune::prelude::*;
 use spmv_tune::sparse::gen;
 
-fn archetypes() -> Vec<(&'static str, Csr)> {
-    vec![
-        ("banded", gen::banded(3_000, 8, 0.9, 1).unwrap()),
-        ("stencil", gen::stencil_2d(50, 60).unwrap()),
-        ("random", gen::random_uniform(2_000, 10, 2).unwrap()),
-        ("powerlaw", gen::powerlaw(2_500, 7, 1.9, 3).unwrap()),
-        ("circuit", gen::circuit(3_000, 2, 0.4, 5, 4).unwrap()),
-        ("blockdense", gen::block_dense(512, 64, 1, 5).unwrap()),
+fn archetypes() -> Vec<(&'static str, Arc<Csr>)> {
+    [
+        ("banded", gen::banded(3_000, 8, 0.9, 1)),
+        ("stencil", gen::stencil_2d(50, 60)),
+        ("random", gen::random_uniform(2_000, 10, 2)),
+        ("powerlaw", gen::powerlaw(2_500, 7, 1.9, 3)),
+        ("circuit", gen::circuit(3_000, 2, 0.4, 5, 4)),
+        ("blockdense", gen::block_dense(512, 64, 1, 5)),
     ]
+    .map(|(name, a)| (name, Arc::new(a.unwrap())))
+    .into()
 }
 
 fn reference(a: &Csr, x: &[f64]) -> Vec<f64> {
@@ -50,7 +54,7 @@ fn every_strategy_produces_correct_kernels_on_every_archetype() {
 #[test]
 fn oracle_strategy_correct_on_skewed_matrix() {
     let machine = MachineModel::host();
-    let a = gen::circuit(5_000, 3, 0.3, 5, 9).unwrap();
+    let a = Arc::new(gen::circuit(5_000, 3, 0.3, 5, 9).unwrap());
     let tuned = Optimizer::oracle(&machine).with_threads(2).optimize(&a);
     check(tuned.kernel(), &a, "oracle/circuit");
     assert_eq!(tuned.classes(), spmv_tune::tuner::class::ClassSet::EMPTY);
@@ -61,7 +65,7 @@ fn many_core_model_detects_more_bottlenecks_than_multicore() {
     // The same irregular matrix: feature-guided classification for
     // KNL (many-core) should contain ML; for a 4-thread host model it
     // should not.
-    let a = gen::random_uniform(60_000, 12, 7).unwrap();
+    let a = Arc::new(gen::random_uniform(60_000, 12, 7).unwrap());
     let knl = Optimizer::feature_guided(&MachineModel::knl());
     let classes_knl = knl.classify(&a);
     let mut small = MachineModel::host();
@@ -76,7 +80,7 @@ fn many_core_model_detects_more_bottlenecks_than_multicore() {
 
 #[test]
 fn tuned_kernel_plugs_into_solvers() {
-    let a = gen::stencil_2d(40, 40).unwrap();
+    let a = Arc::new(gen::stencil_2d(40, 40).unwrap());
     let machine = MachineModel::host();
     let tuned = Optimizer::feature_guided(&machine).with_threads(2).optimize(&a);
     let n = a.nrows();
@@ -97,8 +101,8 @@ fn matrixmarket_roundtrip_feeds_the_optimizer() {
     let a = gen::powerlaw(1_500, 6, 2.0, 11).unwrap();
     let mut buf = Vec::new();
     spmv_tune::sparse::mm::write_csr(&mut buf, &a).unwrap();
-    let b = spmv_tune::sparse::mm::read_csr(buf.as_slice()).unwrap();
-    assert_eq!(a, b);
+    let b = Arc::new(spmv_tune::sparse::mm::read_csr(buf.as_slice()).unwrap());
+    assert_eq!(a, *b);
     let tuned = Optimizer::feature_guided(&MachineModel::host()).with_threads(2).optimize(&b);
     check(tuned.kernel(), &b, "mm-roundtrip");
 }
@@ -108,7 +112,7 @@ fn amortization_accounting_is_consistent() {
     use spmv_tune::tuner::amortize::{min_iterations, Amortization};
     // Trivial sweep must cost more prep than feature-guided on the
     // same matrix (host timings, coarse but ordinal).
-    let a = gen::banded(20_000, 16, 0.9, 5).unwrap();
+    let a = Arc::new(gen::banded(20_000, 16, 0.9, 5).unwrap());
     let machine = MachineModel::host();
     let feat = Optimizer::feature_guided(&machine).with_threads(2).optimize(&a);
     let sweep = Optimizer::trivial_combined(&machine).with_threads(2).optimize(&a);

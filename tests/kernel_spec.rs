@@ -8,6 +8,8 @@
 //! sweeps and for the menu matches a golden table recorded before the
 //! two builders were merged.
 
+use std::sync::Arc;
+
 use spmv_tune::kernels::micro::menu;
 use spmv_tune::kernels::variant::{build_kernel, KernelSpec, KernelVariant, Optimization};
 use spmv_tune::sparse::{gen, Csr};
@@ -78,10 +80,10 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("banded", "menu:delta", "delta[U8,NnzBalanced]"),
 ];
 
-fn matrices() -> [(&'static str, Csr); 2] {
+fn matrices() -> [(&'static str, Arc<Csr>); 2] {
     [
-        ("circuit", gen::circuit(1200, 2, 0.4, 5, 3).unwrap()),
-        ("banded", gen::banded(400, 3, 1.0, 1).unwrap()),
+        ("circuit", Arc::new(gen::circuit(1200, 2, 0.4, 5, 3).unwrap())),
+        ("banded", Arc::new(gen::banded(400, 3, 1.0, 1).unwrap())),
     ]
 }
 
@@ -100,7 +102,7 @@ fn menu_spec(ncols: usize, id: &str) -> KernelSpec {
 #[test]
 fn classic_variants_lower_onto_menu_specs() {
     // Banded: every delta encodes, so `comp` keeps its format.
-    let a = gen::banded(400, 3, 1.0, 1).unwrap();
+    let a = Arc::new(gen::banded(400, 3, 1.0, 1).unwrap());
     for (opt, id) in [
         (Optimization::Vectorize, "csr/unrolled"),
         (Optimization::Compress, "delta"),

@@ -11,6 +11,8 @@
 //! `specs_for` returns no SIMD specs and the identity tests reduce to
 //! scalar-vs-scalar, which still pins the model kernels down.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use spmv_tune::kernels::baseline::CsrKernel;
@@ -88,7 +90,7 @@ proptest! {
         (nrows, ncols, entries) in arb_matrix(),
         nthreads in 1usize..4,
     ) {
-        let a = build(nrows, ncols, &entries);
+        let a = Arc::new(build(nrows, ncols, &entries));
         let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.37).sin()).collect();
         for spec in specs_for(ncols) {
             let mut y_simd = vec![0.0f64; nrows];
@@ -116,7 +118,7 @@ proptest! {
     fn menu_formats_compute_the_reference_product(
         (nrows, ncols, entries) in arb_matrix(),
     ) {
-        let a = build(nrows, ncols, &entries);
+        let a = Arc::new(build(nrows, ncols, &entries));
         let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.73).cos()).collect();
         let want = reference(&a, &x);
         for entry in menu(ncols) {

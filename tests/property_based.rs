@@ -3,6 +3,8 @@
 //! variant computes the same product as the serial reference, and
 //! partitioning covers the row space.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use spmv_tune::kernels::variant::{build_kernel, KernelVariant};
@@ -73,7 +75,7 @@ proptest! {
         nthreads in 1usize..5,
         variant_idx in 0usize..16,
     ) {
-        let a = build(nrows, ncols, &entries);
+        let a = Arc::new(build(nrows, ncols, &entries));
         let x: Vec<f64> = (0..ncols).map(|i| 1.0 - (i % 7) as f64 * 0.3).collect();
         let mut expect = vec![0.0; nrows];
         a.spmv(&x, &mut expect);
