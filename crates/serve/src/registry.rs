@@ -1,9 +1,10 @@
 //! Matrix registry: the tune-once/serve-many half of the serving
 //! plane.
 //!
-//! Registration is the expensive, once-per-matrix path: the upload is
-//! parsed in place from the request body (`mm::parse_csr`, one byte
-//! scan that builds CSR directly for row-ordered files), structurally
+//! Registration is the expensive, once-per-matrix path: the upload
+//! streams from the socket into the MatrixMarket reader
+//! (`mm::read_csr`, one byte scan over one block at a time that
+//! builds CSR directly for row-ordered files), structurally
 //! validated (the same [`Validated`] witness the kernels' unchecked
 //! fast paths demand), and handed to the menu search, which
 //! classifies the matrix's bottlenecks with three host

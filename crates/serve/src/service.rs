@@ -11,7 +11,7 @@
 //!
 //! | route | body | effect |
 //! |---|---|---|
-//! | `POST /v1/matrices/{name}` | MatrixMarket text | parse in place + validate + tune + register; JSON summary |
+//! | `POST /v1/matrices/{name}` | MatrixMarket text | stream into the parser + validate + tune + register; JSON summary |
 //! | `GET /v1/matrices` | — | JSON list of registered matrices (kernel, classes, candidates timed, attainment) |
 //! | `POST /v1/spmv/{name}[?mode=tuned][&digest=1]` | request spec | one SpMV via the scheduler |
 //! | `GET /v1/observe/{name}` | — | JSON roofline attainment + recent request timelines |
@@ -36,11 +36,17 @@
 //! hash of those bits ([`digest`], four independent multiply lanes),
 //! which keeps loadgen response parsing off the latency path.
 //! Encoding either body is timed into `spmv_serve_encode_*`.
+//!
+//! A registration reads its body as a stream
+//! ([`HttpRequest::body_reader`]) straight into `mm::read_csr`, so the
+//! upload text is never held whole; the bytes and wall time of that
+//! receive-and-parse are counted into `spmv_serve_upload_*`, failed
+//! parses included.
 
 use std::time::Instant;
 
 use spmv_sparse::mm;
-use spmv_telemetry::metrics::serve_encode;
+use spmv_telemetry::metrics::{serve_encode, serve_upload};
 use spmv_telemetry::{Handled, HttpHandler, HttpRequest, HttpResponse, JsonValue, MetricsRegistry};
 
 use crate::registry::{MatrixRegistry, Mode, RegisterError, RegisteredMatrix};
@@ -80,8 +86,15 @@ impl SpmvService {
         &self.scheduler
     }
 
+    /// `POST /v1/matrices/{name}`: the body streams from the
+    /// connection straight into the MatrixMarket reader, timed with
+    /// its bytes into `spmv_serve_upload_*`.
     fn register(&self, name: &str, req: &HttpRequest) -> HttpResponse {
-        let a = match mm::parse_csr(&req.body) {
+        let t0 = Instant::now();
+        let mut body = req.body_reader();
+        let parsed = mm::read_csr(&mut body);
+        serve_upload().add_units(body.bytes_read(), t0.elapsed().as_secs_f64());
+        let a = match parsed {
             Ok(a) => a,
             Err(e) => return HttpResponse::text(400, format!("matrix parse error: {e}\n")),
         };
@@ -107,7 +120,11 @@ impl SpmvService {
             Ok(mode) => mode,
             Err(e) => return HttpResponse::text(400, format!("{e}\n")),
         };
-        let spec = String::from_utf8_lossy(&req.body);
+        let body = match req.body() {
+            Ok(body) => body,
+            Err(e) => return HttpResponse::text(400, format!("request body: {e}\n")),
+        };
+        let spec = String::from_utf8_lossy(&body);
         let x = match build_x(spec.trim(), matrix.ncols()) {
             Ok(x) => x,
             Err(e) => return HttpResponse::text(400, format!("{e}\n")),
@@ -358,21 +375,11 @@ mod tests {
     }
 
     fn post(path: &str, query: &str, body: &[u8]) -> HttpRequest {
-        HttpRequest {
-            method: "POST".into(),
-            path: path.into(),
-            query: query.into(),
-            body: body.to_vec(),
-        }
+        HttpRequest::new("POST", path, query, body)
     }
 
     fn get(path: &str) -> HttpRequest {
-        HttpRequest {
-            method: "GET".into(),
-            path: path.into(),
-            query: String::new(),
-            body: Vec::new(),
-        }
+        HttpRequest::new("GET", path, "", Vec::new())
     }
 
     fn mm_bytes(a: &spmv_sparse::Csr) -> Vec<u8> {

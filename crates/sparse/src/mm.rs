@@ -6,19 +6,30 @@
 //! Symmetric files are expanded to their full (general) pattern on
 //! read, matching how SpMV benchmarks consume them.
 //!
-//! The reader is one pass of a byte cursor over the text
-//! ([`parse_csr`]): lines end at `\n`, fields are separated by
+//! There is one reader, [`read_csr`], and it streams: one pass of a
+//! byte cursor over the input as it arrives. It asks its
+//! [`Read`] for one 64 KiB block at a time, hands the whole lines
+//! read so far to the parser, and carries the partial last line to
+//! the front of the block for the next read; so besides the matrix
+//! being assembled it holds one block (a line longer than a block
+//! grows it to that line), never the whole text, and a socket or file
+//! is parsed as it is read. Lines end at `\n`, fields are separated by
 //! whitespace, indices are parsed with checked integer arithmetic and
 //! values with `str::parse::<f64>` on the field, so every value keeps
-//! its exact bits. Entries that arrive row-major with strictly
-//! increasing columns — the order [`write_csr`] and the SuiteSparse
-//! collection emit — are assembled into CSR in place, with no
-//! coordinate copy. The first entry out of that order (a shuffled
+//! its exact bits. Each block of lines is checked for UTF-8 before it
+//! is parsed, and after an error the rest of the input is still read
+//! and checked, so the error reported is the one a check of the whole
+//! input would give: a stream failure first, then the first byte that
+//! is not UTF-8, then the parse error. Entries that arrive row-major
+//! with strictly increasing columns — the order [`write_csr`] and the
+//! SuiteSparse collection emit — are assembled into CSR in place, with
+//! no coordinate copy. The first entry out of that order (a shuffled
 //! file or a duplicate), and every symmetric file, switches the
 //! assembly to COO triplets, summed and sorted by
 //! [`Csr::from_coo`].
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::coo::Coo;
@@ -85,23 +96,14 @@ fn parse_header(line: &str) -> Result<MmHeader> {
     Ok(MmHeader { field, symmetry })
 }
 
-/// The text's lines (without their `\n`), numbered from 1.
-struct Lines<'a> {
-    text: &'a str,
-    pos: usize,
-    /// Number of the line last returned (0 before the first).
-    lineno: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn next(&mut self) -> Option<&'a str> {
-        let rest = self.text.get(self.pos..).filter(|r| !r.is_empty())?;
-        let len = rest.bytes().position(|b| b == b'\n').unwrap_or(rest.len());
-        self.pos += len + 1;
-        self.lineno += 1;
-        // `\n` is one byte, so `len` is a char boundary.
-        Some(&rest[..len])
-    }
+/// The line of `text` starting at `pos`, without its `\n`; `pos`
+/// moves past it.
+fn next_line<'a>(text: &'a str, pos: &mut usize) -> &'a str {
+    let rest = &text[*pos..];
+    let len = rest.bytes().position(|b| b == b'\n').unwrap_or(rest.len());
+    *pos += (len + 1).min(rest.len());
+    // `\n` is one byte, so `len` is a char boundary.
+    &rest[..len]
 }
 
 /// Bytes that separate fields within a line (`\n` ends the line).
@@ -357,88 +359,236 @@ impl Assembly {
     }
 }
 
-/// Parses MatrixMarket coordinate text into CSR, in place: the input
-/// is borrowed, never copied (symmetric inputs are expanded to
-/// general).
+/// Bytes the reader asks its stream for at a time. A line longer
+/// than this grows the buffer to hold that line.
+pub const BLOCK: usize = 64 * 1024;
+
+/// A MatrixMarket stream cut into runs of whole lines, read through
+/// one buffer of [`BLOCK`] bytes: each run ends at the last `\n` read
+/// so far (or at the end of the stream), and the partial line after
+/// it is carried to the front of the buffer for the next read.
+struct Blocks<R> {
+    reader: R,
+    buf: Vec<u8>,
+    /// Start of the bytes not yet handed out (the carried line).
+    start: usize,
+    /// End of the bytes read into `buf`.
+    end: usize,
+    /// `\n` bytes in the runs handed out so far.
+    lines: usize,
+    eof: bool,
+    /// Whether runs are still checked for UTF-8 (off after the
+    /// first invalid run, which is the error reported).
+    check_utf8: bool,
+}
+
+impl<R: Read> Blocks<R> {
+    fn new(reader: R) -> Blocks<R> {
+        Blocks {
+            reader,
+            buf: vec![0; BLOCK],
+            start: 0,
+            end: 0,
+            lines: 0,
+            eof: false,
+            check_utf8: true,
+        }
+    }
+
+    /// The next run of whole lines in `buf` (the last line of the
+    /// stream may lack its `\n`), or `None` at the end of the stream.
+    fn fill(&mut self) -> std::io::Result<Option<Range<usize>>> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        loop {
+            if self.eof {
+                self.start = self.end;
+                return Ok((self.end > 0).then_some(0..self.end));
+            }
+            if self.end == self.buf.len() {
+                self.buf.resize(2 * self.buf.len(), 0);
+            }
+            let n = match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let read = self.end..self.end + n;
+            self.end += n;
+            self.eof = n == 0;
+            // The carried line holds no `\n`: only the new bytes can
+            // end the run.
+            if let Some(k) = self.buf[read.clone()].iter().rposition(|&b| b == b'\n') {
+                self.start = read.start + k + 1;
+                return Ok(Some(0..self.start));
+            }
+        }
+    }
+
+    /// Counts the run's lines and checks it is UTF-8. An invalid run
+    /// is a parse error on the line of its first bad byte.
+    fn check(&mut self, run: Range<usize>) -> Result<&str> {
+        let bytes = &self.buf[run];
+        let newlines = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
+        let before = self.lines;
+        self.lines += newlines(bytes);
+        std::str::from_utf8(bytes).map_err(|e| {
+            self.check_utf8 = false;
+            parse_error(before + 1 + newlines(&bytes[..e.valid_up_to()]), "invalid UTF-8")
+        })
+    }
+
+    /// The next run of whole lines as text.
+    fn next(&mut self) -> Result<Option<&str>> {
+        match self.fill()? {
+            Some(run) => self.check(run).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Reads the rest of the stream after `err` stopped the parse. A
+    /// stream failure anywhere, then the first bytes that are not
+    /// UTF-8, take precedence over `err`, so the outcome is the one a
+    /// check of the whole input before parsing would give.
+    fn rest_error(&mut self, mut err: SparseError) -> SparseError {
+        loop {
+            match self.fill() {
+                Ok(Some(run)) if self.check_utf8 => {
+                    if let Err(e) = self.check(run) {
+                        err = e;
+                    }
+                }
+                Ok(Some(_)) => {}
+                Ok(None) => return err,
+                Err(e) => return e.into(),
+            }
+        }
+    }
+}
+
+/// The entry section: what the size line declared and what has
+/// arrived.
+struct Section {
+    symmetric: bool,
+    pattern: bool,
+    nnz: usize,
+    seen: usize,
+    entries: Assembly,
+}
+
+impl Section {
+    fn new(header: MmHeader, size_line: &str, lineno: usize) -> Result<Section> {
+        let dims: Vec<&str> = Fields::new(size_line).collect();
+        if dims.len() != 3 {
+            return Err(parse_error(
+                lineno,
+                format!("size line needs 3 fields, got {}", dims.len()),
+            ));
+        }
+        let nrows = parse_index(dims[0], "row count", lineno)?;
+        let ncols = parse_index(dims[1], "column count", lineno)?;
+        let nnz = parse_index(dims[2], "nnz count", lineno)?;
+        Coo::check_shape(nrows, ncols)?;
+        let symmetric = header.symmetry == MmSymmetry::Symmetric;
+        Ok(Section {
+            symmetric,
+            pattern: header.field == MmField::Pattern,
+            nnz,
+            seen: 0,
+            entries: Assembly::new(nrows, ncols, nnz, !symmetric),
+        })
+    }
+
+    /// Reads every entry line of `text` from `pos`; `lineno` counts
+    /// the lines read.
+    fn read(&mut self, text: &str, mut pos: usize, lineno: &mut usize) -> Result<()> {
+        while pos < text.len() {
+            *lineno += 1;
+            let entry = match scan_entry(text, pos, self.pattern) {
+                Some((entry, next)) => {
+                    pos = next;
+                    entry
+                }
+                None => parse_entry(next_line(text, &mut pos), *lineno, self.pattern)?,
+            };
+            if let Some((r, c, v)) = entry {
+                self.entries.push(r - 1, c - 1, v)?;
+                self.seen += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self, lineno: usize) -> Result<Csr> {
+        if self.seen != self.nnz {
+            return Err(parse_error(
+                lineno,
+                format!("header declared {} entries, found {}", self.nnz, self.seen),
+            ));
+        }
+        self.entries.finish(self.symmetric)
+    }
+}
+
+/// The parse proper, one run of lines at a time: the banner, then
+/// comments up to the size line, then the entry section.
+fn parse<R: Read>(blocks: &mut Blocks<R>) -> Result<Csr> {
+    let mut header = None;
+    let mut section: Option<Section> = None;
+    let mut lineno = 0;
+    while let Some(text) = blocks.next()? {
+        let mut pos = 0;
+        while section.is_none() && pos < text.len() {
+            let line = next_line(text, &mut pos);
+            lineno += 1;
+            match header {
+                None => header = Some(parse_header(line)?),
+                Some(h) if Fields::new(line).next().is_some_and(|f| !f.starts_with('%')) => {
+                    section = Some(Section::new(h, line, lineno)?);
+                }
+                // A comment or blank line before the size line.
+                Some(_) => {}
+            }
+        }
+        if let Some(section) = &mut section {
+            section.read(text, pos, &mut lineno)?;
+        }
+    }
+    match (header, section) {
+        (_, Some(section)) => section.finish(lineno),
+        (None, None) => Err(parse_error(1, "empty stream")),
+        (Some(_), None) => Err(parse_error(lineno + 1, "missing size line")),
+    }
+}
+
+/// Reads MatrixMarket coordinate text into CSR, streaming: the reader
+/// holds one [`BLOCK`] of the input at a time (more only for a line
+/// longer than a block), never the whole text. Symmetric inputs are
+/// expanded to general.
 ///
 /// # Errors
 /// [`SparseError::Parse`] with the offending 1-based line number
 /// (bytes that are not UTF-8 included),
 /// [`SparseError::IndexOutOfBounds`] for an entry outside the
 /// declared shape, [`SparseError::DimensionMismatch`] for a shape
-/// beyond the `u32` index space.
-pub fn parse_csr(bytes: &[u8]) -> Result<Csr> {
-    let text = std::str::from_utf8(bytes).map_err(|e| {
-        let line = 1 + bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
-        parse_error(line, "invalid UTF-8")
-    })?;
-    let mut lines = Lines { text, pos: 0, lineno: 0 };
-    let header = parse_header(lines.next().ok_or_else(|| parse_error(1, "empty stream"))?)?;
-
-    // Skip comments, find the size line.
-    let size_line = loop {
-        let Some(line) = lines.next() else {
-            return Err(parse_error(lines.lineno + 1, "missing size line"));
-        };
-        if Fields::new(line).next().is_some_and(|f| !f.starts_with('%')) {
-            break line;
-        }
-    };
-    let lineno = lines.lineno;
-    let dims: Vec<&str> = Fields::new(size_line).collect();
-    if dims.len() != 3 {
-        return Err(parse_error(lineno, format!("size line needs 3 fields, got {}", dims.len())));
+/// beyond the `u32` index space, [`SparseError::Io`] when the stream
+/// fails. After any other error the rest of the stream is still read,
+/// so a stream failure or a non-UTF-8 byte later in the input is the
+/// error reported, as if the whole input had been checked first.
+pub fn read_csr<R: Read>(reader: R) -> Result<Csr> {
+    let mut blocks = Blocks::new(reader);
+    match parse(&mut blocks) {
+        Err(e @ SparseError::Io(_)) => Err(e),
+        Err(e) => Err(blocks.rest_error(e)),
+        ok => ok,
     }
-    let nrows = parse_index(dims[0], "row count", lineno)?;
-    let ncols = parse_index(dims[1], "column count", lineno)?;
-    let nnz = parse_index(dims[2], "nnz count", lineno)?;
-    Coo::check_shape(nrows, ncols)?;
-
-    let symmetric = header.symmetry == MmSymmetry::Symmetric;
-    let pattern = header.field == MmField::Pattern;
-    let mut entries = Assembly::new(nrows, ncols, nnz, !symmetric);
-    let mut seen = 0usize;
-    while lines.pos < text.len() {
-        let entry = match scan_entry(text, lines.pos, pattern) {
-            Some((entry, next)) => {
-                lines.pos = next;
-                lines.lineno += 1;
-                entry
-            }
-            None => {
-                let Some(line) = lines.next() else { break };
-                parse_entry(line, lines.lineno, pattern)?
-            }
-        };
-        if let Some((r, c, v)) = entry {
-            entries.push(r - 1, c - 1, v)?;
-            seen += 1;
-        }
-    }
-    if seen != nnz {
-        return Err(parse_error(
-            lines.lineno,
-            format!("header declared {nnz} entries, found {seen}"),
-        ));
-    }
-    entries.finish(symmetric)
-}
-
-/// Reads a MatrixMarket stream into CSR: the whole stream, then
-/// [`parse_csr`] over it.
-///
-/// # Errors
-/// See [`parse_csr`]; stream failures surface as [`SparseError::Io`].
-pub fn read_csr<R: Read>(mut reader: R) -> Result<Csr> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    parse_csr(&bytes)
 }
 
 /// Reads a MatrixMarket file from disk into CSR.
 ///
 /// # Errors
-/// See [`parse_csr`]; file-open failures surface as
+/// See [`read_csr`]; file-open failures surface as
 /// [`SparseError::Io`].
 pub fn read_csr_file<P: AsRef<Path>>(path: P) -> Result<Csr> {
     read_csr(std::fs::File::open(path)?)

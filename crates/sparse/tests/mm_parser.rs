@@ -1,11 +1,16 @@
 //! MatrixMarket reader contract: a golden table of edge inputs with
 //! their exact outcomes, a no-panic property over truncated and
-//! corrupted files, and a differential property against
-//! `Csr::from_coo` for shuffled, duplicated and symmetric entries.
+//! corrupted files, a differential property against `Csr::from_coo`
+//! for shuffled, duplicated and symmetric entries, and stream
+//! equivalence: every input read through a stream that hands out
+//! random chunk sizes gives the outcome of one whole-slice read,
+//! including inputs whose lines straddle the reader's block.
+
+use std::io::{self, Read};
 
 use proptest::prelude::*;
 
-use spmv_sparse::mm::{read_csr, write_csr};
+use spmv_sparse::mm::{read_csr, write_csr, BLOCK};
 use spmv_sparse::{Coo, Csr, SparseError};
 
 const GENERAL: &str = "%%MatrixMarket matrix coordinate real general\n";
@@ -310,5 +315,184 @@ proptest! {
         prop_assert_eq!(got.colind(), want.colind());
         let bits = |a: &Csr| a.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
+/// A stream over `data` that hands out chunks of pseudo-random size,
+/// from one byte up to more than one reader block, and now and then
+/// an `Interrupted` error the reader must retry.
+struct Chunked<'a> {
+    data: &'a [u8],
+    state: u64,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(data: &'a [u8], seed: u64) -> Chunked<'a> {
+        Chunked { data, state: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 }
+    }
+
+    fn draw(&mut self) -> u64 {
+        self.state = self
+            .state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.state >> 33
+    }
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let r = self.draw();
+        if r.is_multiple_of(16) {
+            return Err(io::Error::from(io::ErrorKind::Interrupted));
+        }
+        // Mostly short chunks (1..=64 bytes), sometimes up to 1.5 blocks.
+        let size = if r.is_multiple_of(4) {
+            1 + (r / 4) as usize % (BLOCK + BLOCK / 2)
+        } else {
+            1 + (r / 4) as usize % 64
+        };
+        let n = size.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// One read's outcome in comparable form: the CSR arrays with value
+/// bits, or the error with its kind, line and detail.
+fn outcome(got: Result<Csr, SparseError>) -> String {
+    match got {
+        Ok(a) => {
+            let bits: Vec<u64> = a.values().iter().map(|v| v.to_bits()).collect();
+            format!("{}x{} {:?} {:?} {bits:?}", a.nrows(), a.ncols(), a.rowptr(), a.colind())
+        }
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// Reads `input` whole and in `seeds` random chunkings; every
+/// chunking must give the whole read's outcome, which is returned.
+fn same_in_any_chunking(name: &str, input: &[u8], seeds: std::ops::Range<u64>) -> String {
+    let whole = outcome(read_csr(input));
+    for seed in seeds {
+        let chunked = outcome(read_csr(Chunked::new(input, seed)));
+        assert_eq!(chunked, whole, "{name}: chunking seed {seed}");
+    }
+    whole
+}
+
+#[test]
+fn golden_inputs_read_the_same_in_any_chunking() {
+    for (name, input, want) in golden() {
+        same_in_any_chunking(name, &input, 0..16);
+        check(name, &input, &want);
+    }
+}
+
+#[test]
+fn truncations_read_the_same_in_any_chunking() {
+    for file in valid_files() {
+        for cut in 0..=file.len() {
+            same_in_any_chunking("truncation", &file[..cut], cut as u64..cut as u64 + 2);
+        }
+    }
+}
+
+/// A row-major general file of a band matrix spanning a few reader
+/// blocks, and the matrix itself.
+fn big_file() -> (Vec<u8>, Csr) {
+    let a = spmv_sparse::gen::banded(1500, 3, 0.9, 7).expect("generator");
+    let mut text = Vec::new();
+    write_csr(&mut text, &a).expect("serialize");
+    assert!(text.len() > 2 * BLOCK, "the file spans blocks");
+    (text, a)
+}
+
+/// The byte offset where line `n` (1-based) of `text` starts.
+fn line_start(text: &[u8], n: usize) -> usize {
+    text.iter().enumerate().filter(|&(_, &b)| b == b'\n').nth(n - 2).map_or(0, |(i, _)| i + 1)
+}
+
+/// The 1-based line holding byte `pos` of `text`.
+fn line_of(text: &[u8], pos: usize) -> usize {
+    1 + text[..pos].iter().filter(|&&b| b == b'\n').count()
+}
+
+#[test]
+fn crlf_lines_across_blocks() {
+    let (text, a) = big_file();
+    let crlf: Vec<u8> =
+        text.iter().flat_map(|&b| if b == b'\n' { vec![b'\r', b'\n'] } else { vec![b] }).collect();
+    let got = same_in_any_chunking("crlf", &crlf, 0..8);
+    assert_eq!(got, outcome(Ok(a)));
+}
+
+#[test]
+fn multibyte_comment_character_split_across_the_block_boundary() {
+    let (text, a) = big_file();
+    // A comment after the banner whose three-byte character starts
+    // one byte before the end of the first block.
+    let banner = line_start(&text, 2);
+    let mut comment = b"% ".to_vec();
+    comment.resize(BLOCK - 1 - banner, b'x');
+    comment.extend_from_slice("\u{20ac} euro\n".as_bytes());
+    let input = [&text[..banner], &comment, &text[banner..]].concat();
+    assert_eq!(&input[BLOCK - 1..BLOCK + 2], "\u{20ac}".as_bytes());
+    let got = same_in_any_chunking("split character", &input, 0..8);
+    assert_eq!(got, outcome(Ok(a)));
+}
+
+#[test]
+fn invalid_utf8_just_past_the_block_boundary() {
+    let (mut text, _) = big_file();
+    text[BLOCK] = 0xff;
+    let line = line_of(&text, BLOCK);
+    let got = same_in_any_chunking("invalid byte", &text, 0..8);
+    assert_eq!(got, outcome(Err(SparseError::Parse { line, detail: "invalid UTF-8".into() })));
+    // A grammar error earlier in the stream does not hide it: the
+    // first byte that is not UTF-8 is the error, as if the whole
+    // input had been checked first.
+    let entry = line_start(&text, 4);
+    text[entry] = b'x';
+    assert_eq!(same_in_any_chunking("invalid byte after an error", &text, 0..4), got);
+}
+
+#[test]
+fn final_line_without_newline_across_blocks() {
+    let (text, a) = big_file();
+    let got = same_in_any_chunking("no final newline", &text[..text.len() - 1], 0..8);
+    assert_eq!(got, outcome(Ok(a)));
+}
+
+#[test]
+fn out_of_order_entry_in_a_later_block_demotes_to_coo() {
+    let (text, a) = big_file();
+    // Move the first entry past the end of the first block: the
+    // in-place assembly meets it there and falls back to triplets.
+    let first = line_start(&text, 4);
+    let second = line_start(&text, 5);
+    let later = line_start(&text, line_of(&text, BLOCK) + 1);
+    let input =
+        [&text[..first], &text[second..later], &text[first..second], &text[later..]].concat();
+    let got = same_in_any_chunking("demotion", &input, 0..8);
+    assert_eq!(got, outcome(Ok(a)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn corrupted_bytes_read_the_same_in_any_chunking(
+        which in 0usize..3,
+        flips in proptest::collection::vec((0u64..u64::MAX, 0u8..=255), 1..6),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut file = valid_files().swap_remove(which);
+        let len = file.len() as u64;
+        for (pos, byte) in flips {
+            file[(pos % len) as usize] = byte;
+        }
+        same_in_any_chunking("corrupted", &file, seed..seed.saturating_add(4));
     }
 }

@@ -20,6 +20,25 @@
 //! shutdown. This module still never creates threads; concurrency is
 //! always borrowed from the engine (see `spmv-metricsd`).
 //!
+//! # Request bodies
+//!
+//! The server reads the request head and nothing more before routing.
+//! A `Content-Length` above 64 MiB is answered `413` before any body
+//! byte is read. Otherwise the handler gets the request with its body
+//! still on the connection and takes it as a stream bounded by
+//! `Content-Length` ([`HttpRequest::body_reader`]; a matrix upload
+//! streams straight into the MatrixMarket reader) or as bytes
+//! ([`HttpRequest::body`], read and kept on first use). When the
+//! handler returns, the server reads and discards whatever it left of
+//! the body, up to `Content-Length` and under the read timeout, and
+//! only then replies: a handler that answers early — a parse error at
+//! line 3 of a large upload — still has its reply read by the client
+//! instead of losing it to the reset that closing a socket with
+//! unread bytes sends. A body that cannot be read in full (the client
+//! closed early, or stalled past the read timeout) gets `400` whatever
+//! the handler answered, and the connection fails like any truncated
+//! request.
+//!
 //! # Error discipline (the `serve` contract)
 //!
 //! * **Served** means a complete HTTP response was written. Only
@@ -42,6 +61,7 @@
 //!   (load in Perfetto);
 //! * `GET /`        — plain-text index.
 
+use std::cell::{Ref, RefCell};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +99,13 @@ pub const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 100;
 const STOP_WAKEUPS: usize = 16;
 
 /// One parsed HTTP request as seen by an [`HttpHandler`].
-#[derive(Debug, Clone)]
+///
+/// The body is not read before the handler runs. A handler takes it
+/// either as a stream ([`body_reader`](HttpRequest::body_reader)) or
+/// as bytes ([`body`](HttpRequest::body), buffered on first use); the
+/// stream lives inside the request, so a handler that forwards the
+/// request to another handler forwards the stream too.
+#[derive(Debug)]
 pub struct HttpRequest {
     /// Request method (`GET`, `POST`, ...).
     pub method: String,
@@ -87,17 +113,146 @@ pub struct HttpRequest {
     pub path: String,
     /// Raw query string (empty when absent), without the `?`.
     pub query: String,
-    /// Request body (empty unless `Content-Length` was sent).
-    pub body: Vec<u8>,
+    body: RefCell<Body>,
 }
 
 impl HttpRequest {
+    /// A request whose body is already in memory (tests and
+    /// in-process callers).
+    pub fn new(method: &str, path: &str, query: &str, body: impl Into<Vec<u8>>) -> HttpRequest {
+        HttpRequest {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: query.to_string(),
+            body: RefCell::new(Body {
+                held: body.into(),
+                pos: 0,
+                rest: Pending { conn: None, len: 0, failed: false },
+            }),
+        }
+    }
+
     /// Looks up a `key=value` pair in the query string.
     pub fn query_param(&self, key: &str) -> Option<&str> {
         self.query.split('&').find_map(|kv| {
             let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
             (k == key).then_some(v)
         })
+    }
+
+    /// The unread body as a stream that ends at `Content-Length`:
+    /// reads go to the connection itself, after any body bytes that
+    /// arrived with the head. A client that closes or stalls (past
+    /// the read timeout) before `Content-Length` bytes makes a read
+    /// fail, and the server then answers `400` whatever the handler
+    /// returns. A read while bytes from [`body`](HttpRequest::body)
+    /// are still borrowed fails too.
+    pub fn body_reader(&self) -> BodyReader<'_> {
+        BodyReader { body: &self.body, bytes: 0 }
+    }
+
+    /// The unread body as bytes: on first use the rest of the body is
+    /// read from the connection and kept in the request. Fails as a
+    /// [`body_reader`](HttpRequest::body_reader) read would.
+    pub fn body(&self) -> io::Result<Ref<'_, [u8]>> {
+        if self.body.try_borrow().map_err(|_| body_in_use())?.rest.len > 0 {
+            let mut body = self.body.try_borrow_mut().map_err(|_| body_in_use())?;
+            let Body { held, pos, rest } = &mut *body;
+            held.drain(..*pos);
+            *pos = 0;
+            rest.read_to_end(held)?;
+        }
+        let body = self.body.try_borrow().map_err(|_| body_in_use())?;
+        Ok(Ref::map(body, |b| &b.held[b.pos..]))
+    }
+}
+
+fn body_in_use() -> io::Error {
+    io::Error::other("request body already in use")
+}
+
+/// A request body: the bytes in memory, then the rest on the
+/// connection.
+#[derive(Debug)]
+struct Body {
+    /// Body bytes in memory: those that arrived with the head, or the
+    /// whole rest once [`HttpRequest::body`] buffered it.
+    held: Vec<u8>,
+    /// Start of the unread part of `held`.
+    pos: usize,
+    rest: Pending,
+}
+
+impl Read for Body {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if self.pos < self.held.len() {
+            let n = out.len().min(self.held.len() - self.pos);
+            out[..n].copy_from_slice(&self.held[self.pos..self.pos + n]);
+            self.pos += n;
+            return Ok(n);
+        }
+        self.rest.read(out)
+    }
+}
+
+/// The part of a body still on the connection.
+#[derive(Debug)]
+struct Pending {
+    /// The connection (`None` for a body held in memory).
+    conn: Option<TcpStream>,
+    /// Body bytes not yet read from it.
+    len: usize,
+    /// A read failed: the body cannot be read in full.
+    failed: bool,
+}
+
+impl Read for Pending {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let want = out.len().min(self.len);
+        let Some(conn) = self.conn.as_mut() else { return Ok(0) };
+        if want == 0 {
+            return Ok(0);
+        }
+        if self.failed {
+            return Err(io::Error::new(ErrorKind::UnexpectedEof, "request body incomplete"));
+        }
+        match conn.read(&mut out[..want]) {
+            Ok(0) => {
+                self.failed = true;
+                Err(io::Error::new(ErrorKind::UnexpectedEof, "request body truncated"))
+            }
+            Ok(n) => {
+                self.len -= n;
+                Ok(n)
+            }
+            Err(e) => {
+                self.failed |= e.kind() != ErrorKind::Interrupted;
+                Err(e)
+            }
+        }
+    }
+}
+
+/// The unread body of an [`HttpRequest`] as a stream (see
+/// [`HttpRequest::body_reader`]).
+#[derive(Debug)]
+pub struct BodyReader<'a> {
+    body: &'a RefCell<Body>,
+    bytes: u64,
+}
+
+impl BodyReader<'_> {
+    /// Bytes read through this reader.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl Read for BodyReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = self.body.try_borrow_mut().map_err(|_| body_in_use())?.read(out)?;
+        self.bytes += n as u64;
+        Ok(n)
     }
 }
 
@@ -398,7 +553,7 @@ enum HeadRead {
 /// `len - 3` of the previous buffer, so a slow-trickle client costs
 /// `O(bytes)` total instead of the quadratic full rescans
 /// `buf.windows(4)` used to pay per chunk.
-fn read_head(stream: &mut TcpStream) -> io::Result<HeadRead> {
+fn read_head(stream: &mut impl Read) -> io::Result<HeadRead> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let mut scan_from = 0usize;
@@ -444,22 +599,6 @@ fn content_length(head: &str) -> Option<usize> {
             None
         }
     })
-}
-
-/// Reads a `len`-byte body, `leftover` bytes first.
-fn read_body(stream: &mut TcpStream, leftover: Vec<u8>, len: usize) -> io::Result<Vec<u8>> {
-    let mut body = leftover;
-    body.truncate(len.min(body.len()));
-    let mut chunk = [0u8; 4096];
-    while body.len() < len {
-        let want = (len - body.len()).min(chunk.len());
-        let n = stream.read(&mut chunk[..want])?;
-        if n == 0 {
-            return Err(io::Error::new(ErrorKind::UnexpectedEof, "request body truncated"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    Ok(body)
 }
 
 /// Discards whatever request bytes are already buffered on `stream`
@@ -517,40 +656,53 @@ fn handle_conn(
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/") => (m, t),
         _ => {
+            drain_buffered(&mut stream);
             write_response(&mut stream, &HttpResponse::text(400, "bad request\n"))?;
             return Ok(Served::Ok);
         }
     };
-    let body = match content_length(&head) {
+    let len = match content_length(&head) {
         Some(len) if len > MAX_BODY_BYTES => {
             drain_buffered(&mut stream);
             write_response(&mut stream, &HttpResponse::text(413, "content too large\n"))?;
             return Ok(Served::Ok);
         }
-        Some(len) => match read_body(&mut stream, leftover, len) {
-            Ok(body) => body,
-            Err(e) => {
-                let _ = write_response(&mut stream, &HttpResponse::text(400, "bad request\n"));
-                return Err(e);
-            }
-        },
-        None => Vec::new(),
+        len => len.unwrap_or(0),
     };
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
+    let mut held = leftover;
+    held.truncate(len);
+    let pending = len - held.len();
     let req = HttpRequest {
         method: method.to_string(),
         path: path.to_string(),
         query: query.to_string(),
-        body,
+        body: RefCell::new(Body {
+            held,
+            pos: 0,
+            rest: Pending { conn: Some(stream), len: pending, failed: false },
+        }),
     };
     let (response, outcome) = match handler.map_or(Handled::NotHandled, |h| h.handle(&req)) {
         Handled::Response(r) => (r, Served::Ok),
         Handled::Stop(r) => (r, Served::Stop),
         Handled::NotHandled => (builtin_route(&req), Served::Ok),
     };
+    // Read what the handler left of the body, so the reply is not
+    // lost to a reset from unread bytes; a body that cannot be read
+    // in full fails the connection, as a truncated request.
+    let mut rest = req.body.into_inner().rest;
+    let drained = io::copy(&mut rest, &mut io::sink());
+    let Some(mut stream) = rest.conn else {
+        return Err(io::Error::other("request lost its connection"));
+    };
+    if let Err(e) = drained {
+        let _ = write_response(&mut stream, &HttpResponse::text(400, "bad request\n"));
+        return Err(e);
+    }
     write_response(&mut stream, &response)?;
     Ok(outcome)
 }
@@ -828,11 +980,14 @@ mod tests {
     impl HttpHandler for EchoHandler {
         fn handle(&self, req: &HttpRequest) -> Handled {
             match req.path.as_str() {
-                "/echo" => Handled::Response(HttpResponse {
-                    status: 200,
-                    content_type: "application/octet-stream",
-                    headers: Vec::new(),
-                    body: req.body.clone(),
+                "/echo" => Handled::Response(match req.body() {
+                    Ok(body) => HttpResponse {
+                        status: 200,
+                        content_type: "application/octet-stream",
+                        headers: Vec::new(),
+                        body: body.to_vec(),
+                    },
+                    Err(e) => HttpResponse::text(400, format!("{e}\n")),
                 }),
                 "/stop" => Handled::Stop(HttpResponse::text(200, "stopping\n")),
                 "/busy" => Handled::Response(
@@ -943,12 +1098,7 @@ mod tests {
 
     #[test]
     fn query_params_parse() {
-        let req = HttpRequest {
-            method: "POST".into(),
-            path: "/v1/spmv/a".into(),
-            query: "digest=1&mode=tuned".into(),
-            body: Vec::new(),
-        };
+        let req = HttpRequest::new("POST", "/v1/spmv/a", "digest=1&mode=tuned", Vec::new());
         assert_eq!(req.query_param("digest"), Some("1"));
         assert_eq!(req.query_param("mode"), Some("tuned"));
         assert_eq!(req.query_param("missing"), None);
@@ -960,5 +1110,231 @@ mod tests {
         assert_eq!(content_length("POST / HTTP/1.1\r\ncontent-length:7"), Some(7));
         assert_eq!(content_length("GET / HTTP/1.1\r\nHost: x"), None);
         assert_eq!(content_length("GET / HTTP/1.1\r\nContent-Length: nope"), None);
+    }
+
+    /// Hands out `data` at most `step` bytes per read, like a client
+    /// trickling its request.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Echoes the body it streamed through `body_reader`, or answers
+    /// `400` with the read error; counts its calls.
+    struct StreamEcho {
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl StreamEcho {
+        fn new() -> StreamEcho {
+            StreamEcho { calls: std::sync::atomic::AtomicUsize::new(0) }
+        }
+    }
+
+    impl HttpHandler for StreamEcho {
+        fn handle(&self, req: &HttpRequest) -> Handled {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let mut body = Vec::new();
+            let mut reader = req.body_reader();
+            if req.path == "/first" {
+                // Answer after the first bytes, leaving the rest
+                // for the server to drain.
+                let mut first = [0u8; 8];
+                return Handled::Response(match reader.read(&mut first) {
+                    Ok(n) => HttpResponse::text(400, first[..n].to_vec()),
+                    Err(e) => HttpResponse::text(400, format!("{e}\n")),
+                });
+            }
+            Handled::Response(match io::copy(&mut reader, &mut body) {
+                Ok(n) if n == reader.bytes_read() => HttpResponse::text(200, body),
+                Ok(_) => HttpResponse::text(500, "byte count mismatch\n"),
+                Err(e) => HttpResponse::text(400, format!("{e}\n")),
+            })
+        }
+    }
+
+    /// Sends `request` on a fresh connection (closing the write side
+    /// when `close`), serves that one connection with `handler`, and
+    /// returns what serving it returned and the raw reply. The
+    /// request must fit the socket buffers (the client writes it
+    /// before the server accepts).
+    fn exchange(
+        server: &MetricsServer,
+        handler: &dyn HttpHandler,
+        request: &[u8],
+        close: bool,
+    ) -> (io::Result<Served>, Vec<u8>) {
+        let mut client = TcpStream::connect(server.local_addr().expect("bound")).expect("connect");
+        client.write_all(request).expect("send");
+        if close {
+            client.shutdown(std::net::Shutdown::Write).expect("shutdown");
+        }
+        let (stream, _) = server.listener.accept().expect("accept");
+        let served = handle_conn(stream, Some(handler), server.read_timeout);
+        let mut reply = Vec::new();
+        client.read_to_end(&mut reply).expect("read reply");
+        (served, reply)
+    }
+
+    /// A plain request on `server` is still answered.
+    fn still_serving(server: &MetricsServer, handler: &dyn HttpHandler) {
+        let (served, reply) = exchange(server, handler, b"GET / HTTP/1.1\r\n\r\n", false);
+        assert!(served.is_ok());
+        assert_eq!(parse_response(&reply).expect("reply").0, 200);
+    }
+
+    fn post_head(path: &str, len: usize) -> Vec<u8> {
+        format!("POST {path} HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").into_bytes()
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_content_length_gets_400() {
+        let mut server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        server.set_read_timeout(Duration::from_millis(100));
+        let echo = StreamEcho::new();
+        let request = [&post_head("/echo", 100)[..], b"0123456789"].concat();
+        // The client stalls with the connection open: the read times
+        // out. Then the client closes early: the read hits the end.
+        for close in [false, true] {
+            let (served, reply) = exchange(&server, &echo, &request, close);
+            assert!(served.is_err(), "close {close}: a truncated body fails the connection");
+            assert_eq!(parse_response(&reply).expect("reply").0, 400, "close {close}");
+            still_serving(&server, &echo);
+        }
+        // A handler that never reads the body: the server's drain
+        // finds it short all the same.
+        let request = [&post_head("/metrics", 100)[..], b"0123456789"].concat();
+        let (served, reply) = exchange(&server, &echo, &request, true);
+        assert!(served.is_err());
+        assert_eq!(parse_response(&reply).expect("reply").0, 400);
+        still_serving(&server, &echo);
+    }
+
+    #[test]
+    fn an_oversized_content_length_gets_413_before_any_body_is_read() {
+        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let echo = StreamEcho::new();
+        // No body follows: a server that tried to read it would wait
+        // out the 2 s read timeout.
+        let t0 = std::time::Instant::now();
+        let (served, reply) =
+            exchange(&server, &echo, &post_head("/echo", MAX_BODY_BYTES + 1), false);
+        assert!(served.is_ok());
+        assert_eq!(parse_response(&reply).expect("reply").0, 413);
+        assert!(t0.elapsed() < READ_TIMEOUT, "413 waited for a body");
+        assert_eq!(echo.calls.load(Ordering::SeqCst), 0, "the handler never ran");
+        still_serving(&server, &echo);
+    }
+
+    #[test]
+    fn an_early_answer_still_reaches_the_client() {
+        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let echo = StreamEcho::new();
+        let body = b"malformed".repeat(4000);
+        let request = [&post_head("/first", body.len())[..], &body].concat();
+        let (served, reply) = exchange(&server, &echo, &request, false);
+        assert!(served.is_ok(), "the rest of the body was drained");
+        let (status, text) = parse_response(&reply).expect("reply");
+        assert_eq!((status, &text[..]), (400, &b"malforme"[..]));
+        still_serving(&server, &echo);
+    }
+
+    #[test]
+    fn an_in_memory_body_reads_as_bytes_and_as_a_stream() {
+        let req = HttpRequest::new("POST", "/x", "", b"abcdef".to_vec());
+        let mut first = [0u8; 2];
+        let mut reader = req.body_reader();
+        assert_eq!(reader.read(&mut first).expect("read"), 2);
+        assert_eq!(reader.bytes_read(), 2);
+        assert_eq!(&*req.body().expect("bytes"), b"cdef", "the unread rest");
+        let held = req.body().expect("bytes");
+        assert_eq!(&*req.body().expect("the same bytes again"), &*held);
+        assert!(req.body_reader().read(&mut first).is_err(), "a read while the bytes are held");
+        drop(held);
+        let mut rest = String::new();
+        req.body_reader().read_to_string(&mut rest).expect("read");
+        assert_eq!(rest, "cdef");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `read_head` over arbitrary, truncated and oversized bytes,
+        /// trickled in any step: it returns, and what it returns
+        /// agrees with where the bytes' first terminator lies.
+        #[test]
+        fn read_head_classifies_any_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..2048),
+            terminate in 0u8..2,
+            pad in 0usize..2 * MAX_REQUEST_BYTES,
+            step in 1usize..1500,
+        ) {
+            let mut data = bytes;
+            if terminate == 1 {
+                data.extend_from_slice(b"\r\n\r\nbody");
+            }
+            let mut padded = b"X".repeat(pad);
+            padded.extend_from_slice(&data);
+            let data = if pad % 2 == 0 { data } else { padded };
+            let end = find_head_end(&data, 0);
+            match read_head(&mut Trickle { data: &data, step }).expect("slices never fail") {
+                HeadRead::Complete { head, leftover } => {
+                    let end = end.expect("a terminator was found");
+                    proptest::prop_assert_eq!(head, String::from_utf8_lossy(&data[..end]));
+                    proptest::prop_assert!(data[end + 4..].starts_with(&leftover));
+                    proptest::prop_assert!(end < MAX_REQUEST_BYTES + step.max(1024));
+                }
+                HeadRead::TooLarge => {
+                    proptest::prop_assert!(data.len() >= MAX_REQUEST_BYTES);
+                    let seen = &data[..MAX_REQUEST_BYTES];
+                    proptest::prop_assert!(find_head_end(seen, 0).is_none());
+                }
+                HeadRead::Empty => proptest::prop_assert!(data.is_empty()),
+                HeadRead::Truncated { head } => {
+                    proptest::prop_assert!(end.is_none());
+                    proptest::prop_assert_eq!(head, String::from_utf8_lossy(&data));
+                }
+            }
+        }
+
+        /// Any body, declared exactly or longer than sent (the client
+        /// then closes), and any head bytes: the server answers with
+        /// a reply the client can parse — the echo or a 4xx — and
+        /// serves the next request.
+        #[test]
+        fn request_bytes_get_a_readable_reply(
+            body in proptest::collection::vec(0u8..=255, 0..4096),
+            missing in 0usize..3,
+            garbage in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+            let echo = StreamEcho::new();
+            let declared = body.len() + missing * 7;
+            let request = [&post_head("/echo", declared)[..], &body].concat();
+            let (served, reply) = exchange(&server, &echo, &request, true);
+            let (status, text) = parse_response(&reply).expect("a readable reply");
+            if missing == 0 {
+                proptest::prop_assert!(served.is_ok());
+                proptest::prop_assert_eq!((status, text), (200, body));
+            } else {
+                proptest::prop_assert!(served.is_err());
+                proptest::prop_assert_eq!(status, 400);
+            }
+            let (_, reply) = exchange(&server, &echo, &garbage, true);
+            if !garbage.is_empty() {
+                let status = parse_response(&reply).expect("a readable reply").0;
+                proptest::prop_assert!((200..500).contains(&status), "status {}", status);
+            }
+            still_serving(&server, &echo);
+        }
     }
 }

@@ -48,6 +48,14 @@ impl TimeCounter {
         self.ns.fetch_add(to_ns(seconds), Ordering::Relaxed); // relaxed-ok: as above.
     }
 
+    /// Adds `units` (events, or bytes for a byte counter) of
+    /// `seconds` total duration.
+    pub fn add_units(&self, units: u64, seconds: f64) {
+        // relaxed-ok: independent monotonic totals, as in `add`.
+        self.count.fetch_add(units, Ordering::Relaxed);
+        self.ns.fetch_add(to_ns(seconds), Ordering::Relaxed); // relaxed-ok: as above.
+    }
+
     /// Events added so far.
     pub fn count(&self) -> u64 {
         // relaxed-ok: aggregate read, no ordering dependency.
@@ -294,6 +302,14 @@ pub fn serve_encode() -> &'static TimeCounter {
     &ENCODE
 }
 
+/// Process-wide upload totals of the registration route: the body
+/// bytes streamed into the MatrixMarket reader (the count) and the
+/// wall time of receiving and parsing them.
+pub fn serve_upload() -> &'static TimeCounter {
+    static UPLOAD: TimeCounter = TimeCounter::new();
+    &UPLOAD
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +321,9 @@ mod tests {
         c.add(1.5);
         assert_eq!(c.count(), 2);
         assert!((c.seconds() - 2.0).abs() < 1e-6);
+        c.add_units(1000, 0.25);
+        assert_eq!(c.count(), 1002);
+        assert!((c.seconds() - 2.25).abs() < 1e-6);
         c.reset();
         assert_eq!(c.count(), 0);
         assert_eq!(c.seconds(), 0.0);
@@ -359,7 +378,8 @@ mod tests {
         let b = preprocessing() as *const _ as usize;
         let c = profiling_runs() as *const _ as usize;
         let d = serve_encode() as *const _ as usize;
-        assert!(a != b && b != c && c != d);
+        let e = serve_upload() as *const _ as usize;
+        assert!(a != b && b != c && c != d && d != e);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::hist::{serve_latency, serve_stats, Exemplar, HistogramSnapshot, LatencyHistogram};
 use crate::metrics::{
-    engine_dispatch, menu_selection, preprocessing, profiling_runs, serve_encode,
+    engine_dispatch, menu_selection, preprocessing, profiling_runs, serve_encode, serve_upload,
 };
 use crate::roofline::RooflineSample;
 use crate::span::SpanSet;
@@ -334,6 +334,19 @@ impl MetricsRegistry {
             MetricKind::Counter,
             encode.seconds(),
         );
+        let upload = serve_upload();
+        reg.push(
+            "spmv_serve_upload_bytes_total",
+            "Matrix upload bytes streamed from the registration route into the MatrixMarket reader.",
+            MetricKind::Counter,
+            upload.count() as f64,
+        );
+        reg.push(
+            "spmv_serve_upload_seconds_total",
+            "Wall-clock seconds spent receiving and parsing matrix uploads.",
+            MetricKind::Counter,
+            upload.seconds(),
+        );
         reg.record_latency_histogram(&serve_latency().snapshot());
         reg
     }
@@ -625,6 +638,8 @@ mod tests {
             "spmv_serve_failed_total",
             "spmv_serve_encode_total",
             "spmv_serve_encode_seconds_total",
+            "spmv_serve_upload_bytes_total",
+            "spmv_serve_upload_seconds_total",
             "spmv_serve_latency_seconds_sum",
             "spmv_serve_latency_seconds_count",
             "spmv_serve_latency_p50_seconds",
