@@ -6,27 +6,31 @@
 //! Symmetric files are expanded to their full (general) pattern on
 //! read, matching how SpMV benchmarks consume them.
 //!
-//! There is one reader, [`read_csr`], and it streams: one pass of a
-//! byte cursor over the input as it arrives. It asks its
-//! [`Read`] for one 64 KiB block at a time, hands the whole lines
-//! read so far to the parser, and carries the partial last line to
-//! the front of the block for the next read; so besides the matrix
-//! being assembled it holds one block (a line longer than a block
-//! grows it to that line), never the whole text, and a socket or file
-//! is parsed as it is read. Lines end at `\n`, fields are separated by
-//! whitespace, indices are parsed with checked integer arithmetic and
-//! values with `str::parse::<f64>` on the field, so every value keeps
-//! its exact bits. Each block of lines is checked for UTF-8 before it
-//! is parsed, and after an error the rest of the input is still read
-//! and checked, so the error reported is the one a check of the whole
-//! input would give: a stream failure first, then the first byte that
+//! There is one reader, [`read_csr`], and it streams: it asks its
+//! [`Read`] for one 64 KiB block at a time, hands the whole lines read
+//! so far to the parser, and carries the partial last line to the
+//! front of the block for the next read; so besides the matrix being
+//! assembled it holds one block (a line longer than a block grows it
+//! to that line), never the whole text.
+//!
+//! There is one grammar, read by one field cursor that never crosses
+//! the `\n` ending a line: the banner, the size line and every entry.
+//! Fields split on exactly the Unicode whitespace `str` splitting
+//! uses. An index that is a plain digit run is read as the cursor
+//! scans it; any other index field goes to `parse_index`, the one
+//! place an index is rejected. Values go through `str::parse::<f64>`,
+//! so every value keeps its exact bits. The parser's own line count
+//! numbers every error, a byte that is not UTF-8 included (each block
+//! is checked before it is parsed). Newlines are counted only after an
+//! error stops the parse: the rest of the input is still read and
+//! checked, so the error reported is the one a check of the whole
+//! input would give — a stream failure first, then the first byte that
 //! is not UTF-8, then the parse error. Entries that arrive row-major
 //! with strictly increasing columns — the order [`write_csr`] and the
-//! SuiteSparse collection emit — are assembled into CSR in place, with
-//! no coordinate copy. The first entry out of that order (a shuffled
-//! file or a duplicate), and every symmetric file, switches the
-//! assembly to COO triplets, summed and sorted by
-//! [`Csr::from_coo`].
+//! SuiteSparse collection emit — are appended straight onto the CSR
+//! arrays. The first entry out of that order (a shuffled file or a
+//! duplicate), and every symmetric file, switches the assembly to COO
+//! triplets, summed and sorted by [`Csr::from_coo`].
 
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::ops::Range;
@@ -72,7 +76,7 @@ fn parse_error(line: usize, detail: impl Into<String>) -> SparseError {
 }
 
 fn parse_header(line: &str) -> Result<MmHeader> {
-    let toks: Vec<&str> = Fields::new(line).collect();
+    let toks: Vec<&str> = Cursor::new(line).fields().collect();
     if toks.len() < 5 || !toks[0].eq_ignore_ascii_case("%%MatrixMarket") {
         return Err(parse_error(1, format!("not a MatrixMarket header: {line:?}")));
     }
@@ -96,75 +100,6 @@ fn parse_header(line: &str) -> Result<MmHeader> {
     Ok(MmHeader { field, symmetry })
 }
 
-/// The line of `text` starting at `pos`, without its `\n`; `pos`
-/// moves past it.
-fn next_line<'a>(text: &'a str, pos: &mut usize) -> &'a str {
-    let rest = &text[*pos..];
-    let len = rest.bytes().position(|b| b == b'\n').unwrap_or(rest.len());
-    *pos += (len + 1).min(rest.len());
-    // `\n` is one byte, so `len` is a char boundary.
-    &rest[..len]
-}
-
-/// Bytes that separate fields within a line (`\n` ends the line).
-fn is_blank(b: u8) -> bool {
-    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
-}
-
-/// The whitespace-separated fields of one line. ASCII bytes are
-/// classified directly; a non-ASCII character is decoded and tested
-/// with [`char::is_whitespace`], so fields split on exactly the
-/// Unicode whitespace `str` splitting uses.
-struct Fields<'a> {
-    line: &'a str,
-    pos: usize,
-}
-
-impl<'a> Fields<'a> {
-    fn new(line: &'a str) -> Fields<'a> {
-        Fields { line, pos: 0 }
-    }
-
-    /// Byte length of the character at `pos` and whether it is
-    /// whitespace.
-    fn class(&self, pos: usize) -> (usize, bool) {
-        match self.line.as_bytes()[pos] {
-            b if is_blank(b) => (1, true),
-            b if b.is_ascii() => (1, false),
-            _ => self
-                .line
-                .get(pos..)
-                .and_then(|rest| rest.chars().next())
-                .map_or((1, false), |c| (c.len_utf8(), c.is_whitespace())),
-        }
-    }
-}
-
-impl<'a> Iterator for Fields<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let len = self.line.len();
-        while self.pos < len {
-            let (step, space) = self.class(self.pos);
-            if !space {
-                break;
-            }
-            self.pos += step;
-        }
-        let start = self.pos;
-        while self.pos < len {
-            let (step, space) = self.class(self.pos);
-            if space {
-                break;
-            }
-            self.pos += step;
-        }
-        // Both ends sit on character boundaries.
-        (self.pos > start).then(|| &self.line[start..self.pos])
-    }
-}
-
 /// Parses a non-negative decimal (optional leading `+`, the grammar of
 /// `str::parse::<usize>`) with checked arithmetic.
 fn parse_index(s: &str, what: &str, line: usize) -> Result<usize> {
@@ -184,87 +119,141 @@ fn parse_index(s: &str, what: &str, line: usize) -> Result<usize> {
     Ok(v)
 }
 
-/// 1-based `(row, col, value)` of one entry line.
-type Entry = (usize, usize, f64);
-
-/// Reads one entry line under the full grammar: `None` for a blank
-/// or comment line; extra trailing fields are ignored.
-fn parse_entry(line: &str, lineno: usize, pattern: bool) -> Result<Option<Entry>> {
-    let mut fields = Fields::new(line);
-    let r = match fields.next() {
-        Some(f) if !f.starts_with('%') => parse_index(f, "row index", lineno)?,
-        _ => return Ok(None),
-    };
-    let c = fields.next().ok_or_else(|| parse_error(lineno, "missing column index"))?;
-    let c = parse_index(c, "column index", lineno)?;
-    if r == 0 || c == 0 {
-        return Err(parse_error(lineno, "MatrixMarket indices are 1-based"));
-    }
-    let v = if pattern {
-        1.0
-    } else {
-        let s = fields.next().ok_or_else(|| parse_error(lineno, "missing value field"))?;
-        s.parse::<f64>().map_err(|_| parse_error(lineno, format!("invalid value: {s:?}")))?
-    };
-    Ok(Some((r, c, v)))
+/// A cursor over the whitespace-separated fields of a run of lines
+/// that never crosses `\n`: its fields end at the end of the line,
+/// and only [`Cursor::line`] moves it to the next. ASCII bytes are
+/// classified inline; a non-ASCII character is decoded where the
+/// cursor meets one and tested with [`char::is_whitespace`].
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-/// The fast path for the line starting at `pos`: a blank line, a
-/// comment, or an all-ASCII `row col [value]` entry whose indices are
-/// plain nonzero digit runs. Returns the entry (`None` for a blank or
-/// comment line) and the start of the next line. Anything else — a
-/// sign, a non-ASCII byte next to a field, a missing or malformed
-/// field — returns `None`, and the caller re-reads the line with
-/// [`parse_entry`], which owns the full grammar and its errors. One
-/// byte walk per line, instead of a line split and a field iterator,
-/// takes about 40 % off the parse of a row-major file.
-fn scan_entry(text: &str, pos: usize, pattern: bool) -> Option<(Option<Entry>, usize)> {
-    let b = text.as_bytes();
-    let skip_blank = |mut p: usize| {
-        while b.get(p).copied().is_some_and(is_blank) {
-            p += 1;
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Cursor<'a> {
+        Cursor { text, pos: 0 }
+    }
+
+    fn at_end(&self) -> bool {
+        self.pos >= self.text.len()
+    }
+
+    /// Byte length of the character at `pos` and whether it separates
+    /// fields; `None` at `\n` or the end of the text.
+    #[inline(always)]
+    fn class(&self, pos: usize) -> Option<(usize, bool)> {
+        match *self.text.as_bytes().get(pos)? {
+            b'\n' => None,
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => Some((1, true)),
+            b if b.is_ascii() => Some((1, false)),
+            _ => self
+                .text
+                .get(pos..)
+                .and_then(|rest| rest.chars().next())
+                .map(|c| (c.len_utf8(), c.is_whitespace())),
         }
-        p
-    };
-    let next_line =
-        |p: usize| b[p..].iter().position(|&c| c == b'\n').map_or(b.len(), |k| p + k + 1);
-    let digits = |mut p: usize| -> Option<(usize, usize)> {
-        let (start, mut v) = (p, 0usize);
-        while let Some(d) = b.get(p).map(|c| c.wrapping_sub(b'0')).filter(|&d| d <= 9) {
-            v = v.checked_mul(10)?.checked_add(usize::from(d))?;
-            p += 1;
+    }
+
+    /// Skips separators; whether a field starts at the cursor.
+    #[inline(always)]
+    fn at_field(&mut self) -> bool {
+        while let Some((len, space)) = self.class(self.pos) {
+            if !space {
+                return true;
+            }
+            self.pos += len;
         }
-        (p > start && v > 0).then_some((v, p))
-    };
-    // A field must end at a separator, or (for the last one read) at
-    // the end of the line.
-    let ends_field = |p: usize, last: bool| match b.get(p) {
-        Some(&c) if is_blank(c) => true,
-        Some(b'\n') | None => last,
-        _ => false,
-    };
-    let p = skip_blank(pos);
-    match b.get(p) {
-        None => return Some((None, p)),
-        Some(b'\n') => return Some((None, p + 1)),
-        Some(b'%') => return Some((None, next_line(p))),
-        _ => {}
+        false
     }
-    let (r, p) = digits(p).filter(|&(_, p)| ends_field(p, false))?;
-    let (c, p) = digits(skip_blank(p)).filter(|&(_, p)| ends_field(p, pattern))?;
-    if pattern {
-        return Some((Some((r, c, 1.0)), next_line(p)));
+
+    /// The next field on the line, or `None` at its end.
+    #[inline(always)]
+    fn field(&mut self) -> Option<&'a str> {
+        if !self.at_field() {
+            return None;
+        }
+        let (start, bytes) = (self.pos, self.text.as_bytes());
+        loop {
+            // Printable ASCII never separates fields.
+            while matches!(bytes.get(self.pos), Some(b'!'..=b'~')) {
+                self.pos += 1;
+            }
+            match self.class(self.pos) {
+                Some((len, false)) => self.pos += len,
+                _ => break,
+            }
+        }
+        // Both ends sit on character boundaries.
+        self.text.get(start..self.pos)
     }
-    let start = skip_blank(p);
-    let mut end = start;
-    while b.get(end).is_some_and(|&c| c.is_ascii() && c != b'\n' && !is_blank(c)) {
-        end += 1;
+
+    /// The fields left on the line.
+    fn fields(mut self) -> impl Iterator<Item = &'a str> {
+        std::iter::from_fn(move || self.field())
     }
-    if end == start || !ends_field(end, true) {
-        return None;
+
+    /// The next field on the line as an index, or `None` at its end. A
+    /// run of up to 19 digits is read as it is scanned; any other field
+    /// is handed to [`parse_index`], which accepts or rejects it.
+    #[inline(always)]
+    fn index(&mut self, what: &str, line: usize) -> Result<Option<usize>> {
+        if !self.at_field() {
+            return Ok(None);
+        }
+        let (start, bytes) = (self.pos, self.text.as_bytes());
+        let mut v = 0u64;
+        while let Some(d) = bytes.get(self.pos).map(|b| b.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+            v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+            self.pos += 1;
+        }
+        // Up to 19 digits cannot overflow a `u64`.
+        let digits = self.pos - start;
+        if (1..=19).contains(&digits) && !matches!(self.class(self.pos), Some((_, false))) {
+            if let Ok(v) = usize::try_from(v) {
+                return Ok(Some(v));
+            }
+        }
+        self.pos = start;
+        self.field().map(|f| parse_index(f, what, line)).transpose()
     }
-    let v = text.get(start..end)?.parse::<f64>().ok()?;
-    Some((Some((r, c, v)), next_line(end)))
+
+    /// The 1-based `(row, col, value)` of the entry line at the cursor:
+    /// `None` for a blank or comment line; the fields after the entry
+    /// are left unread.
+    #[inline(always)]
+    fn entry(&mut self, line: usize, pattern: bool) -> Result<Option<(usize, usize, f64)>> {
+        if self.at_field() && self.text.as_bytes().get(self.pos) == Some(&b'%') {
+            return Ok(None);
+        }
+        let Some(r) = self.index("row index", line)? else { return Ok(None) };
+        let c = self.index("column index", line)?;
+        let c = c.ok_or_else(|| parse_error(line, "missing column index"))?;
+        if r == 0 || c == 0 {
+            return Err(parse_error(line, "MatrixMarket indices are 1-based"));
+        }
+        let v = if pattern {
+            1.0
+        } else {
+            let s = self.field().ok_or_else(|| parse_error(line, "missing value field"))?;
+            s.parse::<f64>().map_err(|_| parse_error(line, format!("invalid value: {s:?}")))?
+        };
+        Ok(Some((r, c, v)))
+    }
+
+    /// The rest of the line, without its `\n`; the cursor moves past
+    /// it.
+    #[inline(always)]
+    fn line(&mut self) -> &'a str {
+        if self.text.as_bytes().get(self.pos) == Some(&b'\n') {
+            self.pos += 1;
+            return "";
+        }
+        let rest = self.text.get(self.pos..).unwrap_or_default();
+        let len = rest.bytes().position(|b| b == b'\n').unwrap_or(rest.len());
+        self.pos += (len + 1).min(rest.len());
+        // `\n` is one byte, so `len` is a char boundary.
+        rest.get(..len).unwrap_or_default()
+    }
 }
 
 /// Entry storage while scanning: CSR arrays built in place while
@@ -275,6 +264,9 @@ struct Assembly {
     ncols: usize,
     /// In-place mode: start of every row up to the current one.
     rowptr: Vec<usize>,
+    /// In-place mode: the least row-major key (`row << 32 | col`) the
+    /// next entry may have.
+    next: u64,
     /// Triplet mode: the row of every entry.
     rows: Option<Vec<u32>>,
     colind: Vec<u32>,
@@ -295,33 +287,36 @@ impl Assembly {
             nrows,
             ncols,
             rowptr,
+            next: 0,
             rows: (!in_place).then(|| Vec::with_capacity(cap)),
             colind: Vec::with_capacity(cap),
             values: Vec::with_capacity(cap),
         }
     }
 
-    /// Appends the 0-based entry `(r, c)`.
+    /// Appends the 0-based entry `(r, c)`: in order, straight onto the
+    /// CSR arrays.
+    #[inline(always)]
     fn push(&mut self, r: usize, c: usize, v: f64) -> Result<()> {
         let (nrows, ncols) = (self.nrows, self.ncols);
         if r >= nrows || c >= ncols {
             return Err(SparseError::IndexOutOfBounds { row: r, col: c, nrows, ncols });
         }
-        if self.rows.is_none() {
-            let current = self.rowptr.len() - 1;
-            let row_is_empty = self.rowptr[current] == self.colind.len();
-            let in_order = r > current
-                || (r == current
-                    && (row_is_empty || self.colind.last().is_some_and(|&last| c > last as usize)));
-            if in_order {
-                // Rows `current + 1 ..= r` start at the next entry.
-                self.rowptr.resize(r + 1, self.colind.len());
-            } else {
-                self.demote();
+        let key = u64::from(index_u32(r)) << 32 | u64::from(index_u32(c));
+        match &mut self.rows {
+            None if key >= self.next => {
+                self.next = key + 1;
+                if r >= self.rowptr.len() {
+                    // Rows `current + 1 ..= r` start at this entry.
+                    self.rowptr.resize(r + 1, self.colind.len());
+                }
             }
-        }
-        if let Some(rows) = &mut self.rows {
-            rows.push(index_u32(r));
+            None => {
+                let mut rows = self.demote();
+                rows.push(index_u32(r));
+                self.rows = Some(rows);
+            }
+            Some(rows) => rows.push(index_u32(r)),
         }
         self.colind.push(index_u32(c));
         self.values.push(v);
@@ -330,7 +325,7 @@ impl Assembly {
 
     /// Leaves in-place mode: expands the row pointer into one row
     /// index per stored entry.
-    fn demote(&mut self) {
+    fn demote(&mut self) -> Vec<u32> {
         let rowptr = std::mem::take(&mut self.rowptr);
         let nnz = self.colind.len();
         let mut rows = Vec::with_capacity(self.colind.capacity());
@@ -338,11 +333,11 @@ impl Assembly {
             let end = rowptr.get(i + 1).copied().unwrap_or(nnz);
             rows.resize(rows.len() + (end - start), index_u32(i));
         }
-        self.rows = Some(rows);
+        rows
     }
 
     fn finish(self, symmetric: bool) -> Result<Csr> {
-        let Assembly { nrows, ncols, mut rowptr, rows, colind, values } = self;
+        let Assembly { nrows, ncols, mut rowptr, rows, colind, values, .. } = self;
         match rows {
             None => {
                 rowptr.resize(nrows + 1, colind.len());
@@ -374,7 +369,8 @@ struct Blocks<R> {
     start: usize,
     /// End of the bytes read into `buf`.
     end: usize,
-    /// `\n` bytes in the runs handed out so far.
+    /// Lines before the last run handed out, as the parser counted
+    /// them.
     lines: usize,
     eof: bool,
     /// Whether runs are still checked for UTF-8 (off after the
@@ -426,21 +422,20 @@ impl<R: Read> Blocks<R> {
         }
     }
 
-    /// Counts the run's lines and checks it is UTF-8. An invalid run
-    /// is a parse error on the line of its first bad byte.
+    /// Checks that the run is UTF-8. An invalid run is a parse error
+    /// on the line of its first bad byte, counted from `self.lines`.
     fn check(&mut self, run: Range<usize>) -> Result<&str> {
         let bytes = &self.buf[run];
-        let newlines = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
-        let before = self.lines;
-        self.lines += newlines(bytes);
         std::str::from_utf8(bytes).map_err(|e| {
             self.check_utf8 = false;
-            parse_error(before + 1 + newlines(&bytes[..e.valid_up_to()]), "invalid UTF-8")
+            parse_error(self.lines + 1 + newlines(&bytes[..e.valid_up_to()]), "invalid UTF-8")
         })
     }
 
-    /// The next run of whole lines as text.
-    fn next(&mut self) -> Result<Option<&str>> {
+    /// The next run of whole lines as text; `lines` is the number of
+    /// lines before it.
+    fn next(&mut self, lines: usize) -> Result<Option<&str>> {
+        self.lines = lines;
         match self.fill()? {
             Some(run) => self.check(run).map(Some),
             None => Ok(None),
@@ -450,14 +445,18 @@ impl<R: Read> Blocks<R> {
     /// Reads the rest of the stream after `err` stopped the parse. A
     /// stream failure anywhere, then the first bytes that are not
     /// UTF-8, take precedence over `err`, so the outcome is the one a
-    /// check of the whole input before parsing would give.
+    /// check of the whole input before parsing would give. Only here
+    /// are newlines counted, to number a later invalid byte.
     fn rest_error(&mut self, mut err: SparseError) -> SparseError {
+        // The last run handed out is `buf[..start]`.
+        self.lines += newlines(&self.buf[..self.start]);
         loop {
             match self.fill() {
                 Ok(Some(run)) if self.check_utf8 => {
-                    if let Err(e) = self.check(run) {
+                    if let Err(e) = self.check(run.clone()) {
                         err = e;
                     }
+                    self.lines += newlines(&self.buf[run]);
                 }
                 Ok(Some(_)) => {}
                 Ok(None) => return err,
@@ -465,6 +464,10 @@ impl<R: Read> Blocks<R> {
             }
         }
     }
+}
+
+fn newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// The entry section: what the size line declared and what has
@@ -479,7 +482,7 @@ struct Section {
 
 impl Section {
     fn new(header: MmHeader, size_line: &str, lineno: usize) -> Result<Section> {
-        let dims: Vec<&str> = Fields::new(size_line).collect();
+        let dims: Vec<&str> = Cursor::new(size_line).fields().collect();
         if dims.len() != 3 {
             return Err(parse_error(
                 lineno,
@@ -500,22 +503,16 @@ impl Section {
         })
     }
 
-    /// Reads every entry line of `text` from `pos`; `lineno` counts
-    /// the lines read.
-    fn read(&mut self, text: &str, mut pos: usize, lineno: &mut usize) -> Result<()> {
-        while pos < text.len() {
+    /// Reads every entry line left at the cursor; `lineno` counts the
+    /// lines read.
+    fn read(&mut self, cur: &mut Cursor<'_>, lineno: &mut usize) -> Result<()> {
+        while !cur.at_end() {
             *lineno += 1;
-            let entry = match scan_entry(text, pos, self.pattern) {
-                Some((entry, next)) => {
-                    pos = next;
-                    entry
-                }
-                None => parse_entry(next_line(text, &mut pos), *lineno, self.pattern)?,
-            };
-            if let Some((r, c, v)) = entry {
+            if let Some((r, c, v)) = cur.entry(*lineno, self.pattern)? {
                 self.entries.push(r - 1, c - 1, v)?;
                 self.seen += 1;
             }
+            cur.line();
         }
         Ok(())
     }
@@ -537,14 +534,14 @@ fn parse<R: Read>(blocks: &mut Blocks<R>) -> Result<Csr> {
     let mut header = None;
     let mut section: Option<Section> = None;
     let mut lineno = 0;
-    while let Some(text) = blocks.next()? {
-        let mut pos = 0;
-        while section.is_none() && pos < text.len() {
-            let line = next_line(text, &mut pos);
+    while let Some(text) = blocks.next(lineno)? {
+        let mut cur = Cursor::new(text);
+        while section.is_none() && !cur.at_end() {
+            let line = cur.line();
             lineno += 1;
             match header {
                 None => header = Some(parse_header(line)?),
-                Some(h) if Fields::new(line).next().is_some_and(|f| !f.starts_with('%')) => {
+                Some(h) if Cursor::new(line).field().is_some_and(|f| !f.starts_with('%')) => {
                     section = Some(Section::new(h, line, lineno)?);
                 }
                 // A comment or blank line before the size line.
@@ -552,7 +549,7 @@ fn parse<R: Read>(blocks: &mut Blocks<R>) -> Result<Csr> {
             }
         }
         if let Some(section) = &mut section {
-            section.read(text, pos, &mut lineno)?;
+            section.read(&mut cur, &mut lineno)?;
         }
     }
     match (header, section) {

@@ -496,3 +496,222 @@ proptest! {
         same_in_any_chunking("corrupted", &file, seed..seed.saturating_add(4));
     }
 }
+
+/// Separators the differential test mixes between fields: ASCII
+/// blanks, CR, and non-ASCII whitespace (NEL, no-break space, em
+/// space, ideographic space).
+const SEPARATORS: [&str; 9] =
+    [" ", "\t", "\r", "\x0b", "\x0c", "\u{85}", "\u{a0}", "\u{2003}", "\u{3000}"];
+
+/// A SplitMix64 stream that renders one random entry section.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len() as u64) as usize]
+    }
+
+    /// `min` to `min + 2` separators.
+    fn sep(&mut self, min: u64) -> String {
+        (0..min + self.below(3)).map(|_| self.pick(&SEPARATORS)).collect()
+    }
+
+    /// A count or index field for `v`: plain, with a leading `+`, or
+    /// with leading zeros.
+    fn number(&mut self, v: u64) -> String {
+        match self.below(8) {
+            0 => format!("+{v}"),
+            1 => format!("00{v}"),
+            _ => v.to_string(),
+        }
+    }
+
+    /// An index into `1..=n`; now and then one past it, or malformed.
+    fn index(&mut self, n: u64) -> String {
+        match self.below(40) {
+            0 => {
+                self.pick(&["0", "x", "-1", "+", "1.0", "18446744073709551616", "2\u{fffd}"]).into()
+            }
+            1 => self.number(n + 1),
+            _ => {
+                let v = 1 + self.below(n);
+                self.number(v)
+            }
+        }
+    }
+
+    /// A value field of a `real` or `integer` file; now and then
+    /// malformed.
+    fn value(&mut self, integer: bool) -> String {
+        let v = self.below(2001) as i64 - 1000;
+        match self.below(40) {
+            0 => self.pick(&["abc", "1.2.3", "--1", "\u{fffd}", "0x10", "1e"]).into(),
+            1 => format!("+{v}"),
+            2 => format!("00{}", v.unsigned_abs()),
+            _ if integer => v.to_string(),
+            _ => match self.below(3) {
+                0 => format!("{:e}", v as f64 / 7.0),
+                1 => format!("{}", v as f64 / 64.0),
+                _ => format!("{v}.5E-3"),
+            },
+        }
+    }
+
+    /// One line of a section: blank, a comment, or an entry (now and
+    /// then missing a field, often with fields after it).
+    fn line(&mut self, field: &str, nrows: u64, ncols: u64) -> (String, bool) {
+        let lead = self.sep(0);
+        match self.below(10) {
+            0 => (format!("{lead}{}", self.sep(0)), false),
+            1 => (format!("{lead}% note {}\u{e9}{}", self.sep(1), self.sep(0)), false),
+            _ => {
+                let mut line = format!("{lead}{}", self.index(nrows));
+                if self.below(40) > 0 {
+                    line += &format!("{}{}", self.sep(1), self.index(ncols));
+                }
+                if field != "pattern" && self.below(40) > 0 {
+                    line += &format!("{}{}", self.sep(1), self.value(field == "integer"));
+                }
+                if self.below(4) == 0 {
+                    line += &format!("{}{}", self.sep(1), self.pick(&["extra", "9.5", "%", "x y"]));
+                }
+                line += &self.sep(0);
+                (line, true)
+            }
+        }
+    }
+
+    /// A `real`, `integer` or `pattern` general file.
+    fn file(&mut self) -> String {
+        let field = self.pick(&["real", "integer", "pattern"]);
+        let (nrows, ncols) = (1 + self.below(5), 1 + self.below(5));
+        let mut lines = Vec::new();
+        let mut entries = 0;
+        for _ in 0..self.below(24) {
+            let (line, entry) = self.line(field, nrows, ncols);
+            lines.push(line);
+            entries += u64::from(entry);
+        }
+        let declared = match self.below(16) {
+            0 => entries + 1,
+            1 => entries.saturating_sub(1),
+            _ => entries,
+        };
+        let (s1, s2) = (self.sep(1), self.sep(1));
+        let banner = format!("%%MatrixMarket{s1}matrix coordinate{s2}{field} general");
+        let size = format!(
+            "{}{}{}{}{}{}",
+            self.number(nrows),
+            self.sep(1),
+            self.number(ncols),
+            self.sep(1),
+            self.number(declared),
+            self.sep(0)
+        );
+        let mut text = [vec![banner, "% c".into(), self.sep(0), size], lines].concat().join("\n");
+        if self.below(4) > 0 {
+            text.push('\n');
+        }
+        text
+    }
+}
+
+/// A read's outcome up to error details: the CSR arrays with value
+/// bits, or the error's kind and line (or entry).
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Csr(String),
+    Parse(usize),
+    OutOfBounds(usize, usize),
+    Other(String),
+}
+
+fn outcome_of(got: Result<Csr, SparseError>) -> Outcome {
+    match got {
+        Err(SparseError::Parse { line, .. }) => Outcome::Parse(line),
+        Err(SparseError::IndexOutOfBounds { row, col, .. }) => Outcome::OutOfBounds(row, col),
+        Err(e) => Outcome::Other(format!("{e:?}")),
+        ok => Outcome::Csr(outcome(ok)),
+    }
+}
+
+/// The grammar written the obvious way, for `general` files: lines
+/// split at `\n`, fields by `str::split_whitespace`, numbers by
+/// `str::parse`, and the matrix assembled by `Csr::from_coo`.
+fn oracle(text: &str) -> Outcome {
+    let mut lines: Vec<&str> = text.split('\n').collect();
+    if text.is_empty() || text.ends_with('\n') {
+        lines.pop();
+    }
+    let count = lines.len();
+    let mut lines = lines.into_iter().zip(1..);
+    let Some((banner, _)) = lines.next() else { return Outcome::Parse(1) };
+    let banner: Vec<&str> = banner.split_whitespace().collect();
+    let field = match banner[..] {
+        [mm, matrix, coordinate, field, "general", ..]
+            if mm == "%%MatrixMarket" && matrix == "matrix" && coordinate == "coordinate" =>
+        {
+            field
+        }
+        _ => return Outcome::Parse(1),
+    };
+    let Some((size, n)) =
+        lines.find(|(line, _)| line.split_whitespace().next().is_some_and(|f| !f.starts_with('%')))
+    else {
+        return Outcome::Parse(count + 1);
+    };
+    let size: Vec<Option<usize>> = size.split_whitespace().map(|f| f.parse().ok()).collect();
+    let [Some(nrows), Some(ncols), Some(declared)] = size[..] else { return Outcome::Parse(n) };
+    let mut coo = Coo::new(nrows, ncols).expect("small shape");
+    for (line, n) in lines {
+        let mut fields = line.split_whitespace();
+        let row = match fields.next() {
+            None => continue,
+            Some(f) if f.starts_with('%') => continue,
+            Some(f) => f.parse::<usize>(),
+        };
+        let col = fields.next().map(str::parse::<usize>);
+        let (Ok(row), Some(Ok(col))) = (row, col) else { return Outcome::Parse(n) };
+        if row == 0 || col == 0 {
+            return Outcome::Parse(n);
+        }
+        let value = match field {
+            "pattern" => 1.0,
+            _ => match fields.next().map(str::parse::<f64>) {
+                Some(Ok(v)) => v,
+                _ => return Outcome::Parse(n),
+            },
+        };
+        if coo.push(row - 1, col - 1, value).is_err() {
+            return Outcome::OutOfBounds(row - 1, col - 1);
+        }
+    }
+    if coo.nnz() != declared {
+        return Outcome::Parse(count);
+    }
+    Outcome::Csr(outcome(Ok(Csr::from_coo(&coo))))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reader agrees with the oracle — same matrix bit for bit, or
+    /// the same error on the same line — on random entry sections,
+    /// read whole and in a random chunking.
+    #[test]
+    fn the_reader_matches_a_split_whitespace_oracle(seed in 0u64..u64::MAX) {
+        let text = Draw(seed).file();
+        let want = oracle(&text);
+        prop_assert_eq!(outcome_of(read_csr(text.as_bytes())), want, "{:?}", text);
+        let chunked = read_csr(Chunked::new(text.as_bytes(), seed));
+        prop_assert_eq!(outcome_of(chunked), want, "{:?}", text);
+    }
+}

@@ -39,6 +39,13 @@
 //! the handler answered, and the connection fails like any truncated
 //! request.
 //!
+//! A client whose head carries `Expect: 100-continue` (curl sends it
+//! for bodies over 1 MiB) holds its body back until the server
+//! answers. The server writes `HTTP/1.1 100 Continue` just before the
+//! first read of such a body, never on an early `413`, `431` or
+//! bad-request answer. If the handler never reads the body, the reply
+//! goes out at once and nothing is drained: the client never sent it.
+//!
 //! # Error discipline (the `serve` contract)
 //!
 //! * **Served** means a complete HTTP response was written. Only
@@ -127,7 +134,7 @@ impl HttpRequest {
             body: RefCell::new(Body {
                 held: body.into(),
                 pos: 0,
-                rest: Pending { conn: None, len: 0, failed: false },
+                rest: Pending { conn: None, len: 0, failed: false, continue_due: false },
             }),
         }
     }
@@ -204,6 +211,9 @@ struct Pending {
     len: usize,
     /// A read failed: the body cannot be read in full.
     failed: bool,
+    /// The client waits for `100 Continue` before sending the body;
+    /// the first read from the connection writes it.
+    continue_due: bool,
 }
 
 impl Read for Pending {
@@ -215,6 +225,13 @@ impl Read for Pending {
         }
         if self.failed {
             return Err(io::Error::new(ErrorKind::UnexpectedEof, "request body incomplete"));
+        }
+        if self.continue_due {
+            self.continue_due = false;
+            if let Err(e) = conn.write_all(b"HTTP/1.1 100 Continue\r\n\r\n") {
+                self.failed = true;
+                return Err(e);
+            }
         }
         match conn.read(&mut out[..want]) {
             Ok(0) => {
@@ -601,6 +618,16 @@ fn content_length(head: &str) -> Option<usize> {
     })
 }
 
+/// Whether the head carries `Expect: 100-continue`.
+fn expects_continue(head: &str) -> bool {
+    head.lines().skip(1).any(|line| {
+        line.split_once(':').is_some_and(|(key, value)| {
+            key.trim().eq_ignore_ascii_case("expect")
+                && value.trim().eq_ignore_ascii_case("100-continue")
+        })
+    })
+}
+
 /// Discards whatever request bytes are already buffered on `stream`
 /// without blocking. Early-reply paths (431/413) answer before
 /// consuming the full request; closing with unread bytes in the
@@ -676,6 +703,8 @@ fn handle_conn(
     let mut held = leftover;
     held.truncate(len);
     let pending = len - held.len();
+    // A client that already started the body is not waiting.
+    let continue_due = pending > 0 && held.is_empty() && expects_continue(&head);
     let req = HttpRequest {
         method: method.to_string(),
         path: path.to_string(),
@@ -683,7 +712,7 @@ fn handle_conn(
         body: RefCell::new(Body {
             held,
             pos: 0,
-            rest: Pending { conn: Some(stream), len: pending, failed: false },
+            rest: Pending { conn: Some(stream), len: pending, failed: false, continue_due },
         }),
     };
     let (response, outcome) = match handler.map_or(Handled::NotHandled, |h| h.handle(&req)) {
@@ -693,9 +722,11 @@ fn handle_conn(
     };
     // Read what the handler left of the body, so the reply is not
     // lost to a reset from unread bytes; a body that cannot be read
-    // in full fails the connection, as a truncated request.
+    // in full fails the connection, as a truncated request. A body
+    // still held back for `100 Continue` was never sent: nothing to
+    // read.
     let mut rest = req.body.into_inner().rest;
-    let drained = io::copy(&mut rest, &mut io::sink());
+    let drained = if rest.continue_due { Ok(0) } else { io::copy(&mut rest, &mut io::sink()) };
     let Some(mut stream) = rest.conn else {
         return Err(io::Error::other("request lost its connection"));
     };
@@ -1232,6 +1263,60 @@ mod tests {
         assert_eq!(parse_response(&reply).expect("reply").0, 413);
         assert!(t0.elapsed() < READ_TIMEOUT, "413 waited for a body");
         assert_eq!(echo.calls.load(Ordering::SeqCst), 0, "the handler never ran");
+        still_serving(&server, &echo);
+    }
+
+    const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
+    fn expect_head(method_path: &str, len: usize) -> Vec<u8> {
+        format!("{method_path} HTTP/1.1\r\nContent-Length: {len}\r\nExpect: 100-Continue\r\n\r\n")
+            .into_bytes()
+    }
+
+    #[test]
+    fn expect_continue_gets_100_before_any_body_byte_is_sent() {
+        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr().expect("bound");
+        let echo = StreamEcho::new();
+        let body = b"0123456789".repeat(300);
+        // The server and a raw client on two engine workers: the
+        // client sends the body only once it has read the `100`.
+        spmv_kernels::engine::ExecEngine::new(2).run(&|t| {
+            if t == 0 {
+                let (stream, _) = server.listener.accept().expect("accept");
+                assert!(handle_conn(stream, Some(&echo), server.read_timeout).is_ok());
+                return;
+            }
+            let mut client = TcpStream::connect(addr).expect("connect");
+            client.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            client.write_all(&expect_head("POST /echo", body.len())).expect("send head");
+            let mut interim = vec![0u8; CONTINUE.len()];
+            client.read_exact(&mut interim).expect("an interim reply before the body");
+            assert_eq!(interim, CONTINUE);
+            client.write_all(&body).expect("send body");
+            let mut reply = Vec::new();
+            client.read_to_end(&mut reply).expect("read reply");
+            assert_eq!(parse_response(&reply).expect("reply"), (200, body.clone()));
+        });
+        still_serving(&server, &echo);
+    }
+
+    #[test]
+    fn expect_continue_is_never_sent_on_an_early_answer() {
+        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let echo = StreamEcho::new();
+        let request = expect_head("POST /echo", MAX_BODY_BYTES + 1);
+        let (served, reply) = exchange(&server, &echo, &request, false);
+        assert!(served.is_ok());
+        assert!(reply.starts_with(b"HTTP/1.1 413 "), "{}", String::from_utf8_lossy(&reply));
+        // A handler that ignores the body answers at once: no `100`,
+        // and no wait for a body the client is holding back.
+        let t0 = std::time::Instant::now();
+        let (served, reply) =
+            exchange(&server, &EchoHandler, &expect_head("POST /busy", 1000), false);
+        assert!(served.is_ok());
+        assert!(reply.starts_with(b"HTTP/1.1 503 "), "{}", String::from_utf8_lossy(&reply));
+        assert!(t0.elapsed() < READ_TIMEOUT, "the reply waited for the body");
         still_serving(&server, &echo);
     }
 
