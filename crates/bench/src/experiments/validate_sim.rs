@@ -11,13 +11,13 @@
 //! consumes *orderings* — so rank agreement is the relevant score.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
+use spmv_kernels::variant::{KernelVariant, Optimization};
 use spmv_machine::stream::calibrated_host_model;
 use spmv_sim::cost::{CostModel, SimSpec};
 use spmv_sim::profile::MatrixProfile;
 use spmv_sparse::{gen, Csr};
+use spmv_tuner::menu::measure;
 
 use crate::table::{f, Table};
 
@@ -41,17 +41,8 @@ fn cases(scale: f64) -> Vec<Case> {
 
 /// Times `reps` runs of a built kernel, returning the best seconds.
 fn time_real(a: &Arc<Csr>, variant: KernelVariant, nthreads: usize, reps: usize) -> f64 {
-    let built = build_kernel(a, variant, nthreads);
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
-    built.kernel.run(&x, &mut y); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        built.kernel.run(&x, &mut y);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+    let (gflops, _) = measure(a, variant.into(), nthreads, reps);
+    2.0 * a.nnz() as f64 / (gflops * 1e9)
 }
 
 /// Spearman rank correlation of two equal-length samples. Ties are

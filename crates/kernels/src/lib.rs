@@ -34,7 +34,6 @@
 //! bound — timed around pure compute only.
 
 pub mod baseline;
-pub mod blocked;
 pub mod compressed;
 pub mod decomposed;
 pub mod engine;

@@ -15,10 +15,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spmv_sparse::{Bcsr, Csr, DecomposedCsr, DeltaCsr, SellCs};
+use spmv_sparse::{Csr, DecomposedCsr, DeltaCsr, SellCs};
 
 use crate::baseline::{CsrKernel, InnerLoop};
-use crate::blocked::BcsrKernel;
 use crate::compressed::DeltaKernel;
 use crate::decomposed::DecomposedKernel;
 use crate::schedule::{Schedule, ThreadTimes};
@@ -38,15 +37,12 @@ pub enum Optimization {
     Decompose,
     /// `auto`/guided scheduling (`IMB`, computational unevenness).
     AutoSchedule,
-    /// Register blocking via BCSR (an *extension* optimization, not in
-    /// the paper's original pool — it demonstrates the plug-and-play
-    /// property: a new `MB`-class treatment slots in without touching
-    /// any classifier).
-    RegisterBlock,
     /// SELL-C-σ sliced-ELL storage (Kreutzer et al., cited by the
-    /// paper's related work) — a second extension: SIMD-lockstep
-    /// chunks with σ-window row sorting, an alternative `IMB`/`MB`
-    /// treatment for moderately skewed matrices.
+    /// paper's related work) — an *extension* optimization, not in the
+    /// paper's original pool: SIMD-lockstep chunks with σ-window row
+    /// sorting, an alternative `IMB` treatment for moderately skewed
+    /// matrices. It demonstrates the plug-and-play property: a new
+    /// treatment slots in without touching any classifier.
     SlicedEll,
 }
 
@@ -65,13 +61,12 @@ impl Optimization {
     ];
 
     /// The extended pool including post-paper additions.
-    pub const EXTENDED: [Optimization; 7] = [
+    pub const EXTENDED: [Optimization; 6] = [
         Optimization::Vectorize,
         Optimization::Prefetch,
         Optimization::Compress,
         Optimization::Decompose,
         Optimization::AutoSchedule,
-        Optimization::RegisterBlock,
         Optimization::SlicedEll,
     ];
 
@@ -82,8 +77,7 @@ impl Optimization {
             Optimization::Compress => 1 << 2,
             Optimization::Decompose => 1 << 3,
             Optimization::AutoSchedule => 1 << 4,
-            Optimization::RegisterBlock => 1 << 5,
-            Optimization::SlicedEll => 1 << 6,
+            Optimization::SlicedEll => 1 << 5,
         }
     }
 
@@ -95,7 +89,6 @@ impl Optimization {
             Optimization::Compress => "comp",
             Optimization::Decompose => "decomp",
             Optimization::AutoSchedule => "auto",
-            Optimization::RegisterBlock => "bcsr",
             Optimization::SlicedEll => "sell",
         }
     }
@@ -260,7 +253,7 @@ pub trait SpmvKernel: Send + Sync {
     /// format: the format's own footprint plus the `x`/`y` vectors,
     /// per original nonzero. This is the per-variant traffic figure
     /// the benchmark trajectory records next to GFLOP/s — compression
-    /// and blocking show up here as fewer bytes per nonzero.
+    /// shows up here as fewer bytes per nonzero.
     fn effective_bytes_per_nnz(&self, nnz: usize) -> f64 {
         (self.format_bytes() + (self.nrows() + self.ncols()) * 8) as f64 / nnz.max(1) as f64
     }
@@ -268,7 +261,7 @@ pub trait SpmvKernel: Send + Sync {
 
 /// Storage format of a [`KernelSpec`].
 ///
-/// Decomposition, blocking and delta compression do not fit every
+/// Decomposition and delta compression do not fit every
 /// matrix. [`build_kernel`] checks that inside the timed build and
 /// falls back, reporting the format that actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,12 +282,6 @@ pub enum Format {
         /// Row-sorting window `σ` (`σ >= C`).
         sigma: usize,
     },
-    /// BCSR at the automatically chosen block shape. Unprofitable
-    /// blocking falls back like [`Format::Decomposed`].
-    Bcsr {
-        /// Fall back to [`Format::Delta`] instead of [`Format::Csr`].
-        or_delta: bool,
-    },
     /// Delta-compressed column indices (1/2/4-byte deltas per row).
     /// A matrix whose deltas cannot be encoded falls back to CSR.
     Delta,
@@ -306,7 +293,7 @@ pub enum Format {
 /// ([`crate::micro::menu`]) are specs, built by [`build_kernel`].
 ///
 /// The inner loop is the row kernel of the CSR and decomposed
-/// formats; the SELL, BCSR and delta kernels carry their own loops
+/// formats; the SELL and delta kernels carry their own loops
 /// and ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelSpec {
@@ -357,15 +344,12 @@ impl KernelSpec {
 /// rules, documented in DESIGN.md):
 /// * `Decompose` selects the two-phase decomposed format;
 /// * otherwise `SlicedEll` selects SELL-8-256;
-/// * otherwise `RegisterBlock` selects BCSR;
 /// * otherwise `Compress` selects delta-compressed CSR;
 /// * `Decompose + Compress` keeps the decomposition and skips
 ///   compression (the paper never co-selects MB with IMB-by-long-rows;
 ///   the fallback preserves correctness); on a matrix without long
-///   rows it compresses instead, as `RegisterBlock + Compress` does
-///   when no block shape pays off (`Decompose` with `SlicedEll` or
-///   `RegisterBlock`, which no caller builds, falls back to CSR or
-///   delta only);
+///   rows it compresses instead (`Decompose + SlicedEll`, which no
+///   caller builds, falls back to CSR or delta only);
 /// * `Vectorize` and `Prefetch` pick the inner-loop flavor;
 /// * `AutoSchedule` switches the row schedule to guided.
 impl From<KernelVariant> for KernelSpec {
@@ -377,8 +361,6 @@ impl From<KernelVariant> for KernelSpec {
             // C = 8 lanes with a 256-row sorting window: the standard
             // SELL-8-256 configuration for AVX-512-class machines.
             Format::Sell { chunk: 8, sigma: 256 }
-        } else if v.contains(Optimization::RegisterBlock) {
-            Format::Bcsr { or_delta }
         } else if or_delta {
             Format::Delta
         } else {
@@ -453,13 +435,6 @@ fn lower(a: &Arc<Csr>, spec: KernelSpec, nthreads: usize) -> (Box<dyn SpmvKernel
             let s = SellCs::from_csr(a, chunk, sigma).expect("SELL spec needs 1 <= chunk <= sigma");
             (Box::new(SellKernel::new(s, nthreads, schedule)), spec)
         }
-        Format::Bcsr { or_delta } => match Bcsr::auto_shape(a) {
-            Some((r, c)) => {
-                let b = Bcsr::from_csr(a, r, c).expect("positive block dims");
-                (Box::new(BcsrKernel::new(b, nthreads, schedule, a.nnz())), spec)
-            }
-            None => lower(a, fallback(or_delta), nthreads),
-        },
         Format::Delta => match DeltaCsr::from_csr(a) {
             Ok(d) => (Box::new(DeltaKernel::new(d, nthreads, schedule)), spec),
             Err(_) => lower(a, fallback(false), nthreads),

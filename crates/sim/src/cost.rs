@@ -144,8 +144,7 @@ impl CostModel {
         let vectorize = v.contains(Optimization::Vectorize);
         let prefetch = v.contains(Optimization::Prefetch);
         let sliced = v.contains(Optimization::SlicedEll) && !spec.no_index;
-        let blocked = v.contains(Optimization::RegisterBlock) && !spec.no_index && !sliced;
-        let compress = v.contains(Optimization::Compress) && !spec.no_index && !blocked && !sliced;
+        let compress = v.contains(Optimization::Compress) && !spec.no_index && !sliced;
         let guided = v.contains(Optimization::AutoSchedule);
         let decompose_threshold = if v.contains(Optimization::Decompose) {
             auto_threshold(&profile.row_nnz, profile.nnz, nthreads)
@@ -153,7 +152,7 @@ impl CostModel {
             None
         };
 
-        let costs = self.row_costs(profile, vectorize, prefetch, compress, blocked, sliced, &spec);
+        let costs = self.row_costs(profile, vectorize, prefetch, compress, sliced, &spec);
 
         // Split rows into the per-thread assignment.
         let mut cycles = vec![0.0f64; nthreads];
@@ -259,29 +258,20 @@ impl CostModel {
     }
 
     /// Per-row cycles / bytes / stall for a spec.
-    #[allow(clippy::too_many_arguments)]
     fn row_costs(
         &self,
         profile: &MatrixProfile,
         vectorize: bool,
         prefetch: bool,
         compress: bool,
-        blocked: bool,
         sliced: bool,
         spec: &SimSpec,
     ) -> RowCosts {
         let m = &self.machine;
         let lanes = m.simd_lanes as f64;
-        // Register blocking amortises indexing over dense tiles but
-        // pays padding work/traffic proportional to the fill ratio;
-        // SELL-C-σ pays chunk padding instead.
-        let fill = if blocked {
-            profile.bcsr_fill()
-        } else if sliced {
-            profile.sell_fill()
-        } else {
-            1.0
-        };
+        // SELL-C-σ pays padding work/traffic proportional to its
+        // chunk fill ratio.
+        let fill = if sliced { profile.sell_fill() } else { 1.0 };
 
         // Cycles per nonzero.
         let mut cyc_elem = if spec.no_index {
@@ -295,16 +285,6 @@ impl CostModel {
             // Lockstep SIMD over sorted chunks: full vector issue with
             // gathers, every padded slot computes.
             (SCALAR_CYCLES_PER_NNZ * GATHER_FACTOR / lanes).max(0.75) * fill
-        } else if blocked {
-            // Unrolled dense tiles: no per-element index load, no
-            // gather (block columns are contiguous), but every padded
-            // slot computes.
-            let per_slot = if vectorize {
-                (SCALAR_CYCLES_PER_NNZ / lanes).max(0.5)
-            } else {
-                SCALAR_CYCLES_PER_NNZ - 1.0
-            };
-            per_slot * fill
         } else if vectorize {
             (SCALAR_CYCLES_PER_NNZ * GATHER_FACTOR / lanes).max(0.75)
         } else {
@@ -323,18 +303,11 @@ impl CostModel {
         }
 
         // Index bytes per nonzero, and value bytes per nonzero
-        // (padding slots of BCSR stream through memory too).
+        // (padding slots of SELL-C-σ stream through memory too).
         let (idx_bytes, val_bytes) = if spec.no_index {
             (0.0, 8.0)
         } else if sliced {
             (4.0 * fill, 8.0 * fill)
-        } else if blocked {
-            let idx = if profile.nnz == 0 {
-                4.0
-            } else {
-                4.0 * profile.bcsr2x2_blocks as f64 / profile.nnz as f64
-            };
-            (idx, 8.0 * fill)
         } else if compress {
             (profile.delta_idx_bytes_per_nnz, 8.0)
         } else {
@@ -621,28 +594,6 @@ mod tests {
         let ours = auto_threshold(&row_nnz, a.nnz(), 228);
         let theirs = spmv_sparse::DecomposedCsr::auto_threshold(&a, 228);
         assert_eq!(ours, theirs);
-    }
-
-    #[test]
-    fn register_blocking_pays_off_only_when_clustered() {
-        let model = CostModel::new(MachineModel::knc());
-        let rb = KernelVariant::single(Optimization::RegisterBlock);
-
-        // Clustered dense tiles: low fill, index traffic amortised.
-        let clustered = gen::block_dense(30_000, 64, 1, 5).unwrap();
-        let pc = profile(&clustered, model.machine());
-        assert!(pc.bcsr_fill() < 1.3, "fill {}", pc.bcsr_fill());
-        let base_c = model.simulate(&pc, SimSpec::baseline()).gflops;
-        let rb_c = model.simulate(&pc, SimSpec::variant(rb)).gflops;
-        assert!(rb_c > base_c, "clustered: {rb_c} vs {base_c}");
-
-        // Scattered: fill explodes, blocking hurts.
-        let scattered = gen::random_uniform(60_000, 8, 3).unwrap();
-        let ps = profile(&scattered, model.machine());
-        assert!(ps.bcsr_fill() > 2.0, "fill {}", ps.bcsr_fill());
-        let base_s = model.simulate(&ps, SimSpec::baseline()).gflops;
-        let rb_s = model.simulate(&ps, SimSpec::variant(rb)).gflops;
-        assert!(rb_s < base_s, "scattered: {rb_s} vs {base_s}");
     }
 
     #[test]

@@ -81,9 +81,6 @@ pub struct MatrixProfile {
     pub working_set_bytes: usize,
     /// Copy of the row pointer (for partitioning in the cost model).
     pub rowptr: Vec<usize>,
-    /// Number of dense 2×2 tiles a BCSR conversion would store (for
-    /// the `RegisterBlock` extension optimization).
-    pub bcsr2x2_blocks: usize,
     /// Stored slots (incl. padding) of a SELL-8-256 conversion (for
     /// the `SlicedEll` extension optimization).
     pub sell_slots: usize,
@@ -152,7 +149,6 @@ impl MatrixProfile {
         }
 
         let (delta_bytes, delta_idx) = delta_footprint(a);
-        let bcsr2x2_blocks = count_2x2_blocks(a);
         let sell_slots = sell_slots(&row_nnz, 8, 256);
         MatrixProfile {
             nrows,
@@ -166,7 +162,6 @@ impl MatrixProfile {
             delta_idx_bytes_per_nnz: delta_idx,
             working_set_bytes: working_set_bytes(a),
             rowptr: a.rowptr().to_vec(),
-            bcsr2x2_blocks,
             sell_slots,
         }
     }
@@ -177,20 +172,6 @@ impl MatrixProfile {
             return 1.0;
         }
         self.sell_slots as f64 / self.nnz as f64
-    }
-
-    /// Footprint of the 2×2 BCSR form in bytes.
-    pub fn bcsr_bytes(&self) -> usize {
-        let nbrows = self.nrows.div_ceil(2);
-        (nbrows + 1) * 8 + self.bcsr2x2_blocks * 4 + self.bcsr2x2_blocks * 4 * 8
-    }
-
-    /// BCSR fill ratio: stored slots per original nonzero (>= 1).
-    pub fn bcsr_fill(&self) -> f64 {
-        if self.nnz == 0 {
-            return 1.0;
-        }
-        (self.bcsr2x2_blocks * 4) as f64 / self.nnz as f64
     }
 
     /// Total private-cache misses of the `x` stream.
@@ -234,52 +215,6 @@ fn sell_slots(row_nnz: &[u32], c: usize, sigma: usize) -> usize {
         }
     }
     slots
-}
-
-/// Counts distinct dense 2x2 tiles of `a` without materialising the
-/// BCSR form: for each block row, merge the two rows' block-column
-/// sequences (`col / 2`) and count distinct values. `O(NNZ)`.
-fn count_2x2_blocks(a: &Csr) -> usize {
-    let mut blocks = 0usize;
-    let nrows = a.nrows();
-    let mut br = 0usize;
-    while br * 2 < nrows {
-        let r0 = 2 * br;
-        let (c0, _) = a.row(r0);
-        let c1 = if r0 + 1 < nrows { a.row(r0 + 1).0 } else { &[] };
-        // Merge two sorted sequences of col/2 counting distinct.
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut prev = u32::MAX;
-        while i < c0.len() || j < c1.len() {
-            let a0 = c0.get(i).map(|&c| c / 2);
-            let a1 = c1.get(j).map(|&c| c / 2);
-            let take = match (a0, a1) {
-                (Some(x), Some(y)) if x <= y => {
-                    i += 1;
-                    x
-                }
-                (Some(_), Some(y)) => {
-                    j += 1;
-                    y
-                }
-                (Some(x), None) => {
-                    i += 1;
-                    x
-                }
-                (None, Some(y)) => {
-                    j += 1;
-                    y
-                }
-                (None, None) => break,
-            };
-            if take != prev {
-                blocks += 1;
-                prev = take;
-            }
-        }
-        br += 1;
-    }
-    blocks
 }
 
 /// Computes the delta-compressed footprint without materialising the

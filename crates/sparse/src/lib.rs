@@ -13,6 +13,8 @@
 //!   16-bit deltas, never both), the paper's `MB`-class optimization.
 //! * [`DecomposedCsr`] — CSR split into a short-row part and a long-row
 //!   part, the paper's `IMB`-class decomposition optimization.
+//! * [`SellCs`] — SELL-C-σ sliced ELL, the extension format that shows
+//!   a new treatment plugging into the optimization pool.
 //! * [`EllHybrid`] — ELLPACK + COO hybrid used by the
 //!   Inspector-Executor reference baseline.
 //!
@@ -28,7 +30,6 @@
 //! [`features::FeatureVector`] implements the paper's Table 2 feature
 //! set with the documented extraction complexities.
 
-pub mod bcsr;
 pub mod coo;
 pub mod csr;
 pub mod decomp;
@@ -43,7 +44,6 @@ pub mod spy;
 pub mod stats;
 pub mod validate;
 
-pub use bcsr::Bcsr;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use decomp::DecomposedCsr;

@@ -139,8 +139,6 @@ fn optimistic_format_bytes(a: &Csr, spec: KernelSpec) -> f64 {
         Format::Sell { .. } => 12.0 * nnz + 8.0 * rows,
         // vals + 1-byte deltas per nonzero, row pointer per row.
         Format::Delta => 9.0 * nnz + 8.0 * rows,
-        // vals only: one index per block is amortized away.
-        Format::Bcsr { .. } => 8.0 * nnz,
     }
 }
 

@@ -191,23 +191,16 @@ impl Optimizer {
     }
 
     /// Builds and times each candidate (plus the baseline), keeping
-    /// the fastest.
+    /// the fastest (on one matrix, the highest GFLOP/s is the
+    /// shortest time).
     fn sweep(&self, a: &Arc<Csr>, mut candidates: Vec<KernelVariant>, t0: Instant) -> TunedSpmv {
         candidates.insert(0, KernelVariant::BASELINE);
-        let x = vec![1.0f64; a.ncols()];
-        let mut y = vec![0.0f64; a.nrows()];
         let mut best: Option<(f64, KernelVariant)> = None;
         for &variant in &candidates {
-            let built = build_kernel(a, variant, self.nthreads);
-            built.kernel.run(&x, &mut y); // warm-up
-            let mut t_best = f64::INFINITY;
-            for _ in 0..self.profiling_reps {
-                let t = Instant::now();
-                built.kernel.run(&x, &mut y);
-                t_best = t_best.min(t.elapsed().as_secs_f64());
-            }
-            if best.as_ref().is_none_or(|(b, _)| t_best < *b) {
-                best = Some((t_best, variant));
+            let (gflops, _) =
+                crate::menu::measure(a, variant.into(), self.nthreads, self.profiling_reps);
+            if best.is_none_or(|(b, _)| gflops > b) {
+                best = Some((gflops, variant));
             }
         }
         let (_, variant) = best.expect("candidate list is non-empty");

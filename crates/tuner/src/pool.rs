@@ -7,8 +7,9 @@
 //! mapping a first-class value: [`OptimizationPool`] holds the
 //! treatment for each bottleneck class, defaults to the paper's
 //! Table "classes to optimizations", and can swap in alternatives
-//! (e.g. BCSR register blocking for the `MB` class) without touching
-//! either classifier.
+//! (e.g. SELL-C-σ for the uneven-rows `IMB` case, see
+//! [`OptimizationPool::with_sliced_ell`]) without touching either
+//! classifier.
 
 use spmv_kernels::variant::{KernelVariant, Optimization};
 use spmv_sparse::FeatureVector;
@@ -58,20 +59,10 @@ impl Default for OptimizationPool {
 }
 
 impl OptimizationPool {
-    /// A post-paper pool that treats the `MB` class with register
-    /// blocking (BCSR) instead of delta compression — the
-    /// plug-and-play extension scenario.
-    pub fn with_register_blocking() -> OptimizationPool {
-        OptimizationPool {
-            mb: vec![Optimization::RegisterBlock, Optimization::Vectorize],
-            ..Default::default()
-        }
-    }
-
     /// A post-paper pool that treats computational unevenness (the
     /// `IMB` sub-case the paper handles with `auto` scheduling) with
     /// SELL-C-σ instead: σ-window sorting groups similar row lengths
-    /// into lockstep chunks.
+    /// into lockstep chunks — the plug-and-play extension scenario.
     pub fn with_sliced_ell() -> OptimizationPool {
         let mut pool = OptimizationPool::default();
         pool.imb.for_unevenness = Optimization::SlicedEll;
@@ -126,35 +117,52 @@ mod tests {
         }
     }
 
+    /// A matrix with uneven row lengths but no dense rows, so `IMB`
+    /// takes the unevenness branch of the pool.
+    fn uneven() -> spmv_sparse::Csr {
+        gen::powerlaw(4_000, 8, 4.0, 5).unwrap()
+    }
+
     #[test]
-    fn swapping_mb_treatment_changes_only_mb_variants() {
-        let a = gen::banded(1_000, 8, 1.0, 1).unwrap();
-        let f = features(&a);
+    fn swapping_the_uneven_imb_treatment_changes_only_that_variant() {
+        let uneven = features(&uneven());
+        let skewed = features(&gen::circuit(5_000, 3, 0.5, 4, 3).unwrap());
         let paper = OptimizationPool::default();
-        let blocked = OptimizationPool::with_register_blocking();
-        let mb = ClassSet::of(&[Bottleneck::MB]);
-        assert!(blocked.to_variant(mb, &f).contains(Optimization::RegisterBlock));
-        assert!(!blocked.to_variant(mb, &f).contains(Optimization::Compress));
-        // Non-MB classes are untouched by the swap.
-        for set in [
-            ClassSet::of(&[Bottleneck::ML]),
-            ClassSet::of(&[Bottleneck::IMB]),
-            ClassSet::of(&[Bottleneck::CMP]),
-        ] {
-            assert_eq!(blocked.to_variant(set, &f), paper.to_variant(set, &f));
+        let sell = OptimizationPool::with_sliced_ell();
+        let imb = ClassSet::of(&[Bottleneck::IMB]);
+        assert_eq!(sell.to_variant(imb, &uneven), KernelVariant::single(Optimization::SlicedEll));
+        assert_eq!(
+            paper.to_variant(imb, &uneven),
+            KernelVariant::single(Optimization::AutoSchedule)
+        );
+        // Long-row IMB and the other classes are untouched by the swap.
+        let decompose = KernelVariant::single(Optimization::Decompose);
+        assert_eq!(sell.to_variant(imb, &skewed), decompose);
+        assert_eq!(paper.to_variant(imb, &skewed), decompose);
+        for f in [&uneven, &skewed] {
+            for set in [
+                ClassSet::of(&[Bottleneck::MB]),
+                ClassSet::of(&[Bottleneck::ML]),
+                ClassSet::of(&[Bottleneck::CMP]),
+            ] {
+                assert_eq!(sell.to_variant(set, f), paper.to_variant(set, f));
+            }
         }
     }
 
     #[test]
-    fn extended_pool_builds_runnable_kernels() {
+    fn sliced_ell_pool_builds_sell_kernels_for_uneven_matrices() {
         // End-to-end: classify (any classifier), map through the
         // extended pool, build, execute — without retraining anything.
         use spmv_kernels::variant::build_kernel;
-        let a = std::sync::Arc::new(gen::block_dense(600, 20, 1, 3).unwrap());
+        let a = std::sync::Arc::new(uneven());
         let f = features(&a);
-        let pool = OptimizationPool::with_register_blocking();
-        let variant = pool.to_variant(ClassSet::of(&[Bottleneck::MB]), &f);
-        let built = build_kernel(&a, variant, 2);
+        assert!(f.nnz_max <= 16.0 * f.nnz_avg, "{} vs {}", f.nnz_max, f.nnz_avg);
+        let pool = OptimizationPool::with_sliced_ell();
+        let v = pool.to_variant(ClassSet::of(&[Bottleneck::IMB]), &f);
+        assert!(v.contains(Optimization::SlicedEll));
+        let built = build_kernel(&a, v, 2);
+        assert!(built.kernel.name().starts_with("sell"), "{}", built.kernel.name());
         let x = vec![1.0; a.ncols()];
         let mut y = vec![0.0; a.nrows()];
         built.kernel.run(&x, &mut y);
@@ -162,30 +170,6 @@ mod tests {
         a.spmv(&x, &mut expect);
         for (u, v) in y.iter().zip(&expect) {
             assert!((u - v).abs() < 1e-9);
-        }
-        assert!(built.kernel.name().starts_with("bcsr"), "{}", built.kernel.name());
-    }
-
-    #[test]
-    fn sliced_ell_pool_builds_sell_kernels_for_uneven_matrices() {
-        use spmv_kernels::variant::build_kernel;
-        let a = std::sync::Arc::new(gen::powerlaw(4_000, 8, 2.2, 5).unwrap());
-        let f = features(&a);
-        // Force the unevenness branch (no dense-row skew).
-        if f.nnz_max <= 16.0 * f.nnz_avg {
-            let pool = OptimizationPool::with_sliced_ell();
-            let v = pool.to_variant(ClassSet::of(&[Bottleneck::IMB]), &f);
-            assert!(v.contains(Optimization::SlicedEll));
-            let built = build_kernel(&a, v, 2);
-            assert!(built.kernel.name().starts_with("sell"), "{}", built.kernel.name());
-            let x = vec![1.0; a.ncols()];
-            let mut y = vec![0.0; a.nrows()];
-            built.kernel.run(&x, &mut y);
-            let mut expect = vec![0.0; a.nrows()];
-            a.spmv(&x, &mut expect);
-            for (u, v) in y.iter().zip(&expect) {
-                assert!((u - v).abs() < 1e-9);
-            }
         }
     }
 

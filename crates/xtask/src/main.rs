@@ -772,7 +772,6 @@ const POLICY_LEAK: &str = "leak-free";
 /// for its unchecked fast paths here.
 const UNCHECKED_ALLOWLIST: &[&str] = &[
     "crates/sparse/src/delta.rs",
-    "crates/sparse/src/bcsr.rs",
     "crates/sparse/src/sellcs.rs",
     "crates/sparse/src/decomp.rs",
     "crates/kernels/src/baseline.rs",
@@ -1455,6 +1454,18 @@ fn self_test(root: &Path) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_scope_path_names_an_existing_file_or_directory() {
+        // A deleted module must not leave a permission behind.
+        let root = repo_root();
+        let scoped = TOKEN_RULES.iter().flat_map(|r| match r.scope {
+            Scope::OnlyIn(paths) | Scope::CheckedIn(paths) => paths,
+        });
+        for path in scoped.chain(UNCHECKED_ALLOWLIST).chain(ORDERING_SCOPE) {
+            assert!(root.join(path).exists(), "audit scope names a missing path: {path}");
+        }
+    }
 
     #[test]
     fn scrubber_blanks_strings_and_splits_comments() {

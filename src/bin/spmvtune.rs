@@ -245,36 +245,19 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    use spmv_tune::kernels::variant::{build_kernel, KernelVariant};
-    use std::time::Instant;
+    use spmv_tune::kernels::variant::KernelVariant;
     let (name, a) = load_input(args)?;
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     println!("benchmarking {name} on this host ({nthreads} threads), 10 reps each:");
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
     let mut variants = vec![KernelVariant::BASELINE];
     variants.extend(KernelVariant::singles_and_pairs());
-    let flops = 2.0 * a.nnz() as f64;
     let mut best = (KernelVariant::BASELINE, 0.0f64);
     for v in variants {
-        let built = build_kernel(&a, v, nthreads);
-        built.kernel.run(&x, &mut y); // warm-up
-        let mut t = f64::INFINITY;
-        for _ in 0..10 {
-            let t0 = Instant::now();
-            built.kernel.run(&x, &mut y);
-            t = t.min(t0.elapsed().as_secs_f64());
-        }
-        let gf = flops / t / 1e9;
+        let (gf, prep) = spmv_tune::tuner::menu::measure(&a, v.into(), nthreads, 10);
         if gf > best.1 {
             best = (v, gf);
         }
-        println!(
-            "  {:<24} {:>8.2} GFLOP/s  (prep {:>7.2} ms)",
-            v.to_string(),
-            gf,
-            built.prep_seconds * 1e3
-        );
+        println!("  {:<24} {:>8.2} GFLOP/s  (prep {:>7.2} ms)", v.to_string(), gf, prep * 1e3);
     }
     println!("best: {} at {:.2} GFLOP/s", best.0, best.1);
     Ok(())

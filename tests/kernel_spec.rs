@@ -33,7 +33,6 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("circuit", "comp+decomp", "decomposed[2 long rows,NnzBalanced]"),
     ("circuit", "comp+auto", "delta[U8,Guided]"),
     ("circuit", "decomp+auto", "decomposed[2 long rows,Guided]"),
-    ("circuit", "bcsr", "csr[Scalar,NnzBalanced]"),
     ("circuit", "sell", "sell-8-256[NnzBalanced]"),
     ("circuit", "menu:csr/scalar4-a1", "csr[Micro(scalar4-a1),NnzBalanced]"),
     ("circuit", "menu:csr/scalar8-a2", "csr[Micro(scalar8-a2),NnzBalanced]"),
@@ -63,7 +62,6 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("banded", "comp+decomp", "delta[U8,NnzBalanced]"),
     ("banded", "comp+auto", "delta[U8,Guided]"),
     ("banded", "decomp+auto", "csr[Scalar,Guided]"),
-    ("banded", "bcsr", "csr[Scalar,NnzBalanced]"),
     ("banded", "sell", "sell-8-256[NnzBalanced]"),
     ("banded", "menu:csr/scalar4-a1", "csr[Micro(scalar4-a1),NnzBalanced]"),
     ("banded", "menu:csr/scalar8-a2", "csr[Micro(scalar8-a2),NnzBalanced]"),
@@ -123,7 +121,6 @@ fn classic_variants_lower_onto_menu_specs() {
 fn kernel_names_match_the_golden_table() {
     for (m, a) in matrices() {
         let mut variants = KernelVariant::singles_and_pairs();
-        variants.push(KernelVariant::single(Optimization::RegisterBlock));
         variants.push(KernelVariant::single(Optimization::SlicedEll));
         for v in variants {
             let built = build_kernel(&a, v, 3);
