@@ -16,6 +16,7 @@ use spmv_sim::profile::MatrixProfile;
 use spmv_tuner::class::Bottleneck;
 use spmv_tuner::partitioned::PartitionedMlDetector;
 use spmv_tuner::profile::{grid_search, ProfileClassifier, Thresholds};
+use spmv_tuner::OptimizationPool;
 
 use crate::context::{analyze, load_suite, Platform};
 use crate::table::{f, Table};
@@ -32,6 +33,7 @@ pub fn thresholds(corpus_size: usize, size_factor: f64) -> String {
     let bounds: Vec<_> = analyses.iter().map(|a| a.bounds.clone()).collect();
 
     let grid = [1.05, 1.15, 1.25, 1.4, 1.8];
+    let pool = OptimizationPool::default();
     let mut table = Table::new(
         "Ablation — (T_ML, T_IMB) grid search on KNC: mean speedup of the mapped \
          optimizations over baseline",
@@ -44,7 +46,7 @@ pub fn thresholds(corpus_size: usize, size_factor: f64) -> String {
             let mut total = 0.0;
             for a in &analyses {
                 let set = clf.classify(&a.bounds);
-                let g = platform.gflops(&a.profile, set.to_variant(&a.features));
+                let g = platform.gflops(&a.profile, pool.to_variant(set, &a.features));
                 total += g / a.bounds.p_csr;
             }
             row.push(format!("{:.3}", total / analyses.len() as f64));
@@ -55,7 +57,7 @@ pub fn thresholds(corpus_size: usize, size_factor: f64) -> String {
     // And the programmatic search over the same grid.
     let result = grid_search(&bounds, &grid, |i, set| {
         let a = &analyses[i];
-        platform.gflops(&a.profile, set.to_variant(&a.features)) / a.bounds.p_csr
+        platform.gflops(&a.profile, pool.to_variant(set, &a.features)) / a.bounds.p_csr
     });
     let mut out = table.render();
     out.push_str(&format!(

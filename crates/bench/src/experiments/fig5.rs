@@ -6,6 +6,7 @@
 
 use spmv_ref::simulate::{simulate_inspector, simulate_mkl_csr};
 use spmv_tuner::profile::ProfileClassifier;
+use spmv_tuner::OptimizationPool;
 
 use crate::context::{analyze, load_suite, train_feature_classifier, Platform};
 use crate::table::{f, speedup, Table};
@@ -30,6 +31,7 @@ fn platform_landscape(
     let mut table = Table::new(&format!("SpMV landscape on {name} (GFLOP/s)"), &headers);
 
     let mut sum = SpeedupAccumulator::default();
+    let pool = OptimizationPool::default();
     for nm in suite {
         let an = analyze(platform, &nm.matrix);
         let profile = &an.profile;
@@ -37,11 +39,11 @@ fn platform_landscape(
         let base = an.bounds.p_csr;
 
         let prof_classes = prof_clf.classify(&an.bounds);
-        let prof_variant = prof_classes.to_variant(&an.features);
+        let prof_variant = pool.to_variant(prof_classes, &an.features);
         let prof = platform.gflops(profile, prof_variant);
 
         let feat_classes = feat_clf.predict(&an.features);
-        let feat_variant = feat_classes.to_variant(&an.features);
+        let feat_variant = pool.to_variant(feat_classes, &an.features);
         let feat = platform.gflops(profile, feat_variant);
 
         let (_, oracle) = platform.oracle(profile);
@@ -105,7 +107,8 @@ pub fn prof_speedup_on(platform: &Platform, scale: f64) -> f64 {
     for nm in &suite {
         let an = analyze(platform, &nm.matrix);
         let mkl = simulate_mkl_csr(&platform.model, &an.profile).gflops;
-        let variant = clf.classify(&an.bounds).to_variant(&an.features);
+        let variant =
+            OptimizationPool::default().to_variant(clf.classify(&an.bounds), &an.features);
         total += platform.gflops(&an.profile, variant) / mkl;
     }
     total / suite.len() as f64
@@ -145,7 +148,8 @@ mod tests {
         let mut ratio = 0.0;
         for nm in &suite {
             let an = analyze(&p, &nm.matrix);
-            let variant = clf.classify(&an.bounds).to_variant(&an.features);
+            let variant =
+                OptimizationPool::default().to_variant(clf.classify(&an.bounds), &an.features);
             ratio += p.gflops(&an.profile, variant) / an.bounds.p_csr;
         }
         ratio /= suite.len() as f64;
@@ -160,7 +164,9 @@ mod tests {
         for nm in &suite {
             let an = analyze(&p, &nm.matrix);
             let (_, oracle) = p.oracle(&an.profile);
-            let prof = p.gflops(&an.profile, clf.classify(&an.bounds).to_variant(&an.features));
+            let variant =
+                OptimizationPool::default().to_variant(clf.classify(&an.bounds), &an.features);
+            let prof = p.gflops(&an.profile, variant);
             assert!(oracle + 1e-9 >= prof, "{}: oracle {} < prof {}", nm.name, oracle, prof);
             assert!(oracle + 1e-9 >= an.bounds.p_csr);
         }

@@ -11,6 +11,7 @@ use spmv_ref::simulate::{simulate_inspector, simulate_mkl_csr};
 use spmv_sim::cost::SimSpec;
 use spmv_tuner::amortize::{min_iterations, summarize, Amortization};
 use spmv_tuner::profile::ProfileClassifier;
+use spmv_tuner::OptimizationPool;
 
 use crate::context::{analyze, load_suite, train_feature_classifier, Platform};
 use crate::table::Table;
@@ -35,6 +36,7 @@ pub fn run(scale: f64, corpus_size: usize, corpus_factor: f64) -> String {
         "mkl-inspector-executor",
     ];
     let mut rows: Vec<Vec<Amortization>> = vec![Vec::new(); names.len()];
+    let pool = OptimizationPool::default();
 
     for nm in &suite {
         let an = analyze(&platform, &nm.matrix);
@@ -60,14 +62,14 @@ pub fn run(scale: f64, corpus_size: usize, corpus_factor: f64) -> String {
         }
 
         // Profile-guided: micro-benchmarks + selected conversions.
-        let prof_variant = prof_clf.classify(&an.bounds).to_variant(&an.features);
+        let prof_variant = pool.to_variant(prof_clf.classify(&an.bounds), &an.features);
         let t_pre_prof = platform.prep.profiling_seconds(&platform.model, profile)
             + platform.prep.variant_seconds(profile, prof_variant);
         let t_prof = platform.model.simulate(profile, SimSpec::variant(prof_variant)).seconds;
         rows[2].push(min_iterations(t_pre_prof, t_mkl, t_prof));
 
         // Feature-guided: one feature sweep + selected conversions.
-        let feat_variant = feat_clf.predict(&an.features).to_variant(&an.features);
+        let feat_variant = pool.to_variant(feat_clf.predict(&an.features), &an.features);
         let t_pre_feat = platform.prep.feature_extract_seconds(profile, true)
             + platform.prep.variant_seconds(profile, feat_variant);
         let t_feat = platform.model.simulate(profile, SimSpec::variant(feat_variant)).seconds;

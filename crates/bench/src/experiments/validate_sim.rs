@@ -41,7 +41,7 @@ fn cases(scale: f64) -> Vec<Case> {
 
 /// Times `reps` runs of a built kernel, returning the best seconds.
 fn time_real(a: &Arc<Csr>, variant: KernelVariant, nthreads: usize, reps: usize) -> f64 {
-    let (gflops, _) = measure(a, variant.into(), nthreads, reps);
+    let (_, gflops, _) = measure(a, variant.into(), nthreads, reps);
     2.0 * a.nnz() as f64 / (gflops * 1e9)
 }
 

@@ -26,7 +26,9 @@ use spmv_kernels::variant::{build_kernel, KernelSpec, KernelVariant};
 use spmv_machine::MachineModel;
 use spmv_sparse::Csr;
 use spmv_telemetry::{metrics, tracer, JsonValue};
+use spmv_tuner::menu::measure;
 use spmv_tuner::profile::ProfileClassifier;
+use spmv_tuner::OptimizationPool;
 
 use crate::context::{analyze, load_suite, NamedMatrix, Platform};
 
@@ -126,7 +128,7 @@ fn matrix_entry(
     for p in platforms {
         let an = analyze(p, a);
         let (classes, trace) = clf.classify_traced(&an.bounds);
-        let variant = classes.to_variant(&an.features);
+        let variant = OptimizationPool::default().to_variant(classes, &an.features);
         let mut variants = Vec::new();
         for v in host_variants() {
             variants.push(
@@ -179,16 +181,10 @@ fn matrix_entry(
 /// Host-measured GFLOP/s + preprocessing cost per variant.
 fn host_entry(nm: &NamedMatrix, nthreads: usize) -> JsonValue {
     let a = &nm.matrix;
-    let flops = 2.0 * a.nnz() as f64;
-    let x = vec![1.0f64; a.ncols()];
-    let mut y = vec![0.0f64; a.nrows()];
     let mut variants = Vec::new();
     let mut classic = Vec::new();
     for v in host_variants() {
-        let built = build_kernel(a, v, nthreads);
-        built.kernel.run(&x, &mut y); // warm-up
-        let (best, times) = built.kernel.run_repeated(&x, &mut y, HOST_REPS);
-        let gflops = flops / best.max(1e-12) / 1e9;
+        let (built, gflops, times) = measure(a, v.into(), nthreads, HOST_REPS);
         // Every variant's measurement is one more sample of the spec
         // it built (`vec` is `csr/unrolled`; `comp` is `delta` when
         // the deltas encode), for the menu section below.
@@ -230,11 +226,11 @@ const HEAD_TO_HEAD_ROUNDS: usize = 5;
 /// structure byte-stable across runs.
 fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) -> JsonValue {
     let a = &nm.matrix;
-    let (plan, trace) = spmv_tuner::menu::search(a, &MachineModel::host(), nthreads, HOST_REPS);
-    let gflops_of = |spec| spmv_tuner::menu::measure(a, spec, nthreads, HOST_REPS).0;
-    let shortlisted = |spec: &KernelSpec| trace.timed.iter().any(|t| t.spec == *spec);
-    let (mut selected, mut gflops) = (plan.spec, plan.gflops);
-    let remeasured = trace.timed.iter().map(|t| (t.spec, gflops_of(t.spec)));
+    let (plan, _) = spmv_tuner::menu::search(a, &MachineModel::host(), nthreads, HOST_REPS);
+    let gflops_of = |spec| measure(a, spec, nthreads, HOST_REPS).1;
+    let shortlisted = |spec: &KernelSpec| plan.timed.iter().any(|t| t.spec == *spec);
+    let (mut selected, mut gflops) = (plan.spec, plan.gflops());
+    let remeasured = plan.timed.iter().map(|t| (t.spec, gflops_of(t.spec)));
     for (spec, gf) in remeasured.chain(classic.iter().copied().filter(|(s, _)| shortlisted(s))) {
         if gf > gflops {
             (selected, gflops) = (spec, gf);
@@ -243,7 +239,7 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
 
     let candidates = menu(a.ncols());
     let mut rivals = vec![selected];
-    for spec in candidates.iter().copied().chain(trace.timed.iter().map(|t| t.spec)) {
+    for spec in candidates.iter().copied().chain(plan.timed.iter().map(|t| t.spec)) {
         if !rivals.contains(&spec) {
             rivals.push(spec);
         }
@@ -256,7 +252,7 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
         .with("search_seconds", plan.search_seconds)
         .with("classes", plan.classes.to_string())
         .with("candidates", candidates.len())
-        .with("timed", plan.timed)
+        .with("timed", plan.timed.len())
         .with("regret", regret)
 }
 
@@ -424,6 +420,14 @@ mod tests {
         key_paths(&a, "", &mut pa);
         key_paths(&b, "", &mut pb);
         assert_eq!(pa, pb);
+        // The committed trajectory has the shape this writer emits, so
+        // `--compare` against it reads every field a fresh run has and
+        // no field it has dropped.
+        let committed = load(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_spmv.json"))
+            .expect("the committed trajectory loads");
+        let mut pc = Vec::new();
+        key_paths(&committed, "", &mut pc);
+        assert_eq!(pc, pa);
         // The simulated sections are fully deterministic — not just
         // ordered the same, but value-identical (this is what lets
         // the compare gate run `--sim-only` without noise thresholds).

@@ -9,11 +9,12 @@
 //! fast paths demand), and handed to the menu search, which
 //! classifies the matrix's bottlenecks with three host
 //! micro-benchmarks and times only the shortlist those classes map
-//! to. The winner is lowered onto two
-//! long-lived kernel objects — the **tuned** menu winner (throughput
-//! path, tolerance-level reproducibility) and the multi-vector
-//! **batch** kernel, which accumulates in scalar order and so is
-//! bitwise-identical to the serial reference at any thread count.
+//! to. The matrix then holds two long-lived kernel objects — the
+//! **tuned** menu winner, the very kernel the search built and timed
+//! (throughput path, tolerance-level reproducibility), and the
+//! multi-vector **batch** kernel, which accumulates in scalar order
+//! and so is bitwise-identical to the serial reference at any thread
+//! count.
 //! [`RegisteredMatrix::run`] is the one dispatch entry point: a tuned
 //! single request runs on the tuned kernel, every other request (an
 //! exact single or any coalesced batch) on the batch kernel. Serving
@@ -40,7 +41,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use spmv_kernels::{build_kernel, SpmmKernel, SpmvKernel};
+use spmv_kernels::{SpmmKernel, SpmvKernel};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::{Roofline, RooflineSample};
@@ -78,7 +79,8 @@ pub struct Observation {
 pub struct RegisteredMatrix {
     name: String,
     a: Arc<Csr>,
-    /// The menu-search winner (throughput path).
+    /// The menu-search winner, as the search built and timed it
+    /// (throughput path).
     tuned: Box<dyn SpmvKernel>,
     /// Multi-vector kernel for coalesced batches and exact singles
     /// (scalar order, so its results are bitwise-serial).
@@ -281,17 +283,16 @@ impl MatrixRegistry {
         }
         let a = Arc::new(a);
         let machine = MachineModel::host();
-        let (plan, _trace) = menu::search(&a, &machine, self.nthreads, self.tune_reps);
+        let (plan, tuned) = menu::search(&a, &machine, self.nthreads, self.tune_reps);
         // The live roofline cell measures against the simulated
         // ceiling the tuner selected against; the scheduler folds in
         // measured per-dispatch throughput via `observe_gflops`.
         let roofline = Roofline::new(menu::roofline_bound_gflops(&a, &machine, plan.spec));
-        let tuned = build_kernel(&a, plan.spec, self.nthreads).kernel;
         let batch = SpmmKernel::new(&a, self.nthreads);
         let matrix = Arc::new(RegisteredMatrix {
             name: name.to_string(),
             a,
-            tuned,
+            tuned: tuned.kernel,
             batch,
             plan,
             nthreads: self.nthreads,

@@ -247,8 +247,8 @@ fn matrix_summary(m: &RegisteredMatrix) -> JsonValue {
         .with("nnz", m.nnz())
         .with("kernel", m.plan().spec.id())
         .with("classes", m.plan().classes.to_string())
-        .with("timed", m.plan().timed)
-        .with("tuned_gflops", m.plan().gflops)
+        .with("timed", m.plan().timed.len())
+        .with("tuned_gflops", m.plan().gflops())
         .with("nthreads", m.nthreads());
     match m.roofline() {
         Some(r) => doc.with("attainment", r.attainment),

@@ -1,16 +1,14 @@
-//! Bound collection front-ends (paper §III-B).
+//! Host bound collection (paper §III-B).
 //!
-//! The profile-guided classifier consumes a [`Bounds`] record. Two
-//! sources can produce it:
-//!
-//! * [`SimulatedSource`] — via the `spmv-sim` cost model, for target
-//!   platforms we do not have (KNC / KNL / Broadwell);
-//! * [`HostSource`] — by actually running the §III-B micro-benchmark
-//!   kernels on the machine executing this code: the baseline CSR
-//!   kernel, the regularised-`x` kernel (`colind[j] = i`) for `P_ML`,
-//!   and the no-indirection kernel for `P_CMP`, with `P_IMB` derived
-//!   from the baseline's per-thread times and `P_MB` / `P_peak`
-//!   computed analytically from the machine's bandwidth.
+//! The profile-guided classifier consumes a [`Bounds`] record.
+//! [`HostSource`] produces it by actually running the §III-B
+//! micro-benchmark kernels on the machine executing this code: the
+//! baseline CSR kernel, the regularised-`x` kernel (`colind[j] = i`)
+//! for `P_ML`, and the no-indirection kernel for `P_CMP`, with
+//! `P_IMB` derived from the baseline's per-thread times and `P_MB` /
+//! `P_peak` computed analytically from the machine's bandwidth. The
+//! paper's platforms, which this host is not, take their bounds from
+//! the `spmv-sim` cost model instead (`spmv_sim::bounds::collect_bounds`).
 
 use std::sync::Arc;
 
@@ -18,56 +16,11 @@ use spmv_kernels::baseline::CsrKernel;
 use spmv_kernels::schedule::{execute, Schedule, YPtr};
 use spmv_kernels::variant::SpmvKernel;
 use spmv_machine::MachineModel;
-use spmv_sim::bounds::{collect_bounds, Bounds};
-use spmv_sim::cost::{CostModel, SimResult};
-use spmv_sim::profile::MatrixProfile;
+use spmv_sim::bounds::Bounds;
+use spmv_sim::cost::SimResult;
 use spmv_sparse::features::working_set_bytes;
 use spmv_sparse::Csr;
 use spmv_telemetry::SpanSet;
-
-/// Produces a bound profile for a matrix.
-pub trait BoundsSource {
-    /// Collects the §III-B bounds for `a`.
-    fn collect(&self, a: &Arc<Csr>) -> Bounds;
-
-    /// The machine the bounds refer to.
-    fn machine(&self) -> &MachineModel;
-}
-
-/// Bounds from the deterministic cost model.
-#[derive(Debug, Clone)]
-pub struct SimulatedSource {
-    model: CostModel,
-}
-
-impl SimulatedSource {
-    /// Creates a simulated source for `machine`.
-    pub fn new(machine: MachineModel) -> SimulatedSource {
-        SimulatedSource { model: CostModel::new(machine) }
-    }
-
-    /// Collects bounds from an existing profile (avoids re-analyzing
-    /// when the caller already has one).
-    pub fn collect_from_profile(&self, profile: &MatrixProfile) -> Bounds {
-        collect_bounds(&self.model, profile)
-    }
-
-    /// The underlying cost model.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-}
-
-impl BoundsSource for SimulatedSource {
-    fn collect(&self, a: &Arc<Csr>) -> Bounds {
-        let profile = MatrixProfile::analyze(a, self.model.machine());
-        collect_bounds(&self.model, &profile)
-    }
-
-    fn machine(&self) -> &MachineModel {
-        self.model.machine()
-    }
-}
 
 /// Bounds measured by real micro-benchmark runs on the host.
 #[derive(Debug, Clone)]
@@ -92,10 +45,13 @@ impl HostSource {
         let (best, times) = kernel.run_repeated(x, y, self.reps);
         (best, times.seconds)
     }
-}
 
-impl HostSource {
-    /// Like [`BoundsSource::collect`], but also returns the
+    /// Collects the §III-B bounds for `a`.
+    pub fn collect(&self, a: &Arc<Csr>) -> Bounds {
+        self.collect_with_spans(a).0
+    }
+
+    /// Like [`HostSource::collect`], but also returns the
     /// wall-clock cost of each micro-benchmark as a [`SpanSet`]
     /// (span names `bound:P_CSR`, `bound:P_ML`, `bound:P_CMP`) — the
     /// raw material of the paper's profiling-overhead accounting.
@@ -149,16 +105,6 @@ impl HostSource {
             traffic_bytes: a.footprint_bytes() as f64 + xy,
         };
         (Bounds { p_csr, p_mb, p_ml, p_imb, p_cmp, p_peak, baseline }, spans)
-    }
-}
-
-impl BoundsSource for HostSource {
-    fn collect(&self, a: &Arc<Csr>) -> Bounds {
-        self.collect_with_spans(a).0
-    }
-
-    fn machine(&self) -> &MachineModel {
-        &self.machine
     }
 }
 
@@ -267,17 +213,6 @@ mod tests {
         // The process-wide profiling counter advanced (>= because
         // other tests share the global).
         assert!(spmv_telemetry::metrics::profiling_runs().count() > before);
-    }
-
-    #[test]
-    fn simulated_source_matches_direct_sim_call() {
-        let a = Arc::new(gen::banded(5_000, 8, 0.9, 2).unwrap());
-        let src = SimulatedSource::new(MachineModel::knc());
-        let b1 = src.collect(&a);
-        let p = MatrixProfile::analyze(&a, src.machine());
-        let b2 = src.collect_from_profile(&p);
-        assert_eq!(b1.p_csr, b2.p_csr);
-        assert_eq!(b1.p_cmp, b2.p_cmp);
     }
 
     #[test]

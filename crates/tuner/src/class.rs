@@ -1,16 +1,14 @@
-//! Bottleneck classes and their mapping to optimizations.
+//! Bottleneck classes.
 //!
 //! The paper formulates optimization selection as multiclass,
 //! multilabel classification where classes are performance
 //! bottlenecks (§III-A). Decoupling bottleneck identification from
 //! the optimizations themselves is the design point: optimizations
 //! can be added or replaced per class without rebuilding a
-//! classifier.
+//! classifier. The class→treatment table is
+//! [`crate::pool::OptimizationPool`], and it is the only one.
 
 use std::fmt;
-
-use spmv_kernels::variant::{KernelVariant, Optimization};
-use spmv_sparse::FeatureVector;
 
 /// One SpMV performance bottleneck (paper §III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,33 +117,6 @@ impl ClassSet {
     pub fn from_bits(bits: u8) -> ClassSet {
         ClassSet(bits & 0x0f)
     }
-
-    /// Maps the class set to the jointly applied optimization set
-    /// (paper Table "classes to optimizations"). The `IMB` class
-    /// selects between decomposition and `auto` scheduling from
-    /// structural features: highly uneven row lengths
-    /// (`nnz_max ≫ nnz_avg`) take decomposition, regionally varying
-    /// bandwidth (`bw_sd` large) takes `auto` scheduling.
-    pub fn to_variant(self, features: &FeatureVector) -> KernelVariant {
-        let mut v = KernelVariant::BASELINE;
-        if self.contains(Bottleneck::MB) {
-            v = v.with(Optimization::Compress).with(Optimization::Vectorize);
-        }
-        if self.contains(Bottleneck::ML) {
-            v = v.with(Optimization::Prefetch);
-        }
-        if self.contains(Bottleneck::IMB) {
-            if features.nnz_max > 16.0 * features.nnz_avg.max(1.0) {
-                v = v.with(Optimization::Decompose);
-            } else {
-                v = v.with(Optimization::AutoSchedule);
-            }
-        }
-        if self.contains(Bottleneck::CMP) {
-            v = v.with(Optimization::Vectorize);
-        }
-        v
-    }
 }
 
 impl fmt::Debug for ClassSet {
@@ -175,11 +146,6 @@ impl fmt::Display for ClassSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spmv_sparse::gen;
-
-    fn features(a: &spmv_sparse::Csr) -> FeatureVector {
-        FeatureVector::extract(a, 30 << 20, 8)
-    }
 
     #[test]
     fn set_operations() {
@@ -201,46 +167,5 @@ mod tests {
         assert!(!a.partially_matches(c));
         assert!(ClassSet::EMPTY.partially_matches(ClassSet::EMPTY));
         assert!(!ClassSet::EMPTY.partially_matches(b));
-    }
-
-    #[test]
-    fn mb_maps_to_compression_plus_vectorization() {
-        let a = gen::banded(1_000, 8, 1.0, 1).unwrap();
-        let v = ClassSet::of(&[Bottleneck::MB]).to_variant(&features(&a));
-        assert!(v.contains(Optimization::Compress));
-        assert!(v.contains(Optimization::Vectorize));
-        assert!(!v.contains(Optimization::Prefetch));
-    }
-
-    #[test]
-    fn imb_subselection_by_row_skew() {
-        // Dense-row circuit: nnz_max >> nnz_avg -> decomposition.
-        let skewed = gen::circuit(5_000, 3, 0.5, 4, 3).unwrap();
-        let v = ClassSet::of(&[Bottleneck::IMB]).to_variant(&features(&skewed));
-        assert!(v.contains(Optimization::Decompose));
-        assert!(!v.contains(Optimization::AutoSchedule));
-
-        // Mild unevenness: auto scheduling.
-        let mild = gen::powerlaw(5_000, 8, 2.4, 3).unwrap();
-        let f = features(&mild);
-        if f.nnz_max <= 16.0 * f.nnz_avg {
-            let v2 = ClassSet::of(&[Bottleneck::IMB]).to_variant(&f);
-            assert!(v2.contains(Optimization::AutoSchedule));
-        }
-    }
-
-    #[test]
-    fn joint_classes_apply_jointly() {
-        let a = gen::banded(1_000, 8, 1.0, 1).unwrap();
-        let v = ClassSet::of(&[Bottleneck::ML, Bottleneck::CMP]).to_variant(&features(&a));
-        assert!(v.contains(Optimization::Prefetch));
-        assert!(v.contains(Optimization::Vectorize));
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn empty_class_set_is_baseline() {
-        let a = gen::banded(100, 2, 1.0, 1).unwrap();
-        assert!(ClassSet::EMPTY.to_variant(&features(&a)).is_baseline());
     }
 }

@@ -6,10 +6,10 @@
 //! performance *bottlenecks* (not optimizations):
 //!
 //! * [`class`] — the four bottleneck classes `MB`, `ML`, `IMB`, `CMP`
-//!   (§III-A) and their mapping to the optimization pool (§III-E);
-//! * [`bounds`] — collection of the per-class performance bounds,
-//!   either by real micro-benchmark runs on the host or through the
-//!   `spmv-sim` cost model for the paper's platforms (§III-B);
+//!   (§III-A);
+//! * [`bounds`] — collection of the per-class performance bounds by
+//!   real micro-benchmark runs on the host (§III-B; the paper's
+//!   platforms take theirs from the `spmv-sim` cost model);
 //! * [`profile`] — the rule-based profile-guided classifier with its
 //!   grid-searched `T_ML` / `T_IMB` hyper-parameters (§III-C);
 //! * [`dtree`] — a from-scratch CART decision tree (Gini impurity,
@@ -18,20 +18,21 @@
 //!   structural features, with Leave-One-Out cross-validation and the
 //!   Exact / Partial match ratios of §IV-B;
 //! * [`optimizer`] — end-to-end optimizers: profile-guided,
-//!   feature-guided, oracle and the two trivial sweeps, producing
-//!   runnable kernels via `spmv-kernels`;
+//!   feature-guided and the two trivial sweeps, producing runnable
+//!   kernels via `spmv-kernels`;
 //! * [`amortize`] — the solver-iteration amortization model of §IV-D
 //!   (`N_iters,min = t_pre / (t_MKL − t_optimizer)`), where a tuned
 //!   kernel's `t_pre` ([`TunedSpmv::prep_seconds`]) includes its
-//!   menu search or sweep;
+//!   classification or sweep;
 //! * [`menu`] — the microkernel menu search: classify the matrix with
 //!   the host micro-benchmarks, time only the shortlist its classes
 //!   map to (through the paper's [`pool::OptimizationPool`]) over
 //!   `spmv_kernels::micro`'s menu and the pool's treatments, and
-//!   return the winning [`menu::KernelPlan`] to its caller, which
-//!   keeps it with the matrix's kernels;
-//! * [`pool`] — the class→optimization mapping as a configurable
-//!   value, demonstrating the plug-and-play extension property.
+//!   return the kernel it timed fastest with one [`menu::KernelPlan`]
+//!   recording the decision, both kept by the caller;
+//! * [`pool`] — the class→optimization mapping (§III-E) as a
+//!   configurable value, the only copy of that table, demonstrating
+//!   the plug-and-play extension property.
 
 pub mod amortize;
 pub mod bounds;
@@ -46,7 +47,7 @@ pub mod profile;
 
 pub use class::{Bottleneck, ClassSet};
 pub use featclf::FeatureGuidedClassifier;
-pub use menu::{KernelPlan, MenuTrace};
+pub use menu::KernelPlan;
 pub use optimizer::{Optimizer, TunedSpmv};
 pub use partitioned::PartitionedMlDetector;
 pub use pool::OptimizationPool;

@@ -7,23 +7,24 @@
 //! bottleneck classes first and times only the kernels that treat
 //! them, because classifying is cheaper than searching (§III):
 //!
-//! 1. classify: the three §III-B micro-benchmarks on the host
+//! 1. `classify`: the three §III-B micro-benchmarks on the host
 //!    ([`HostSource`]) and the Fig. 4 rules ([`ProfileClassifier`]);
 //! 2. shortlist (`shortlist`): map the class set through the paper's
 //!    mapping ([`OptimizationPool::default`]) and expand each selected
 //!    optimization to its family of specs (`family`), next to the
 //!    scalar CSR baseline and `csr/unrolled`, which are always timed;
 //! 3. build + warm + best-of-reps time the shortlist on the persistent
-//!    [`spmv_kernels::ExecEngine`] pool and keep the fastest.
+//!    [`spmv_kernels::ExecEngine`] pool and keep the fastest
+//!    (`fastest`, the loop the optimizer's sweeps share).
 //!
-//! The search runs once per matrix, and its caller owns the result:
-//! the serving registry keeps the winning [`KernelPlan`] in the
-//! `RegisteredMatrix` next to the kernels built from it, so the
-//! decision is freed with the matrix.
-//!
-//! Every search emits a [`MenuTrace`] (class set, candidates timed,
-//! the winner, search time) — rendered by `spmvtune explain` next to
-//! the classifier's decision trace — and feeds the process-wide
+//! The search runs once per matrix and hands back the kernel it
+//! timed: the winner's [`BuiltKernel`] from step 3, next to one
+//! [`KernelPlan`] (class set, every candidate timed, the winner,
+//! search time). Its caller owns both: the serving registry keeps
+//! the plan in the `RegisteredMatrix` next to the kernel, so the
+//! decision is freed with the matrix. `spmvtune explain` renders the
+//! plan next to the classifier's decision trace, and every search
+//! feeds the process-wide
 //! [`spmv_telemetry::metrics::menu_selection`] gauge.
 
 use std::sync::Arc;
@@ -31,34 +32,18 @@ use std::time::Instant;
 
 use spmv_kernels::baseline::InnerLoop;
 use spmv_kernels::micro::{self, menu};
-use spmv_kernels::variant::{build_kernel, Format, KernelSpec, KernelVariant, Optimization};
+use spmv_kernels::variant::{
+    build_kernel, BuiltKernel, Format, KernelSpec, KernelVariant, Optimization,
+};
+use spmv_kernels::ThreadTimes;
 use spmv_machine::MachineModel;
 use spmv_sparse::features::working_set_bytes;
 use spmv_sparse::{Csr, FeatureVector};
-use spmv_telemetry::{JsonValue, SpanSet};
 
 use crate::bounds::HostSource;
 use crate::class::ClassSet;
 use crate::pool::OptimizationPool;
 use crate::profile::ProfileClassifier;
-
-/// The tuner's winning configuration for one (matrix, threads) pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelPlan {
-    /// The selected spec.
-    pub spec: KernelSpec,
-    /// Best-of-reps GFLOP/s measured for the winner during search.
-    pub gflops: f64,
-    /// Preprocessing seconds of the winner's build (format
-    /// conversion; re-paid on every [`build_kernel`] call).
-    pub prep_seconds: f64,
-    /// Seconds the search itself consumed.
-    pub search_seconds: f64,
-    /// The bottleneck classes the shortlist was drawn from.
-    pub classes: ClassSet,
-    /// How many candidates the search timed.
-    pub timed: usize,
-}
 
 /// One timed candidate: its spec and measured best-of-reps GFLOP/s.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,37 +54,26 @@ pub struct TimedCandidate {
     pub gflops: f64,
 }
 
-/// Full record of one menu search decision.
+/// The tuner's decision for one (matrix, threads) pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MenuTrace {
+pub struct KernelPlan {
+    /// The selected spec.
+    pub spec: KernelSpec,
     /// The bottleneck classes the shortlist was drawn from.
     pub classes: ClassSet,
-    /// The shortlisted candidates, built and timed in search order.
+    /// The shortlisted candidates, built and timed in search order;
+    /// `spec` is one of them.
     pub timed: Vec<TimedCandidate>,
-    /// The winning entry's id.
-    pub winner: String,
-    /// Winner's measured GFLOP/s.
-    pub winner_gflops: f64,
     /// Wall-clock seconds of the whole search, classification
     /// included.
     pub search_seconds: f64,
 }
 
-impl MenuTrace {
-    /// Serializes the trace (deterministic key order).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .with("classes", self.classes.to_string())
-            .with(
-                "timed",
-                self.timed
-                    .iter()
-                    .map(|t| JsonValue::obj().with("id", t.spec.id()).with("gflops", t.gflops))
-                    .collect::<Vec<_>>(),
-            )
-            .with("winner", self.winner.as_str())
-            .with("winner_gflops", self.winner_gflops)
-            .with("search_seconds", self.search_seconds)
+impl KernelPlan {
+    /// The winner's best-of-reps GFLOP/s, read from its own timed
+    /// entry.
+    pub fn gflops(&self) -> f64 {
+        self.timed.iter().find(|t| t.spec == self.spec).map_or(0.0, |t| t.gflops)
     }
 
     /// Renders the decision as indented text lines for `spmvtune
@@ -111,14 +85,13 @@ impl MenuTrace {
             self.timed.len(),
         );
         for t in &self.timed {
-            let id = t.spec.id();
-            let marker = if id == self.winner { "  <- winner" } else { "" };
-            out.push_str(&format!("  timed  {id:<16} {:>8.3} GF/s{marker}\n", t.gflops));
+            let marker = if t.spec == self.spec { "  <- winner" } else { "" };
+            out.push_str(&format!("  timed  {:<16} {:>8.3} GF/s{marker}\n", t.spec.id(), t.gflops));
         }
         out.push_str(&format!(
             "  winner: {} ({:.3} GF/s, search {:.1} ms)\n",
-            self.winner,
-            self.winner_gflops,
+            self.spec.id(),
+            self.gflops(),
             self.search_seconds * 1e3
         ));
         out
@@ -186,52 +159,85 @@ fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<K
 }
 
 /// Builds, warms and times `spec` best-of-`reps` on the warm pool:
-/// (GFLOP/s, preprocessing seconds).
-pub fn measure(a: &Arc<Csr>, spec: KernelSpec, nthreads: usize, reps: usize) -> (f64, f64) {
+/// the kernel it built, its GFLOP/s and the best run's per-thread
+/// times.
+pub fn measure(
+    a: &Arc<Csr>,
+    spec: KernelSpec,
+    nthreads: usize,
+    reps: usize,
+) -> (BuiltKernel, f64, ThreadTimes) {
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];
     let built = build_kernel(a, spec, nthreads);
     built.kernel.run(&x, &mut y); // warm-up
-    let (secs, _) = built.kernel.run_repeated(&x, &mut y, reps.max(1));
-    (built.kernel.gflops(secs, a.nnz()), built.prep_seconds)
+    let (secs, times) = built.kernel.run_repeated(&x, &mut y, reps.max(1));
+    let gflops = built.kernel.gflops(secs, a.nnz());
+    (built, gflops, times)
 }
 
-/// Runs the menu search for `a` on `nthreads` threads: classifies the
-/// matrix with the host micro-benchmarks (best-of-`reps`), then times
-/// its `shortlist` best-of-`reps` on the warm pool. Returns the
-/// winning plan and the decision trace.
+/// [`measure`]s each candidate in order and keeps the fastest kernel
+/// (on one matrix, the highest GFLOP/s is the shortest time; a tie
+/// keeps the earlier candidate): every candidate's timing, the
+/// winner and the winner's kernel.
+///
+/// # Panics
+/// When `candidates` is empty.
+pub(crate) fn fastest<C: Copy + Into<KernelSpec>>(
+    a: &Arc<Csr>,
+    candidates: &[C],
+    nthreads: usize,
+    reps: usize,
+) -> (Vec<TimedCandidate>, C, BuiltKernel) {
+    let mut timed = Vec::with_capacity(candidates.len());
+    let mut best: Option<(f64, C, BuiltKernel)> = None;
+    for &c in candidates {
+        let spec = c.into();
+        let (built, gflops, _) = measure(a, spec, nthreads, reps);
+        timed.push(TimedCandidate { spec, gflops });
+        if best.as_ref().is_none_or(|(b, ..)| gflops > *b) {
+            best = Some((gflops, c, built));
+        }
+    }
+    let (_, winner, built) = best.expect("at least one candidate");
+    (timed, winner, built)
+}
+
+/// Step 1 of the search, and the profile-guided optimizer's
+/// classification: the three §III-B micro-benchmarks on the host
+/// (best-of-`reps` on `nthreads` threads; `machine` supplies the
+/// analytic bounds) through the Fig. 4 rules.
+pub(crate) fn classify(
+    a: &Arc<Csr>,
+    machine: &MachineModel,
+    nthreads: usize,
+    reps: usize,
+) -> ClassSet {
+    let bounds = HostSource::new(machine.clone(), nthreads, reps).collect(a);
+    ProfileClassifier::default().classify(&bounds)
+}
+
+/// Runs the menu search for `a` on `nthreads` threads: `classify`s
+/// the matrix, then times its `shortlist` best-of-`reps` on the warm
+/// pool. Returns the plan and the winner's kernel, the one it timed.
 pub fn search(
     a: &Arc<Csr>,
     machine: &MachineModel,
     nthreads: usize,
     reps: usize,
-) -> (KernelPlan, MenuTrace) {
+) -> (KernelPlan, BuiltKernel) {
     let t_search = Instant::now();
-    let (bounds, _) = HostSource::new(machine.clone(), nthreads, reps).collect_with_spans(a);
-    let classes = ProfileClassifier::default().classify(&bounds);
+    let classes = classify(a, machine, nthreads, reps);
     let features = FeatureVector::extract(a, machine.llc_bytes(), machine.line_elems());
+    let candidates = shortlist(classes, &features, a.ncols());
 
-    let mut timed = Vec::new();
-    let mut spans = SpanSet::new();
-    let mut best: Option<(f64, KernelSpec, f64)> = None; // (gflops, spec, prep)
-    for spec in shortlist(classes, &features, a.ncols()) {
-        let (gflops, prep) =
-            spans.time(&format!("menu:{}", spec.id()), || measure(a, spec, nthreads, reps));
-        timed.push(TimedCandidate { spec, gflops });
-        if best.as_ref().is_none_or(|(b, _, _)| gflops > *b) {
-            best = Some((gflops, spec, prep));
-        }
-    }
-    spmv_telemetry::metrics::profiling_runs().add(spans.total_seconds("menu:"));
+    let t_timing = Instant::now();
+    let (timed, spec, built) = fastest(a, &candidates, nthreads, reps);
+    spmv_telemetry::metrics::profiling_runs().add(t_timing.elapsed().as_secs_f64());
 
-    let (gflops, spec, prep_seconds) = best.expect("the shortlist is never empty");
     let search_seconds = t_search.elapsed().as_secs_f64();
-    let winner = spec.id();
-    spmv_telemetry::metrics::menu_selection().record_search(&winner);
-    let plan =
-        KernelPlan { spec, gflops, prep_seconds, search_seconds, classes, timed: timed.len() };
-    let trace = MenuTrace { classes, timed, winner, winner_gflops: gflops, search_seconds };
-    (plan, trace)
+    spmv_telemetry::metrics::menu_selection().record_search(&spec.id());
+    (KernelPlan { spec, classes, timed, search_seconds }, built)
 }
 
 /// Does nothing: no plan is cached process-wide (each search's
@@ -247,33 +253,29 @@ mod tests {
     #[test]
     fn search_times_baseline_and_picks_a_winner() {
         let a = Arc::new(gen::banded(4_000, 8, 1.0, 3).unwrap());
-        let (plan, trace) = search(&a, &MachineModel::host(), 2, 2);
+        let (plan, built) = search(&a, &MachineModel::host(), 2, 2);
         // The baseline and the unrolled loop are always timed first.
-        assert_eq!(trace.timed[0].spec, micro::baseline());
-        assert_eq!(trace.timed[1].spec, KernelSpec::csr(InnerLoop::Unrolled));
-        assert_eq!(plan.timed, trace.timed.len());
-        assert_eq!(plan.classes, trace.classes);
-        assert!(plan.gflops > 0.0);
+        assert_eq!(plan.timed[0].spec, micro::baseline());
+        assert_eq!(plan.timed[1].spec, KernelSpec::csr(InnerLoop::Unrolled));
         assert!(plan.search_seconds > 0.0);
-        assert_eq!(trace.winner, plan.spec.id());
-        // The winner's measured throughput is the maximum of the
+        // The returned kernel is the winner's (a format the matrix
+        // cannot take runs as its fallback, as a fresh build would),
+        // and the winner's measured throughput is the maximum of the
         // timed set.
-        let max = trace.timed.iter().map(|t| t.gflops).fold(0.0, f64::max);
-        assert_eq!(plan.gflops, max);
+        assert_eq!(built.kernel.name(), build_kernel(&a, plan.spec, 2).kernel.name());
+        let max = plan.timed.iter().map(|t| t.gflops).fold(0.0, f64::max);
+        assert!(max > 0.0);
+        assert_eq!(plan.gflops(), max);
     }
 
     #[test]
-    fn trace_serializes_and_renders() {
+    fn plan_renders_the_decision() {
         let a = Arc::new(gen::banded(2_000, 6, 1.0, 5).unwrap());
-        let (_, trace) = search(&a, &MachineModel::host(), 1, 1);
-        let json = trace.to_json().render();
-        for key in ["classes", "timed", "winner", "search_seconds"] {
-            assert!(json.contains(&format!("\"{key}\"")), "{json}");
-        }
-        let text = trace.render_text();
-        assert!(text.contains(&format!("menu search: classes {}", trace.classes)), "{text}");
-        assert!(text.contains("winner:"), "{text}");
-        assert!(text.contains("<- winner"), "{text}");
+        let (plan, _) = search(&a, &MachineModel::host(), 1, 1);
+        let text = plan.render_text();
+        assert!(text.contains(&format!("menu search: classes {}", plan.classes)), "{text}");
+        assert!(text.contains(&format!("winner: {}", plan.spec.id())), "{text}");
+        assert_eq!(text.matches("<- winner").count(), 1, "{text}");
     }
 
     fn ids(specs: &[KernelSpec]) -> Vec<String> {
@@ -324,8 +326,7 @@ mod tests {
     #[test]
     fn selected_kernel_computes_correct_product() {
         let a = Arc::new(gen::circuit(2_500, 3, 0.4, 5, 7).unwrap());
-        let (plan, _) = search(&a, &MachineModel::host(), 2, 1);
-        let built = build_kernel(&a, plan.spec, 2);
+        let (_, built) = search(&a, &MachineModel::host(), 2, 1);
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut y_ref = vec![0.0; a.nrows()];
         a.spmv(&x, &mut y_ref);

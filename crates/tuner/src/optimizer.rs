@@ -1,21 +1,22 @@
 //! End-to-end adaptive optimizers.
 //!
 //! An [`Optimizer`] bundles a classification strategy with the
-//! class→optimization mapping and kernel construction, producing a
-//! ready-to-run [`TunedSpmv`]. The strategies mirror the paper's
-//! evaluation:
+//! class→optimization mapping ([`OptimizationPool::default`]) and
+//! kernel construction, producing a ready-to-run [`TunedSpmv`]. The
+//! strategies mirror the paper's evaluation:
 //!
 //! * **profile-guided** — run the §III-B micro-benchmarks on the host
-//!   and apply the Fig. 4 rules;
+//!   and apply the Fig. 4 rules (the menu search's step 1,
+//!   `menu::classify`);
 //! * **feature-guided** — extract Table 2 features and query a
 //!   decision tree (or the built-in heuristic approximation when no
 //!   trained tree is supplied);
-//! * **oracle** — build and time every variant, keep the best (the
-//!   "perfect optimizer" upper bound);
 //! * **trivial-single / trivial-combined** — the sweeps the paper
-//!   uses as overhead baselines in Table 4 (same selection quality as
-//!   the oracle over their candidate sets, but paying the full sweep
-//!   cost).
+//!   uses as overhead baselines in Table 4: build and time the
+//!   baseline plus every single (or every single and pair)
+//!   optimization and keep the fastest kernel, the one timed
+//!   (`menu::fastest`). Over the 15 singles and pairs this
+//!   is the "perfect optimizer" selection, paid for in full.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,10 +25,9 @@ use spmv_kernels::variant::{build_kernel, BuiltKernel, KernelVariant, SpmvKernel
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, FeatureVector};
 
-use crate::bounds::{BoundsSource, HostSource};
 use crate::class::ClassSet;
 use crate::featclf::{heuristic_classify, FeatureGuidedClassifier};
-use crate::profile::{ProfileClassifier, Thresholds};
+use crate::pool::OptimizationPool;
 
 /// Classification strategy of an [`Optimizer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,15 +36,10 @@ pub enum Strategy {
     ProfileGuided,
     /// Structural features + decision tree (or heuristic fallback).
     FeatureGuided,
-    /// Time every candidate variant, keep the best.
-    Oracle,
     /// Time the 5 single-optimization variants, keep the best.
     TrivialSingle,
     /// Time all 15 singles + pairs, keep the best.
     TrivialCombined,
-    /// Class-shortlisted search over the explicit-SIMD microkernel
-    /// menu (see [`crate::menu`]).
-    MenuSearch,
 }
 
 /// A matrix- and architecture-adaptive SpMV optimizer.
@@ -52,7 +47,6 @@ pub enum Strategy {
 pub struct Optimizer {
     machine: MachineModel,
     strategy: Strategy,
-    thresholds: Thresholds,
     trained: Option<FeatureGuidedClassifier>,
     nthreads: usize,
     profiling_reps: usize,
@@ -64,7 +58,6 @@ impl Optimizer {
         Optimizer {
             machine: machine.clone(),
             strategy,
-            thresholds: Thresholds::default(),
             trained: None,
             nthreads: host_threads,
             profiling_reps: 3,
@@ -83,11 +76,6 @@ impl Optimizer {
         Self::base(machine, Strategy::FeatureGuided)
     }
 
-    /// Oracle optimizer (paper `oracle`).
-    pub fn oracle(machine: &MachineModel) -> Optimizer {
-        Self::base(machine, Strategy::Oracle)
-    }
-
     /// Trivial sweep over single optimizations.
     pub fn trivial_single(machine: &MachineModel) -> Optimizer {
         Self::base(machine, Strategy::TrivialSingle)
@@ -96,11 +84,6 @@ impl Optimizer {
     /// Trivial sweep over singles and pairs.
     pub fn trivial_combined(machine: &MachineModel) -> Optimizer {
         Self::base(machine, Strategy::TrivialCombined)
-    }
-
-    /// Microkernel menu search (class-shortlisted).
-    pub fn menu_search(machine: &MachineModel) -> Optimizer {
-        Self::base(machine, Strategy::MenuSearch)
     }
 
     /// Installs a trained feature-guided classifier.
@@ -117,28 +100,17 @@ impl Optimizer {
         self
     }
 
-    /// Overrides the profile classifier thresholds.
-    #[must_use]
-    pub fn with_thresholds(mut self, thresholds: Thresholds) -> Optimizer {
-        self.thresholds = thresholds;
-        self
-    }
-
     /// The strategy in use.
     pub fn strategy(&self) -> Strategy {
         self.strategy
     }
 
     /// Classifies the matrix (empty set for sweep strategies, which
-    /// do not reason in terms of bottlenecks, and for the menu search,
-    /// whose classes come with its plan: [`TunedSpmv::classes`]).
+    /// do not reason in terms of bottlenecks).
     pub fn classify(&self, a: &Arc<Csr>) -> ClassSet {
         match self.strategy {
             Strategy::ProfileGuided => {
-                let source =
-                    HostSource::new(self.machine.clone(), self.nthreads, self.profiling_reps);
-                let bounds = source.collect(a);
-                ProfileClassifier::new(self.thresholds).classify(&bounds)
+                crate::menu::classify(a, &self.machine, self.nthreads, self.profiling_reps)
             }
             Strategy::FeatureGuided => {
                 let f = self.features(a);
@@ -147,7 +119,7 @@ impl Optimizer {
                     None => heuristic_classify(&f, self.machine.total_threads() >= 64),
                 }
             }
-            _ => ClassSet::EMPTY,
+            Strategy::TrivialSingle | Strategy::TrivialCombined => ClassSet::EMPTY,
         }
     }
 
@@ -156,61 +128,31 @@ impl Optimizer {
     }
 
     /// Runs the full pipeline: classify, map classes to
-    /// optimizations, build the kernel. All decision and conversion
-    /// time is accumulated in [`TunedSpmv::prep_seconds`]. The tuned
-    /// kernel shares `a` rather than borrowing it, so it may outlive
-    /// the caller's handle.
+    /// optimizations, build the kernel — or, for the sweeps, keep the
+    /// fastest kernel timed. All decision and conversion time is
+    /// accumulated in [`TunedSpmv::prep_seconds`]. The tuned kernel
+    /// shares `a` rather than borrowing it, so it may outlive the
+    /// caller's handle.
     pub fn optimize(&self, a: &Arc<Csr>) -> TunedSpmv {
         let t0 = Instant::now();
-        match self.strategy {
-            Strategy::Oracle | Strategy::TrivialSingle | Strategy::TrivialCombined => {
-                let candidates = match self.strategy {
+        let (classes, variant, built) = match self.strategy {
+            Strategy::TrivialSingle | Strategy::TrivialCombined => {
+                let mut candidates = vec![KernelVariant::BASELINE];
+                candidates.extend(match self.strategy {
                     Strategy::TrivialSingle => KernelVariant::all_singles(),
                     _ => KernelVariant::singles_and_pairs(),
-                };
-                self.sweep(a, candidates, t0)
+                });
+                let (_, variant, built) =
+                    crate::menu::fastest(a, &candidates, self.nthreads, self.profiling_reps);
+                (ClassSet::EMPTY, variant, built)
             }
-            Strategy::MenuSearch => {
-                let (plan, _trace) =
-                    crate::menu::search(a, &self.machine, self.nthreads, self.profiling_reps);
-                let built = build_kernel(a, plan.spec, self.nthreads);
-                TunedSpmv {
-                    classes: plan.classes,
-                    variant: KernelVariant::BASELINE,
-                    built,
-                    prep_seconds: t0.elapsed().as_secs_f64(),
-                }
-            }
-            _ => {
+            Strategy::ProfileGuided | Strategy::FeatureGuided => {
                 let classes = self.classify(a);
-                let variant = classes.to_variant(&self.features(a));
-                let built = build_kernel(a, variant, self.nthreads);
-                TunedSpmv { classes, variant, built, prep_seconds: t0.elapsed().as_secs_f64() }
+                let variant = OptimizationPool::default().to_variant(classes, &self.features(a));
+                (classes, variant, build_kernel(a, variant, self.nthreads))
             }
-        }
-    }
-
-    /// Builds and times each candidate (plus the baseline), keeping
-    /// the fastest (on one matrix, the highest GFLOP/s is the
-    /// shortest time).
-    fn sweep(&self, a: &Arc<Csr>, mut candidates: Vec<KernelVariant>, t0: Instant) -> TunedSpmv {
-        candidates.insert(0, KernelVariant::BASELINE);
-        let mut best: Option<(f64, KernelVariant)> = None;
-        for &variant in &candidates {
-            let (gflops, _) =
-                crate::menu::measure(a, variant.into(), self.nthreads, self.profiling_reps);
-            if best.is_none_or(|(b, _)| gflops > b) {
-                best = Some((gflops, variant));
-            }
-        }
-        let (_, variant) = best.expect("candidate list is non-empty");
-        let built = build_kernel(a, variant, self.nthreads);
-        TunedSpmv {
-            classes: ClassSet::EMPTY,
-            variant,
-            built,
-            prep_seconds: t0.elapsed().as_secs_f64(),
-        }
+        };
+        TunedSpmv { classes, variant, built, prep_seconds: t0.elapsed().as_secs_f64() }
     }
 }
 
@@ -221,9 +163,8 @@ pub struct TunedSpmv {
     variant: KernelVariant,
     built: BuiltKernel,
     /// Seconds spent deciding and building (classification,
-    /// profiling/sweeping or menu search, format conversion): the
-    /// one-off `t_pre` that [`crate::amortize::min_iterations`]
-    /// charges.
+    /// profiling or sweeping, format conversion): the one-off `t_pre`
+    /// that [`crate::amortize::min_iterations`] charges.
     pub prep_seconds: f64,
 }
 
@@ -238,8 +179,7 @@ impl TunedSpmv {
         self.classes
     }
 
-    /// The optimization set that was applied (empty for the menu
-    /// search, which selects a kernel spec directly).
+    /// The optimization set that was applied.
     pub fn variant(&self) -> KernelVariant {
         self.variant
     }
@@ -291,9 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn oracle_never_picks_a_broken_kernel() {
+    fn trivial_combined_never_picks_a_broken_kernel() {
         let a = Arc::new(gen::circuit(4_000, 2, 0.3, 5, 7).unwrap());
-        let opt = Optimizer::oracle(&MachineModel::host()).with_threads(2);
+        let opt = Optimizer::trivial_combined(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
     }
@@ -311,26 +251,7 @@ mod tests {
     #[test]
     fn strategies_report_identity() {
         let m = MachineModel::host();
-        assert_eq!(Optimizer::oracle(&m).strategy(), Strategy::Oracle);
         assert_eq!(Optimizer::profile_guided(&m).strategy(), Strategy::ProfileGuided);
         assert_eq!(Optimizer::trivial_combined(&m).strategy(), Strategy::TrivialCombined);
-        assert_eq!(Optimizer::menu_search(&m).strategy(), Strategy::MenuSearch);
-    }
-
-    #[test]
-    fn menu_search_produces_correct_kernel_and_tuning_cost() {
-        let a = Arc::new(gen::banded(3_000, 6, 1.0, 13).unwrap());
-        let opt = Optimizer::menu_search(&MachineModel::host()).with_threads(2);
-        let searches = || spmv_telemetry::metrics::menu_selection().searches();
-        // Every tuning runs its own search and charges it to
-        // `prep_seconds`: no plan is reused between tunings.
-        for round in 1..=2 {
-            let before = searches();
-            let tuned = opt.optimize(&a);
-            check_correct(&tuned, &a);
-            assert!(searches() > before, "round {round} must search");
-            assert!(tuned.prep_seconds > 0.0, "round {round} pays its search");
-            assert!(tuned.variant().is_baseline(), "the menu selects a spec, not a set");
-        }
     }
 }

@@ -1,4 +1,5 @@
-//! Configurable class→optimization pool.
+//! The class→optimization pool: the tuner's one class→treatment
+//! table.
 //!
 //! The paper's central architectural claim: "by decoupling bottleneck
 //! identification from the application of optimizations, one can
@@ -9,7 +10,11 @@
 //! Table "classes to optimizations", and can swap in alternatives
 //! (e.g. SELL-C-σ for the uneven-rows `IMB` case, see
 //! [`OptimizationPool::with_sliced_ell`]) without touching either
-//! classifier.
+//! classifier. Every path that maps classes to optimizations — the
+//! [`crate::Optimizer`], the menu search's shortlist, `spmvtune` and
+//! the paper experiments — goes through
+//! [`OptimizationPool::to_variant`], so no other copy of the table
+//! exists to drift from it.
 
 use spmv_kernels::variant::{KernelVariant, Optimization};
 use spmv_sparse::FeatureVector;
@@ -42,8 +47,9 @@ pub struct OptimizationPool {
 
 impl Default for OptimizationPool {
     /// The paper's mapping: MB → compression + vectorization,
-    /// ML → prefetch, IMB → decomposition / auto scheduling,
-    /// CMP → unroll + vectorization.
+    /// ML → prefetch, CMP → vectorization, and IMB → decomposition
+    /// when `nnz_max > 16 · max(nnz_avg, 1)` (dense rows), guided
+    /// scheduling ([`Optimization::AutoSchedule`]) otherwise.
     fn default() -> Self {
         OptimizationPool {
             mb: vec![Optimization::Compress, Optimization::Vectorize],
@@ -104,29 +110,44 @@ mod tests {
         FeatureVector::extract(a, 30 << 20, 8)
     }
 
-    #[test]
-    fn default_pool_matches_class_set_mapping() {
-        // The legacy ClassSet::to_variant must agree with the default
-        // pool for every class combination on a fixed feature vector.
-        let a = gen::banded(1_000, 8, 1.0, 1).unwrap();
-        let f = features(&a);
-        let pool = OptimizationPool::default();
-        for bits in 0u8..16 {
-            let set = ClassSet::from_bits(bits);
-            assert_eq!(pool.to_variant(set, &f), set.to_variant(&f), "bits {bits:#06b}");
-        }
-    }
-
     /// A matrix with uneven row lengths but no dense rows, so `IMB`
     /// takes the unevenness branch of the pool.
     fn uneven() -> spmv_sparse::Csr {
         gen::powerlaw(4_000, 8, 4.0, 5).unwrap()
     }
 
+    /// A matrix with a few dense rows, so `IMB` takes the long-rows
+    /// branch of the pool.
+    fn skewed() -> spmv_sparse::Csr {
+        gen::circuit(5_000, 3, 0.5, 4, 3).unwrap()
+    }
+
+    #[test]
+    fn default_pool_maps_classes_like_the_paper() {
+        let f = features(&gen::banded(1_000, 8, 1.0, 1).unwrap());
+        let paper = OptimizationPool::default();
+        let map = |classes: &[Bottleneck]| paper.to_variant(ClassSet::of(classes), &f);
+        use Optimization::{Compress, Prefetch, Vectorize};
+        assert_eq!(map(&[Bottleneck::MB]), KernelVariant::of(&[Compress, Vectorize]));
+        // Joint classes apply their treatments jointly.
+        assert_eq!(
+            map(&[Bottleneck::ML, Bottleneck::CMP]),
+            KernelVariant::of(&[Prefetch, Vectorize])
+        );
+        assert!(map(&[]).is_baseline());
+    }
+
     #[test]
     fn swapping_the_uneven_imb_treatment_changes_only_that_variant() {
         let uneven = features(&uneven());
-        let skewed = features(&gen::circuit(5_000, 3, 0.5, 4, 3).unwrap());
+        let skewed = features(&skewed());
+        assert!(
+            uneven.nnz_max <= 16.0 * uneven.nnz_avg,
+            "{} vs {}",
+            uneven.nnz_max,
+            uneven.nnz_avg
+        );
+        assert!(skewed.nnz_max > 16.0 * skewed.nnz_avg, "{} vs {}", skewed.nnz_max, skewed.nnz_avg);
         let paper = OptimizationPool::default();
         let sell = OptimizationPool::with_sliced_ell();
         let imb = ClassSet::of(&[Bottleneck::IMB]);
@@ -175,8 +196,7 @@ mod tests {
 
     #[test]
     fn imb_skew_factor_is_tunable() {
-        let skewed = gen::circuit(5_000, 3, 0.5, 4, 3).unwrap();
-        let f = features(&skewed);
+        let f = features(&skewed());
         let mut pool = OptimizationPool::default();
         pool.imb.skew_factor = 1e9; // effectively never "long rows"
         let v = pool.to_variant(ClassSet::of(&[Bottleneck::IMB]), &f);

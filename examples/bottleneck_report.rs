@@ -12,6 +12,7 @@ use spmv_tune::sim::bounds::collect_bounds;
 use spmv_tune::sim::cost::CostModel;
 use spmv_tune::sim::profile::MatrixProfile;
 use spmv_tune::tuner::profile::ProfileClassifier;
+use spmv_tune::tuner::OptimizationPool;
 
 fn main() {
     // Three structurally different matrices (reduced sizes so the
@@ -38,7 +39,7 @@ fn main() {
             let bounds = collect_bounds(&model, &profile);
             let classes = classifier.classify(&bounds);
             let features = FeatureVector::extract(a, machine.llc_bytes(), machine.line_elems());
-            let variant = classes.to_variant(&features);
+            let variant = OptimizationPool::default().to_variant(classes, &features);
             println!(
                 "{:<28} {:<12} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1}   {} -> {}",
                 name,

@@ -23,6 +23,7 @@ use spmv_tune::sim::profile::MatrixProfile;
 use spmv_tune::sparse::gen::suite::{suite_by_name, SUITE};
 use spmv_tune::sparse::spy::spy;
 use spmv_tune::tuner::profile::ProfileClassifier;
+use spmv_tune::tuner::OptimizationPool;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -137,7 +138,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     println!("\nsimulated bounds on {} (GFLOP/s): {}", machine.name, bounds.summary());
 
     let classes = ProfileClassifier::default().classify(&bounds);
-    let variant = classes.to_variant(&fv);
+    let variant = OptimizationPool::default().to_variant(classes, &fv);
     println!("bottleneck classes: {classes}");
     println!("selected optimizations: {variant}");
     Ok(())
@@ -231,16 +232,16 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 
     let traced_classes = trace.get("classes").and_then(|v| v.as_str()).unwrap_or("?");
     println!("\nbottleneck classes: {traced_classes}");
-    println!("selected optimizations: {}", classes.to_variant(&fv));
+    println!("selected optimizations: {}", OptimizationPool::default().to_variant(classes, &fv));
 
     // Microkernel menu search (DESIGN.md §11): which kernel the
     // auto-tuner picks for this matrix — the bottleneck classes
     // measured on this host's thread pool (analytic bounds from the
     // selected machine model) pick the shortlist, which is timed.
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let (_, menu) = spmv_tune::tuner::menu::search(&a, &machine, nthreads, 3);
+    let (plan, _) = spmv_tune::tuner::menu::search(&a, &machine, nthreads, 3);
     println!("\nmicrokernel menu for {name} ({nthreads} threads):");
-    print!("{}", menu.render_text());
+    print!("{}", plan.render_text());
     Ok(())
 }
 
@@ -253,11 +254,16 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     variants.extend(KernelVariant::singles_and_pairs());
     let mut best = (KernelVariant::BASELINE, 0.0f64);
     for v in variants {
-        let (gf, prep) = spmv_tune::tuner::menu::measure(&a, v.into(), nthreads, 10);
+        let (built, gf, _) = spmv_tune::tuner::menu::measure(&a, v.into(), nthreads, 10);
         if gf > best.1 {
             best = (v, gf);
         }
-        println!("  {:<24} {:>8.2} GFLOP/s  (prep {:>7.2} ms)", v.to_string(), gf, prep * 1e3);
+        println!(
+            "  {:<24} {:>8.2} GFLOP/s  (prep {:>7.2} ms)",
+            v.to_string(),
+            gf,
+            built.prep_seconds * 1e3
+        );
     }
     println!("best: {} at {:.2} GFLOP/s", best.0, best.1);
     Ok(())

@@ -52,11 +52,11 @@ fn every_strategy_produces_correct_kernels_on_every_archetype() {
 }
 
 #[test]
-fn oracle_strategy_correct_on_skewed_matrix() {
+fn trivial_combined_strategy_correct_on_skewed_matrix() {
     let machine = MachineModel::host();
     let a = Arc::new(gen::circuit(5_000, 3, 0.3, 5, 9).unwrap());
-    let tuned = Optimizer::oracle(&machine).with_threads(2).optimize(&a);
-    check(tuned.kernel(), &a, "oracle/circuit");
+    let tuned = Optimizer::trivial_combined(&machine).with_threads(2).optimize(&a);
+    check(tuned.kernel(), &a, "trivial-combined/circuit");
     assert_eq!(tuned.classes(), spmv_tune::tuner::class::ClassSet::EMPTY);
 }
 

@@ -8,6 +8,7 @@ use spmv_bench::experiments;
 use spmv_tune::machine::MachineModel;
 use spmv_tune::tuner::class::Bottleneck;
 use spmv_tune::tuner::profile::ProfileClassifier;
+use spmv_tune::tuner::OptimizationPool;
 
 const SCALE: f64 = 0.05;
 
@@ -46,7 +47,7 @@ fn circuit_matrices_are_imbalanced_and_fixed_by_decomposition() {
         let an = analyze(&platform, &nm.matrix);
         let classes = clf.classify(&an.bounds);
         assert!(classes.contains(Bottleneck::IMB), "{name}: {classes}");
-        let variant = classes.to_variant(&an.features);
+        let variant = OptimizationPool::default().to_variant(classes, &an.features);
         let tuned = platform.gflops(&an.profile, variant);
         assert!(
             tuned > 1.5 * an.bounds.p_csr,
