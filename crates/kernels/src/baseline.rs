@@ -307,12 +307,7 @@ mod tests {
             InnerLoop::Prefetch,
             InnerLoop::UnrolledPrefetch,
         ] {
-            for schedule in [
-                Schedule::StaticRows,
-                Schedule::NnzBalanced,
-                Schedule::Dynamic { chunk: 16 },
-                Schedule::Guided,
-            ] {
+            for schedule in [Schedule::NnzBalanced, Schedule::Guided] {
                 let k = CsrKernel::with_options(&a, 4, schedule, flavor);
                 assert_matches_serial(&a, &k);
             }

@@ -135,10 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn works_with_escapes_and_dynamic_schedule() {
+    fn works_with_escapes_and_guided_schedule() {
         let a = gen::random_uniform(400, 12, 3).unwrap(); // wide gaps -> escapes
         let d = DeltaCsr::from_csr(&a).unwrap();
-        let k = DeltaKernel::new(d, 3, Schedule::Dynamic { chunk: 13 });
+        let k = DeltaKernel::new(d, 3, Schedule::Guided);
         let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.1).cos()).collect();
         let mut y_ref = vec![0.0; 400];
         a.spmv(&x, &mut y_ref);

@@ -38,7 +38,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -429,8 +429,8 @@ fn worker_loop(shared: &Shared, tid: usize, trace: &'static TraceBuffer) {
 pub struct Plan {
     schedule: Schedule,
     nrows: usize,
-    /// Cached per-thread ranges for the static schedules; `None` for
-    /// the claiming schedules, which need a fresh shared counter per
+    /// Cached per-thread ranges of the nnz-balanced schedule; `None`
+    /// for the guided schedule, which needs a fresh shared counter per
     /// run.
     parts: Option<Vec<Range<usize>>>,
     engine: Arc<ExecEngine>,
@@ -450,17 +450,9 @@ impl Plan {
         assert!(!rowptr.is_empty(), "row pointer must have at least one entry");
         let nrows = rowptr.len() - 1;
         let nthreads = engine.nthreads();
-        let parts: Option<Vec<Range<usize>>> = match schedule {
-            Schedule::StaticRows => {
-                let per = nrows.div_ceil(nthreads);
-                Some(
-                    (0..nthreads)
-                        .map(|t| (t * per).min(nrows)..((t + 1) * per).min(nrows))
-                        .collect(),
-                )
-            }
+        let parts = match schedule {
             Schedule::NnzBalanced => Some(partition_rows_by_nnz(rowptr, nthreads)),
-            Schedule::Dynamic { .. } | Schedule::Guided => None,
+            Schedule::Guided => None,
         };
         if let Some(parts) = &parts {
             // The kernels' unsafe YPtr writes rely on the partition
@@ -521,40 +513,19 @@ impl Plan {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        let nthreads = self.engine.nthreads();
-        match (&self.parts, self.schedule) {
-            (Some(parts), _) => self.engine.run_labeled(label, &|t| {
+        match &self.parts {
+            Some(parts) => self.engine.run_labeled(label, &|t| {
                 if let Some(part) = parts.get(t) {
                     if !part.is_empty() {
                         worker(part.clone());
                     }
                 }
             }),
-            (None, Schedule::Dynamic { chunk }) => {
-                let chunk = chunk.max(1);
-                let nrows = self.nrows;
+            None => {
+                let (nrows, nthreads) = (self.nrows, self.engine.nthreads());
                 let next = AtomicUsize::new(0);
                 // Hoisted so an idle tracer costs one branch per
                 // claim; a capture toggled mid-run waits a dispatch.
-                let trace = self.engine.tracer;
-                let tracing = trace.enabled();
-                self.engine.run_labeled(label, &|t| loop {
-                    // relaxed-ok: the claim counter is not part of the
-                    // engine's dispatch handshake (that protocol is
-                    // mutex-guarded); claims need atomicity only, and
-                    // each range is processed by whichever worker won
-                    // the fetch_add.
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= nrows {
-                        break;
-                    }
-                    let range = start..(start + chunk).min(nrows);
-                    traced_claim(trace, tracing, t, range, &worker);
-                })
-            }
-            (None, _) => {
-                let nrows = self.nrows;
-                let next = AtomicUsize::new(0);
                 let trace = self.engine.tracer;
                 let tracing = trace.enabled();
                 self.engine.run_labeled(label, &|t| {
@@ -613,85 +584,45 @@ where
     let nthreads = nthreads.max(1);
     let mut seconds = vec![0.0f64; nthreads];
 
-    match schedule {
-        Schedule::StaticRows | Schedule::NnzBalanced => {
-            let parts: Vec<Range<usize>> = match schedule {
-                Schedule::StaticRows => {
-                    let per = nrows.div_ceil(nthreads);
-                    (0..nthreads)
-                        .map(|t| {
-                            let s = (t * per).min(nrows);
-                            s..((t + 1) * per).min(nrows)
-                        })
-                        .collect()
-                }
-                _ => partition_rows_by_nnz(rowptr, nthreads),
-            };
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(nthreads);
-                for part in parts {
-                    let worker = &worker;
-                    handles.push(scope.spawn(move || {
-                        let t0 = Instant::now();
-                        if !part.is_empty() {
-                            worker(part);
-                        }
-                        t0.elapsed().as_secs_f64()
-                    }));
-                }
-                for (t, h) in handles.into_iter().enumerate() {
-                    seconds[t] = h.join().expect("worker panicked");
-                }
-            });
-        }
-        Schedule::Dynamic { chunk } => {
-            let chunk = chunk.max(1);
-            let next = AtomicUsize::new(0);
-            run_claiming(nthreads, &mut seconds, &worker, || {
-                // relaxed-ok: claim counter, not the dispatch
-                // handshake; atomicity of the fetch_add is all the
-                // claiming protocol needs.
-                let s = next.fetch_add(chunk, Ordering::Relaxed);
-                (s < nrows).then(|| s..(s + chunk).min(nrows))
-            });
-        }
-        Schedule::Guided => {
-            let next = AtomicUsize::new(0);
-            run_claiming(nthreads, &mut seconds, &worker, || claim_guided(&next, nrows, nthreads));
-        }
-    }
-    ThreadTimes { seconds }
-}
-
-/// Spawns `nthreads` workers that repeatedly `claim()` a range and
-/// process it until the supply is exhausted.
-fn run_claiming<F, C>(nthreads: usize, seconds: &mut [f64], worker: &F, claim: C)
-where
-    F: Fn(Range<usize>) + Sync,
-    C: Fn() -> Option<Range<usize>> + Sync,
-{
+    let parts = match schedule {
+        Schedule::NnzBalanced => Some(partition_rows_by_nnz(rowptr, nthreads)),
+        Schedule::Guided => None,
+    };
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nthreads);
-        for _ in 0..nthreads {
-            let claim = &claim;
-            handles.push(scope.spawn(move || {
-                let t0 = Instant::now();
-                while let Some(range) = claim() {
-                    worker(range);
-                }
-                t0.elapsed().as_secs_f64()
-            }));
-        }
+        let handles: Vec<_> = (0..nthreads)
+            .map(|t| {
+                let (parts, next, worker) = (&parts, &next, &worker);
+                scope.spawn(move || {
+                    let t0 = Instant::now();
+                    match parts {
+                        Some(parts) => {
+                            if let Some(part) = parts.get(t).filter(|p| !p.is_empty()) {
+                                worker(part.clone());
+                            }
+                        }
+                        None => {
+                            while let Some(range) = claim_guided(next, nrows, nthreads) {
+                                worker(range);
+                            }
+                        }
+                    }
+                    t0.elapsed().as_secs_f64()
+                })
+            })
+            .collect();
         for (t, h) in handles.into_iter().enumerate() {
             seconds[t] = h.join().expect("worker panicked");
         }
     });
+    ThreadTimes { seconds }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use crate::schedule::GUIDED_DECAY;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn runs_every_worker_exactly_once() {
@@ -802,18 +733,16 @@ mod tests {
     #[test]
     fn claiming_plan_covers_rows_repeatedly() {
         let rowptr: Vec<usize> = (0..=57).collect();
-        for schedule in [Schedule::Dynamic { chunk: 4 }, Schedule::Guided] {
-            let plan = Plan::new(schedule, &rowptr, 3);
-            for _ in 0..2 {
-                let covered = Mutex::new(vec![0u32; 57]);
-                plan.execute(|range| {
-                    let mut v = covered.lock().unwrap();
-                    for i in range {
-                        v[i] += 1;
-                    }
-                });
-                assert!(covered.lock().unwrap().iter().all(|&c| c == 1), "{schedule:?}");
-            }
+        let plan = Plan::new(Schedule::Guided, &rowptr, 3);
+        for _ in 0..2 {
+            let covered = Mutex::new(vec![0u32; 57]);
+            plan.execute(|range| {
+                let mut v = covered.lock().unwrap();
+                for i in range {
+                    v[i] += 1;
+                }
+            });
+            assert!(covered.lock().unwrap().iter().all(|&c| c == 1));
         }
     }
 
@@ -887,15 +816,23 @@ mod tests {
         assert!(events.iter().all(|e| e.start_ns > 0));
         assert!(events.iter().filter(|e| e.kind != EventKind::Park).all(|e| e.dur_ns > 0));
 
-        // Claiming schedules add one Claim event per chunk; the args
-        // (rows claimed) sum to the full row count.
+        // The guided schedule adds one Claim event per chunk; the args
+        // (rows claimed) sum to the full row count. A claim's size
+        // depends only on where it starts, so the chunk count is the
+        // GUIDED_DECAY sequence's whatever the interleaving.
         trace.clear();
         let rowptr: Vec<usize> = (0..=57).collect();
-        let plan = Plan::with_engine(Schedule::Dynamic { chunk: 8 }, &rowptr, Arc::clone(&engine));
+        let plan = Plan::with_engine(Schedule::Guided, &rowptr, Arc::clone(&engine));
         plan.execute(|_range| {});
         let claims: Vec<_> =
             trace.snapshot().into_iter().filter(|e| e.kind == EventKind::Claim).collect();
-        assert_eq!(claims.len(), 57usize.div_ceil(8));
+        let mut want = 0;
+        let mut start = 0;
+        while start < 57 {
+            start += ((57 - start) / (GUIDED_DECAY * 3)).max(1);
+            want += 1;
+        }
+        assert_eq!(claims.len(), want);
         assert_eq!(claims.iter().map(|e| e.arg).sum::<u64>(), 57);
     }
 

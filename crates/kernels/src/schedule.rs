@@ -3,9 +3,9 @@
 //! The paper's baseline uses *static one-dimensional row partitioning
 //! with approximately equal nonzeros per thread*; the `IMB`-class
 //! `auto` scheduling optimization delegates the mapping to the
-//! runtime, which we model with dynamic (chunked work-stealing-style)
-//! and guided policies. Every policy reports per-thread busy times,
-//! the raw data behind the paper's `P_IMB = 2·NNZ / t_median` bound.
+//! runtime, which we model with a guided policy. Both policies report
+//! per-thread busy times, the raw data behind the paper's
+//! `P_IMB = 2·NNZ / t_median` bound.
 //!
 //! Execution itself lives in [`crate::engine`]: a [`Plan`] binds a
 //! schedule to a precomputed partition and a persistent worker pool.
@@ -23,17 +23,9 @@ pub use crate::engine::execute_spawn;
 /// Row-to-thread scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Contiguous blocks with equal numbers of rows.
-    StaticRows,
     /// Contiguous blocks with approximately equal numbers of
     /// nonzeros (the paper's baseline).
     NnzBalanced,
-    /// Threads claim fixed-size row chunks from a shared counter
-    /// (OpenMP `schedule(dynamic, chunk)` analogue).
-    Dynamic {
-        /// Rows per claimed chunk.
-        chunk: usize,
-    },
     /// Threads claim chunks whose size decays with the remaining work
     /// (OpenMP `schedule(guided)` analogue; our stand-in for the
     /// paper's `auto`). Each claim takes
@@ -47,14 +39,6 @@ pub enum Schedule {
 /// one. `2` halves the per-claim share relative to an even split of
 /// the remaining rows, the classic guided-self-scheduling choice.
 pub const GUIDED_DECAY: usize = 2;
-
-impl Schedule {
-    /// Reasonable default chunk for dynamic scheduling of `nrows`.
-    pub fn default_dynamic(nrows: usize, nthreads: usize) -> Schedule {
-        let chunk = (nrows / (nthreads.max(1) * 32)).clamp(1, 4096);
-        Schedule::Dynamic { chunk }
-    }
-}
 
 /// Atomically claims the next guided chunk from `next`, or `None`
 /// once `nrows` is exhausted. Chunk sizes follow the [`GUIDED_DECAY`]
@@ -210,12 +194,7 @@ mod tests {
 
     #[test]
     fn all_schedules_cover_all_rows() {
-        for schedule in [
-            Schedule::StaticRows,
-            Schedule::NnzBalanced,
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::Guided,
-        ] {
+        for schedule in [Schedule::NnzBalanced, Schedule::Guided] {
             check_coverage(schedule, 1000, 4);
             check_coverage(schedule, 13, 8); // more threads than chunks
             check_coverage(schedule, 1, 3);
@@ -254,18 +233,6 @@ mod tests {
         let t = ThreadTimes { seconds: vec![] };
         assert_eq!(t.median(), 0.0);
         assert_eq!(t.imbalance(), 1.0);
-    }
-
-    #[test]
-    fn default_dynamic_chunk_is_bounded() {
-        match Schedule::default_dynamic(1_000_000, 8) {
-            Schedule::Dynamic { chunk } => assert!((1..=4096).contains(&chunk)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match Schedule::default_dynamic(10, 64) {
-            Schedule::Dynamic { chunk } => assert_eq!(chunk, 1),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

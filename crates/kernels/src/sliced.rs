@@ -145,10 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn skewed_matrix_with_dynamic_schedule() {
+    fn skewed_matrix_with_guided_schedule() {
         let a = gen::circuit(1_500, 2, 0.3, 5, 3).unwrap();
         let s = SellCs::from_csr(&a, 8, 128).unwrap();
-        let k = SellKernel::new(s, 3, Schedule::Dynamic { chunk: 5 });
+        let k = SellKernel::new(s, 3, Schedule::Guided);
         let x = vec![1.0; 1_500];
         let mut expect = vec![0.0; 1_500];
         a.spmv(&x, &mut expect);

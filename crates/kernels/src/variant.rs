@@ -320,13 +320,15 @@ impl KernelSpec {
     /// Stable identifier of a menu candidate or a single-optimization
     /// spec the shortlist can time, used in traces and bench output
     /// (`csr/avx2-a2`, `csr/unrolled`, `sell/c8`, `delta`,
-    /// `csr/prefetch`, `csr/guided`, `decomposed`). Other specs are
-    /// identified by their `Debug` form.
+    /// `csr/prefetch`, `csr/guided`, `decomposed`, and `csr/scalar`,
+    /// what `decomposed` runs on a matrix without long rows). Other
+    /// specs are identified by their `Debug` form.
     pub fn id(&self) -> String {
         match (self.format, self.inner, self.schedule) {
             (Format::Csr, InnerLoop::Micro(m), Schedule::NnzBalanced) => format!("csr/{}", m.id()),
             (Format::Csr, InnerLoop::Unrolled, Schedule::NnzBalanced) => "csr/unrolled".into(),
             (Format::Csr, InnerLoop::Prefetch, Schedule::NnzBalanced) => "csr/prefetch".into(),
+            (Format::Csr, InnerLoop::Scalar, Schedule::NnzBalanced) => "csr/scalar".into(),
             (Format::Csr, InnerLoop::Scalar, Schedule::Guided) => "csr/guided".into(),
             (Format::Sell { chunk, sigma }, _, Schedule::NnzBalanced) if sigma == 32 * chunk => {
                 format!("sell/c{chunk}")
@@ -537,6 +539,7 @@ mod tests {
             .map(|&o| KernelSpec::from(KernelVariant::single(o)).id())
             .collect();
         assert_eq!(ids, ["csr/unrolled", "csr/prefetch", "delta", "decomposed", "csr/guided"]);
+        assert_eq!(KernelSpec::csr(InnerLoop::Scalar).id(), "csr/scalar");
         // Off-table specs keep their Debug form.
         let guided_delta = KernelSpec::from(KernelVariant::of(&[
             Optimization::Compress,

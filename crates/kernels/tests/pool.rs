@@ -54,12 +54,7 @@ fn pool_reused_across_matrices_of_different_shapes() {
 #[test]
 fn more_threads_than_rows() {
     let a = Arc::new(gen::banded(5, 1, 1.0, 6).unwrap());
-    for schedule in [
-        Schedule::StaticRows,
-        Schedule::NnzBalanced,
-        Schedule::Dynamic { chunk: 2 },
-        Schedule::Guided,
-    ] {
+    for schedule in [Schedule::NnzBalanced, Schedule::Guided] {
         let k = CsrKernel::with_options(&a, 16, schedule, InnerLoop::Scalar);
         assert_close_to_serial(&a, &k, 7);
     }

@@ -22,14 +22,8 @@ fn rowptr_from_counts(counts: &[usize]) -> Vec<usize> {
     rowptr
 }
 
-fn all_schedules() -> [Schedule; 5] {
-    [
-        Schedule::StaticRows,
-        Schedule::NnzBalanced,
-        Schedule::Dynamic { chunk: 1 },
-        Schedule::Dynamic { chunk: 7 },
-        Schedule::Guided,
-    ]
+fn all_schedules() -> [Schedule; 2] {
+    [Schedule::NnzBalanced, Schedule::Guided]
 }
 
 /// Records how often each row was dispatched. Workers run

@@ -1,26 +1,13 @@
 //! # spmv-ref
 //!
-//! MKL-like reference baselines — the comparison points of the paper's
-//! evaluation (§IV-C). Intel MKL itself is closed-source and
-//! x86-binary only, so this crate implements behavioural stand-ins
-//! (substitutions documented in DESIGN.md):
-//!
-//! * [`mkl_csr::MklLikeCsr`] — stands in for `mkl_dcsrmv()`: a plain
-//!   parallel CSR kernel with equal-row-count static partitioning and
-//!   no structure inspection;
-//! * [`inspector::InspectorExecutor`] — stands in for the MKL
-//!   Inspector-Executor `mkl_sparse_d_mv()`: an inspection phase
-//!   analyzes row-length statistics, rebalances the partitioning, and
-//!   converts regular matrices to an ELL hybrid; its preprocessing
-//!   cost is tracked for the amortization study.
-//!
-//! The [`simulate`] module mirrors both baselines inside the
-//! `spmv-sim` cost model so the multi-platform experiments can
-//! include them.
+//! MKL reference baselines — the comparison points of the paper's
+//! evaluation (§IV-C). Intel MKL is closed-source and x86-binary only,
+//! and the paper's platforms (KNC, KNL, Broadwell) are simulated here,
+//! so the baselines exist only as cost-model entries (substitutions
+//! documented in DESIGN.md): [`simulate`] models `mkl_dcsrmv()` as
+//! plain CSR under equal-row static partitioning, and the MKL
+//! Inspector-Executor `mkl_sparse_d_mv()` as an nnz-rebalanced,
+//! vectorized traversal that pays an inspection (and, on regular
+//! matrices, a conversion) cost for the amortization study.
 
-pub mod inspector;
-pub mod mkl_csr;
 pub mod simulate;
-
-pub use inspector::InspectorExecutor;
-pub use mkl_csr::MklLikeCsr;

@@ -14,9 +14,9 @@ pub fn simulate_mkl_csr(model: &CostModel, profile: &MatrixProfile) -> SimResult
     model.simulate(profile, SimSpec { equal_rows: true, ..SimSpec::baseline() })
 }
 
-/// Inspection decision mirrored from
-/// [`crate::InspectorExecutor::inspect`]: regular row lengths take the
-/// vectorized (ELL-like) path.
+/// The Inspector-Executor's inspection decision: a matrix whose row
+/// lengths have a standard deviation below half their mean is
+/// regular, and takes the vectorized (ELL-like) path.
 pub fn inspector_plan_is_regular(profile: &MatrixProfile) -> bool {
     let n = profile.nrows.max(1) as f64;
     let avg = profile.nnz as f64 / n;

@@ -147,11 +147,6 @@ impl Scheduler {
         s
     }
 
-    /// Queued-but-unserved request count.
-    pub fn queue_depth(&self) -> usize {
-        self.lock().queue.len()
-    }
-
     /// Submits one request and blocks until its result is delivered
     /// by a worker; returns the allocated RequestId alongside the
     /// result. Admission is decided immediately: a full queue or a

@@ -184,12 +184,6 @@ impl Coo {
             }
         }
     }
-
-    /// Consumes the matrix and returns its triplet arrays
-    /// `(nrows, ncols, rows, cols, values)`.
-    pub fn into_triplets(self) -> (usize, usize, Vec<u32>, Vec<u32>, Vec<f64>) {
-        (self.nrows, self.ncols, self.rows, self.cols, self.values)
-    }
 }
 
 #[cfg(test)]

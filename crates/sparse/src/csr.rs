@@ -217,12 +217,6 @@ impl Csr {
         &self.values
     }
 
-    /// Mutable view of the nonzero values (structure stays fixed).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Number of nonzeros in row `i`.
     #[inline]
     pub fn row_nnz(&self, i: usize) -> usize {
@@ -360,14 +354,6 @@ impl Csr {
     /// index-free lower bound used for `P_peak`.
     pub fn values_bytes(&self) -> usize {
         self.nnz() * std::mem::size_of::<f64>()
-    }
-
-    /// Splits `0..nrows` into `nparts` contiguous row ranges with
-    /// approximately equal numbers of nonzeros — the paper's baseline
-    /// "static one-dimensional row partitioning scheme, where each
-    /// partition has approximately equal number of nonzero elements".
-    pub fn nnz_balanced_partition(&self, nparts: usize) -> Vec<std::ops::Range<usize>> {
-        partition_rows_by_nnz(&self.rowptr, nparts)
     }
 
     /// Consumes the matrix, returning `(nrows, ncols, rowptr, colind,
@@ -568,7 +554,7 @@ mod tests {
     fn partition_covers_all_rows_disjointly() {
         let m = sample();
         for nparts in 1..6 {
-            let parts = m.nnz_balanced_partition(nparts);
+            let parts = partition_rows_by_nnz(m.rowptr(), nparts);
             assert_eq!(parts.len(), nparts);
             let mut next = 0;
             for r in &parts {

@@ -102,13 +102,6 @@ impl DecomposedCsr {
         any_long.then_some(threshold)
     }
 
-    /// Convenience: split with [`DecomposedCsr::auto_threshold`];
-    /// `None` when no row qualifies.
-    pub fn auto_split(a: &Csr, nthreads: usize) -> Option<DecomposedCsr> {
-        let t = Self::auto_threshold(a, nthreads)?;
-        Some(Self::split(a, t).expect("auto threshold is >= 1"))
-    }
-
     /// The short part (long rows present but empty).
     #[inline]
     pub fn short(&self) -> &Csr {
@@ -370,8 +363,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_split_none_for_balanced() {
-        assert!(DecomposedCsr::auto_split(&Csr::identity(128), 8).is_none());
+    fn auto_threshold_none_for_balanced() {
+        assert!(DecomposedCsr::auto_threshold(&Csr::identity(128), 8).is_none());
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!   part, the paper's `IMB`-class decomposition optimization.
 //! * [`SellCs`] — SELL-C-σ sliced ELL, the extension format that shows
 //!   a new treatment plugging into the optimization pool.
-//! * [`EllHybrid`] — ELLPACK + COO hybrid used by the
-//!   Inspector-Executor reference baseline.
 //!
 //! ## Generators
 //!
@@ -34,7 +32,6 @@ pub mod coo;
 pub mod csr;
 pub mod decomp;
 pub mod delta;
-pub mod ellhyb;
 pub mod error;
 pub mod features;
 pub mod gen;
@@ -48,7 +45,6 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use decomp::DecomposedCsr;
 pub use delta::{DeltaCsr, DeltaWidth};
-pub use ellhyb::EllHybrid;
 pub use error::SparseError;
 pub use features::FeatureVector;
 pub use sellcs::SellCs;

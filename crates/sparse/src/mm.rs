@@ -609,14 +609,6 @@ pub fn write_csr<W: Write>(writer: W, a: &Csr) -> Result<()> {
     Ok(())
 }
 
-/// Writes a matrix to a MatrixMarket file on disk.
-///
-/// # Errors
-/// [`SparseError::Io`] on create/write failure.
-pub fn write_csr_file<P: AsRef<Path>>(path: P, a: &Csr) -> Result<()> {
-    write_csr(std::fs::File::create(path)?, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,8 @@
 //! Per-row structural statistics of a sparse matrix.
 //!
 //! These are the raw ingredients of the paper's Table 2 features
-//! (`nnz_i`, `bw_i`, `scatter_i`, `clustering_i`, `misses_i`) plus a
-//! few aggregates used by generators and the Inspector-Executor
-//! baseline.
+//! (`nnz_i`, `bw_i`, `scatter_i`, `clustering_i`, `misses_i`) plus
+//! their per-quantity summaries.
 
 use crate::csr::Csr;
 use crate::index_u32;

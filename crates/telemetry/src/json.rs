@@ -79,14 +79,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Any numeric payload widened to `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -45,10 +45,12 @@ use crate::class::ClassSet;
 use crate::pool::OptimizationPool;
 use crate::profile::ProfileClassifier;
 
-/// One timed candidate: its spec and measured best-of-reps GFLOP/s.
+/// One timed candidate: the spec that ran and its measured
+/// best-of-reps GFLOP/s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedCandidate {
-    /// The candidate.
+    /// The spec that ran: a format the matrix cannot take is recorded
+    /// as its fallback ([`BuiltKernel::spec`]), not as requested.
     pub spec: KernelSpec,
     /// Measured best-of-reps GFLOP/s on the warm pool.
     pub gflops: f64,
@@ -57,7 +59,7 @@ pub struct TimedCandidate {
 /// The tuner's decision for one (matrix, threads) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPlan {
-    /// The selected spec.
+    /// The spec the selected kernel runs.
     pub spec: KernelSpec,
     /// The bottleneck classes the shortlist was drawn from.
     pub classes: ClassSet,
@@ -178,8 +180,8 @@ pub fn measure(
 
 /// [`measure`]s each candidate in order and keeps the fastest kernel
 /// (on one matrix, the highest GFLOP/s is the shortest time; a tie
-/// keeps the earlier candidate): every candidate's timing, the
-/// winner and the winner's kernel.
+/// keeps the earlier candidate): every candidate's timing under the
+/// spec it ran, the winning candidate and the winner's kernel.
 ///
 /// # Panics
 /// When `candidates` is empty.
@@ -192,9 +194,8 @@ pub(crate) fn fastest<C: Copy + Into<KernelSpec>>(
     let mut timed = Vec::with_capacity(candidates.len());
     let mut best: Option<(f64, C, BuiltKernel)> = None;
     for &c in candidates {
-        let spec = c.into();
-        let (built, gflops, _) = measure(a, spec, nthreads, reps);
-        timed.push(TimedCandidate { spec, gflops });
+        let (built, gflops, _) = measure(a, c.into(), nthreads, reps);
+        timed.push(TimedCandidate { spec: built.spec, gflops });
         if best.as_ref().is_none_or(|(b, ..)| gflops > *b) {
             best = Some((gflops, c, built));
         }
@@ -219,7 +220,8 @@ pub(crate) fn classify(
 
 /// Runs the menu search for `a` on `nthreads` threads: `classify`s
 /// the matrix, then times its `shortlist` best-of-`reps` on the warm
-/// pool. Returns the plan and the winner's kernel, the one it timed.
+/// pool. Returns the plan and the winner's kernel, the one it timed;
+/// the plan records the spec that kernel runs.
 pub fn search(
     a: &Arc<Csr>,
     machine: &MachineModel,
@@ -232,7 +234,8 @@ pub fn search(
     let candidates = shortlist(classes, &features, a.ncols());
 
     let t_timing = Instant::now();
-    let (timed, spec, built) = fastest(a, &candidates, nthreads, reps);
+    let (timed, _, built) = fastest(a, &candidates, nthreads, reps);
+    let spec = built.spec;
     spmv_telemetry::metrics::profiling_runs().add(t_timing.elapsed().as_secs_f64());
 
     let search_seconds = t_search.elapsed().as_secs_f64();
@@ -258,11 +261,9 @@ mod tests {
         assert_eq!(plan.timed[0].spec, micro::baseline());
         assert_eq!(plan.timed[1].spec, KernelSpec::csr(InnerLoop::Unrolled));
         assert!(plan.search_seconds > 0.0);
-        // The returned kernel is the winner's (a format the matrix
-        // cannot take runs as its fallback, as a fresh build would),
-        // and the winner's measured throughput is the maximum of the
-        // timed set.
-        assert_eq!(built.kernel.name(), build_kernel(&a, plan.spec, 2).kernel.name());
+        // The plan records the spec the returned kernel runs, and the
+        // winner's measured throughput is the maximum of the timed set.
+        assert_eq!(built.spec, plan.spec);
         let max = plan.timed.iter().map(|t| t.gflops).fold(0.0, f64::max);
         assert!(max > 0.0);
         assert_eq!(plan.gflops(), max);
@@ -321,6 +322,22 @@ mod tests {
         assert!(f.nnz_max > 16.0 * f.nnz_avg, "fixture needs dense rows");
         let specs = shortlist(ClassSet::of(&[crate::Bottleneck::IMB]), &f, a.ncols());
         assert_eq!(ids(&specs), ["csr/scalar4-a1", "csr/unrolled", "decomposed"]);
+    }
+
+    #[test]
+    fn plan_records_the_spec_that_ran() {
+        // The circuit's dense rows put `decomposed` on the IMB
+        // shortlist, but at 2 threads none is long enough to split, so
+        // it runs, and is timed, as plain scalar CSR.
+        let a = Arc::new(gen::circuit(3_000, 3, 0.4, 5, 7).unwrap());
+        let decomposed = KernelSpec::of(Format::Decomposed { or_delta: false });
+        let (timed, _, built) = fastest(&a, &[decomposed], 2, 1);
+        assert_eq!(timed[0].spec.id(), "csr/scalar");
+        assert_eq!(built.spec, timed[0].spec);
+        for _ in 0..6 {
+            let (plan, built) = search(&a, &MachineModel::host(), 2, 1);
+            assert_eq!(plan.spec, built.spec);
+        }
     }
 
     #[test]

@@ -9,18 +9,18 @@
 //! The workspace re-exported here:
 //!
 //! * [`sparse`] — formats ([`sparse::Csr`], delta-compressed CSR,
-//!   long-row decomposition, ELL hybrid), generators, MatrixMarket
+//!   long-row decomposition, SELL-C-σ), generators, MatrixMarket
 //!   I/O, structural features (paper Table 2);
 //! * [`machine`] — machine models with KNC / KNL / Broadwell presets
 //!   (paper Table 1), cache simulator, STREAM microbenchmark;
 //! * [`kernels`] — parallel SpMV kernels: baseline CSR plus the
 //!   optimization pool (vectorization, software prefetch, index
-//!   compression, decomposition, scheduling policies);
+//!   compression, decomposition, guided scheduling);
 //! * [`sim`] — deterministic performance simulator producing the
 //!   per-class bounds (`P_MB`, `P_ML`, `P_IMB`, `P_CMP`, `P_peak`) of
 //!   paper §III-B;
-//! * [`mod@reference`] — MKL-like comparison baselines (plain CSR and an
-//!   Inspector-Executor proxy);
+//! * [`mod@reference`] — the MKL comparison baselines (plain CSR and
+//!   the Inspector-Executor) as simulator cost models;
 //! * [`tuner`] — the paper's contribution: bottleneck classification
 //!   (profile-guided rules and a CART feature-guided classifier) and
 //!   the end-to-end adaptive optimizer;
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use spmv_kernels::schedule::Schedule;
     pub use spmv_kernels::variant::{KernelVariant, Optimization};
     pub use spmv_machine::model::MachineModel;
-    pub use spmv_sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, EllHybrid, FeatureVector};
+    pub use spmv_sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, FeatureVector};
     pub use spmv_tuner::class::{Bottleneck, ClassSet};
     pub use spmv_tuner::optimizer::{Optimizer, TunedSpmv};
 }
