@@ -4,6 +4,13 @@
 //! (Fig. 2) with a static one-dimensional row partitioning where each
 //! thread receives approximately equal nonzeros. All optimized
 //! kernels are measured against it.
+//!
+//! Every row loop here and in [`crate::vectorized`],
+//! [`crate::prefetch`] and [`crate::micro`] exists once, as an
+//! `unsafe` entry point with its bounds checks elided, and runs only
+//! under a [`spmv_sparse::Validated`] witness. The one checked path is
+//! each format's serial `spmv`, which `checked_fallback` runs on a
+//! matrix that failed validation and which the tests compare against.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -12,14 +19,12 @@ use spmv_sparse::{Csr, MaybeValidated};
 
 use crate::engine::Plan;
 use crate::micro::MicroSpec;
-use crate::prefetch::PREFETCH_DIST;
 use crate::prefetch::{
-    row_sum_prefetch, row_sum_prefetch_unchecked, row_sum_unrolled_prefetch,
-    row_sum_unrolled_prefetch_unchecked,
+    row_sum_prefetch_unchecked, row_sum_unrolled_prefetch_unchecked, PREFETCH_DIST,
 };
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
 use crate::variant::SpmvKernel;
-use crate::vectorized::{row_sum_unrolled, row_sum_unrolled_unchecked};
+use crate::vectorized::row_sum_unrolled_unchecked;
 
 /// Inner-loop flavor of a CSR-like kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,19 +54,8 @@ impl InnerLoop {
         }
     }
 
-    /// Computes the dot product of one sparse row with `x`.
-    #[inline(always)]
-    pub fn row_sum(self, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-        match self {
-            InnerLoop::Scalar => row_sum_scalar(cols, vals, x),
-            InnerLoop::Unrolled => row_sum_unrolled(cols, vals, x),
-            InnerLoop::Prefetch => row_sum_prefetch(cols, vals, x, PREFETCH_DIST),
-            InnerLoop::UnrolledPrefetch => row_sum_unrolled_prefetch(cols, vals, x, PREFETCH_DIST),
-            InnerLoop::Micro(spec) => spec.row_sum(cols, vals, x),
-        }
-    }
-
-    /// [`InnerLoop::row_sum`] with per-element bounds checks elided.
+    /// Computes the dot product of one sparse row with `x`, with
+    /// per-element bounds checks elided.
     ///
     /// # Safety
     /// `cols.len() == vals.len()` and every entry of `cols` indexes in
@@ -87,17 +81,8 @@ impl InnerLoop {
     }
 }
 
-/// Scalar row dot product (the paper's Fig. 2 inner loop).
-#[inline(always)]
-pub fn row_sum_scalar(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for (c, v) in cols.iter().zip(vals) {
-        sum += v * x[*c as usize];
-    }
-    sum
-}
-
-/// [`row_sum_scalar`] with the gather bounds check elided.
+/// Scalar row dot product (the paper's Fig. 2 inner loop) with the
+/// gather bounds check elided.
 ///
 /// # Safety
 /// Every entry of `cols` must index in bounds of `x` — guaranteed

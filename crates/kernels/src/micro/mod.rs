@@ -16,6 +16,11 @@
 //!   produces the exact same bits, and CI can force it everywhere
 //!   with `SPMV_FORCE_SCALAR=1` without perturbing a single result.
 //!
+//! Each shape has one body: the scalar model (`model_body`) and,
+//! where the ISA exists, its intrinsics transcription. Both read
+//! without bounds checks. [`MicroSpec::row_sum`] is the checked entry:
+//! it verifies the contract, then runs the same body.
+//!
 //! Safety follows the workspace's validated-witness design: the
 //! unchecked entry points carry the same contract as
 //! [`crate::baseline::InnerLoop::row_sum_unchecked`] (columns in
@@ -154,26 +159,23 @@ impl MicroSpec {
     }
 
     /// Computes the dot product of one sparse row with `x`, fully
-    /// checked: panics on an out-of-bounds column or (for SIMD specs)
-    /// mismatched slice lengths.
+    /// checked: verifies the lengths and every column bound (and, for
+    /// a SIMD spec, that the gather can address `x`), panicking on a
+    /// violation, then runs [`MicroSpec::row_sum_unchecked`].
     ///
     /// witness-ok: the length and column-bound asserts below
     /// re-establish the entire `Validated` invariant locally before
     /// the unchecked path is entered.
     pub fn row_sum(self, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
         assert_eq!(cols.len(), vals.len(), "cols/vals length mismatch");
-        if self.simd {
-            // The checked SIMD path pays one O(n) verification pass,
-            // mirroring what a Validated witness proves once.
-            assert!(
-                cols.iter().all(|&c| (c as usize) < x.len()),
-                "column index out of bounds of x"
-            );
-            // SAFETY: lengths and column bounds were just checked;
-            // `simd == true` proves ISA support (construction).
-            return unsafe { self.row_sum_unchecked(cols, vals, x) };
-        }
-        dispatch_model(self.lanes, self.accs, cols, vals, x)
+        // One O(n) verification pass, mirroring what a Validated
+        // witness proves once.
+        assert!(cols.iter().all(|&c| (c as usize) < x.len()), "column index out of bounds of x");
+        assert!(!self.simd || gather_compatible(x.len()), "x too long for a 32-bit gather");
+        // SAFETY: lengths and column bounds were just checked, and a
+        // SIMD spec's columns are < x.len() <= i32::MAX; `simd == true`
+        // proves ISA support (construction).
+        unsafe { self.row_sum_unchecked(cols, vals, x) }
     }
 
     /// [`MicroSpec::row_sum`] with bounds checks elided.
@@ -233,19 +235,7 @@ fn simd_available(lanes: Lanes) -> bool {
     }
 }
 
-/// Monomorphization dispatch for the checked scalar model.
-fn dispatch_model(lanes: Lanes, accs: u8, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    match (lanes, accs) {
-        (Lanes::X4, 1) => model_body::<4, 1>(cols, vals, x),
-        (Lanes::X4, 2) => model_body::<4, 2>(cols, vals, x),
-        (Lanes::X4, _) => model_body::<4, 4>(cols, vals, x),
-        (Lanes::X8, 1) => model_body::<8, 1>(cols, vals, x),
-        (Lanes::X8, 2) => model_body::<8, 2>(cols, vals, x),
-        (Lanes::X8, _) => model_body::<8, 4>(cols, vals, x),
-    }
-}
-
-/// Monomorphization dispatch for the unchecked scalar model.
+/// Monomorphization dispatch for the scalar model.
 ///
 /// # Safety
 /// Same contract as [`MicroSpec::row_sum_unchecked`] (scalar part).
@@ -260,12 +250,12 @@ unsafe fn dispatch_model_unchecked(
     // SAFETY: each arm forwards the caller's contract unchanged.
     unsafe {
         match (lanes, accs) {
-            (Lanes::X4, 1) => model_body_unchecked::<4, 1>(cols, vals, x),
-            (Lanes::X4, 2) => model_body_unchecked::<4, 2>(cols, vals, x),
-            (Lanes::X4, _) => model_body_unchecked::<4, 4>(cols, vals, x),
-            (Lanes::X8, 1) => model_body_unchecked::<8, 1>(cols, vals, x),
-            (Lanes::X8, 2) => model_body_unchecked::<8, 2>(cols, vals, x),
-            (Lanes::X8, _) => model_body_unchecked::<8, 4>(cols, vals, x),
+            (Lanes::X4, 1) => model_body::<4, 1>(cols, vals, x),
+            (Lanes::X4, 2) => model_body::<4, 2>(cols, vals, x),
+            (Lanes::X4, _) => model_body::<4, 4>(cols, vals, x),
+            (Lanes::X8, 1) => model_body::<8, 1>(cols, vals, x),
+            (Lanes::X8, 2) => model_body::<8, 2>(cols, vals, x),
+            (Lanes::X8, _) => model_body::<8, 4>(cols, vals, x),
         }
     }
 }
@@ -311,40 +301,8 @@ fn hreduce(lanes: &[f64]) -> f64 {
 /// * the tail (fewer than `W * A` elements) appends sequential
 ///   `mul_add`s to the reduced sum.
 ///
-/// indexing-ok: this is the *checked* model — `vals[p]`/`x[cols[p]]`
-/// deliberately keep their bounds checks (panicking beats corrupting
-/// on a bad column); `acc`/`lanes` are fixed-size arrays indexed
-/// below `W`/`A`.
-#[inline(always)]
-fn model_body<const W: usize, const A: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    let n = cols.len();
-    let block = W * A;
-    let nblocks = n / block;
-    let mut acc = [[0.0f64; W]; A];
-    for k in 0..nblocks {
-        let b = k * block;
-        for (j, accv) in acc.iter_mut().enumerate() {
-            for (l, a) in accv.iter_mut().enumerate() {
-                let p = b + j * W + l;
-                *a = vals[p].mul_add(x[cols[p] as usize], *a);
-            }
-        }
-    }
-    let mut lanes = acc[0];
-    for accv in &acc[1..] {
-        for (l, a) in lanes.iter_mut().enumerate() {
-            *a += accv[l];
-        }
-    }
-    let mut sum = hreduce(&lanes);
-    for p in block * nblocks..n {
-        sum = vals[p].mul_add(x[cols[p] as usize], sum);
-    }
-    sum
-}
-
-/// [`model_body`] with bounds checks elided.
+/// Its element reads are unchecked; [`MicroSpec::row_sum`] verifies
+/// the contract before running it.
 ///
 /// indexing-ok: the remaining indexed accesses (`acc[0]`,
 /// `acc[1..]`, `accv[l]`) hit fixed-size `[[f64; W]; A]` accumulators
@@ -354,11 +312,7 @@ fn model_body<const W: usize, const A: usize>(cols: &[u32], vals: &[f64], x: &[f
 /// `cols.len() == vals.len()` and every entry of `cols` indexes in
 /// bounds of `x` (Validated-witness contract).
 #[inline(always)]
-unsafe fn model_body_unchecked<const W: usize, const A: usize>(
-    cols: &[u32],
-    vals: &[f64],
-    x: &[f64],
-) -> f64 {
+unsafe fn model_body<const W: usize, const A: usize>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     debug_assert_eq!(cols.len(), vals.len());
     let n = cols.len();
     let block = W * A;
@@ -489,24 +443,12 @@ mod tests {
             let (cols, vals, x) = random_row(len, 64, len as u64);
             let reference: f64 = cols.iter().zip(&vals).map(|(&c, &v)| v * x[c as usize]).sum();
             for spec in all_scalar_specs() {
-                let got = spec.row_sum(&cols, &vals, &x);
+                // SAFETY: random_row keeps every column < 64 == x.len().
+                let got = unsafe { spec.row_sum_unchecked(&cols, &vals, &x) };
                 assert!(
                     (got - reference).abs() < 1e-12,
                     "{spec:?} len {len}: {got} vs {reference}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn checked_and_unchecked_models_agree_bitwise() {
-        for len in [0usize, 1, 5, 8, 9, 16, 33, 63, 64, 257] {
-            let (cols, vals, x) = random_row(len, 128, len as u64 + 5);
-            for spec in all_scalar_specs() {
-                let checked = spec.row_sum(&cols, &vals, &x);
-                // SAFETY: random_row keeps every column < 128 == x.len().
-                let unchecked = unsafe { spec.row_sum_unchecked(&cols, &vals, &x) };
-                assert_eq!(checked.to_bits(), unchecked.to_bits(), "{spec:?} len {len}");
             }
         }
     }
@@ -540,14 +482,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn checked_simd_rejects_out_of_bounds_columns() {
-        let Some(spec) = MicroSpec::simd(Lanes::X4, 1) else {
-            // No SIMD on this host: surface the expected panic anyway
-            // so the test is meaningful everywhere.
-            panic!("column index out of bounds of x");
-        };
-        spec.row_sum(&[9], &[1.0], &[1.0; 4]);
+    fn row_sum_rejects_out_of_bounds_columns() {
+        let mut specs = vec![MicroSpec::scalar(Lanes::X4, 1)];
+        specs.extend(MicroSpec::simd(Lanes::X4, 1));
+        for spec in specs {
+            let payload = std::panic::catch_unwind(|| spec.row_sum(&[9], &[1.0], &[1.0; 4]))
+                .expect_err("an out-of-bounds column must panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(msg.contains("out of bounds"), "{spec:?}: {msg}");
+        }
     }
 
     #[test]

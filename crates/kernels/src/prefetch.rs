@@ -5,6 +5,11 @@
 //! inner loop of SpMV, with a fixed prefetch distance equal to the
 //! number of elements that fit in a single cache line of the hardware
 //! platform. Data are prefetched into the L1 cache."
+//!
+//! Each loop exists once, with its bounds checks elided: kernels reach
+//! them only through a `spmv_sparse::Validated` CSR witness, and an
+//! unvalidated matrix runs the serial checked `Csr::spmv` instead
+//! (see [`crate::baseline::CsrKernel`]).
 
 /// Fixed prefetch distance: elements per 64-byte cache line of f64.
 pub const PREFETCH_DIST: usize = 8;
@@ -40,47 +45,10 @@ pub fn prefetch_x(x: &[f64], col: usize) {
 }
 
 /// Scalar sparse dot product with one prefetch per element at a fixed
-/// distance `dist` ahead in the column stream.
-#[inline(always)]
-pub fn row_sum_prefetch(cols: &[u32], vals: &[f64], x: &[f64], dist: usize) -> f64 {
-    let n = cols.len();
-    let mut sum = 0.0;
-    for j in 0..n {
-        if j + dist < n {
-            prefetch_x(x, cols[j + dist] as usize);
-        }
-        sum += vals[j] * x[cols[j] as usize];
-    }
-    sum
-}
-
-/// Unrolled (4-way) sparse dot product with prefetching — the joint
-/// `ML + CMP` form.
-#[inline(always)]
-pub fn row_sum_unrolled_prefetch(cols: &[u32], vals: &[f64], x: &[f64], dist: usize) -> f64 {
-    let n = cols.len();
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for k in 0..chunks {
-        let b = 4 * k;
-        if b + dist < n {
-            prefetch_x(x, cols[b + dist] as usize);
-        }
-        acc[0] += vals[b] * x[cols[b] as usize];
-        acc[1] += vals[b + 1] * x[cols[b + 1] as usize];
-        acc[2] += vals[b + 2] * x[cols[b + 2] as usize];
-        acc[3] += vals[b + 3] * x[cols[b + 3] as usize];
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for k in 4 * chunks..n {
-        sum += vals[k] * x[cols[k] as usize];
-    }
-    sum
-}
-
-/// [`row_sum_prefetch`] with bounds checks elided on the compute
-/// stream (the prefetch hint keeps its cheap guard — a misdirected
-/// hint is harmless but a wild one is not worth reasoning about).
+/// distance `dist` ahead in the column stream, with bounds checks
+/// elided on the compute stream (the prefetch hint keeps its cheap
+/// guard — a misdirected hint is harmless but a wild one is not worth
+/// reasoning about).
 ///
 /// indexing-ok: the only checked indexing left is `cols[j + dist]`
 /// behind its explicit `j + dist < n` guard.
@@ -110,8 +78,8 @@ pub unsafe fn row_sum_prefetch_unchecked(
     sum
 }
 
-/// [`row_sum_unrolled_prefetch`] with bounds checks elided on the
-/// compute stream.
+/// Unrolled (4-way) sparse dot product with prefetching — the joint
+/// `ML + CMP` form — with bounds checks elided on the compute stream.
 ///
 /// indexing-ok: `cols[b + dist]` sits behind its `b + dist < n`
 /// guard; `acc` is a fixed `[f64; 4]`.
@@ -161,6 +129,12 @@ mod tests {
         cols.iter().zip(vals).map(|(&c, &v)| v * x[c as usize]).sum()
     }
 
+    /// Checks the shared contract of the prefetch loops.
+    fn assert_in_bounds(cols: &[u32], vals: &[f64], x: &[f64]) {
+        assert_eq!(cols.len(), vals.len());
+        assert!(cols.iter().all(|&c| (c as usize) < x.len()));
+    }
+
     #[test]
     fn prefetch_variants_match_scalar() {
         let mut rng = SmallRng::seed_from_u64(4);
@@ -169,9 +143,8 @@ mod tests {
             let vals: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let x: Vec<f64> = (0..512).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let s = scalar(&cols, &vals, &x);
-            assert!((row_sum_prefetch(&cols, &vals, &x, PREFETCH_DIST) - s).abs() < 1e-12);
-            assert!((row_sum_unrolled_prefetch(&cols, &vals, &x, PREFETCH_DIST) - s).abs() < 1e-10);
-            // SAFETY: cols are random in 0..512 == x.len().
+            assert_in_bounds(&cols, &vals, &x);
+            // SAFETY: the contract was checked just above.
             let (pu, upu) = unsafe {
                 (
                     row_sum_prefetch_unchecked(&cols, &vals, &x, PREFETCH_DIST),
@@ -197,6 +170,15 @@ mod tests {
         let cols = [0u32, 1, 2];
         let vals = [1.0, 2.0, 3.0];
         let x = [1.0, 10.0, 100.0];
-        assert_eq!(row_sum_prefetch(&cols, &vals, &x, 0), 321.0);
+        assert_in_bounds(&cols, &vals, &x);
+        // SAFETY: the contract was checked just above.
+        let (pu, upu) = unsafe {
+            (
+                row_sum_prefetch_unchecked(&cols, &vals, &x, 0),
+                row_sum_unrolled_prefetch_unchecked(&cols, &vals, &x, 0),
+            )
+        };
+        assert_eq!(pu, 321.0);
+        assert_eq!(upu, 321.0);
     }
 }

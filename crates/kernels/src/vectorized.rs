@@ -7,30 +7,14 @@
 //! auto-vectorizes into gather + FMA sequences at `opt-level=3`
 //! (and which already breaks the loop-carried dependence that limits
 //! the scalar loop on in-order cores).
+//!
+//! The loop exists once, with its bounds checks elided: kernels reach
+//! it only through a `spmv_sparse::Validated` CSR witness, and an
+//! unvalidated matrix runs the serial checked `Csr::spmv` instead
+//! (see [`crate::baseline::CsrKernel`]).
 
-/// 4-way unrolled sparse dot product with independent accumulators.
-#[inline(always)]
-pub fn row_sum_unrolled(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    let n = cols.len();
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for k in 0..chunks {
-        let b = 4 * k;
-        acc[0] += vals[b] * x[cols[b] as usize];
-        acc[1] += vals[b + 1] * x[cols[b + 1] as usize];
-        acc[2] += vals[b + 2] * x[cols[b + 2] as usize];
-        acc[3] += vals[b + 3] * x[cols[b + 3] as usize];
-    }
-    let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for k in 4 * chunks..n {
-        sum += vals[k] * x[cols[k] as usize];
-    }
-    sum
-}
-
-/// [`row_sum_unrolled`] with bounds checks elided — the `CMP`-class
-/// fast path.
+/// 4-way unrolled sparse dot product with independent accumulators
+/// and bounds checks elided — the `CMP`-class fast path.
 ///
 /// indexing-ok: the reduction reads a fixed `[f64; 4]` at constant
 /// indices.
@@ -75,6 +59,14 @@ mod tests {
         cols.iter().zip(vals).map(|(&c, &v)| v * x[c as usize]).sum()
     }
 
+    /// Runs the unrolled loop after checking its contract.
+    fn unrolled(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
+        assert_eq!(cols.len(), vals.len());
+        assert!(cols.iter().all(|&c| (c as usize) < x.len()));
+        // SAFETY: lengths match and every column is < x.len() (checked above).
+        unsafe { row_sum_unrolled_unchecked(cols, vals, x) }
+    }
+
     fn random_row(len: usize, ncols: usize, seed: u64) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cols: Vec<u32> = (0..len).map(|_| rng.gen_range(0..ncols) as u32).collect();
@@ -88,18 +80,7 @@ mod tests {
         for len in 0..20 {
             let (cols, vals, x) = random_row(len, 64, len as u64);
             let s = scalar(&cols, &vals, &x);
-            assert!((row_sum_unrolled(&cols, &vals, &x) - s).abs() < 1e-12, "len {len}");
-        }
-    }
-
-    #[test]
-    fn unchecked_variants_match_checked() {
-        for len in [0usize, 1, 5, 8, 9, 33, 1000] {
-            let (cols, vals, x) = random_row(len, 128, len as u64 + 17);
-            let s = scalar(&cols, &vals, &x);
-            // SAFETY: cols came from random_row with indices < 128 == x.len().
-            let u4 = unsafe { row_sum_unrolled_unchecked(&cols, &vals, &x) };
-            assert!((u4 - s).abs() < 1e-10, "len {len}");
+            assert!((unrolled(&cols, &vals, &x) - s).abs() < 1e-12, "len {len}");
         }
     }
 
@@ -107,11 +88,11 @@ mod tests {
     fn long_rows_match_within_fp_reassociation() {
         let (cols, vals, x) = random_row(10_000, 4096, 99);
         let s = scalar(&cols, &vals, &x);
-        assert!((row_sum_unrolled(&cols, &vals, &x) - s).abs() < 1e-9);
+        assert!((unrolled(&cols, &vals, &x) - s).abs() < 1e-9);
     }
 
     #[test]
     fn empty_row_is_zero() {
-        assert_eq!(row_sum_unrolled(&[], &[], &[1.0]), 0.0);
+        assert_eq!(unrolled(&[], &[], &[1.0]), 0.0);
     }
 }

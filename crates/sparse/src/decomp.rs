@@ -174,19 +174,9 @@ impl DecomposedCsr {
 
     /// Computes the partial dot product of long row `lr` over the
     /// element sub-range `chunk` (relative to `lr.start`), the unit of
-    /// work given to each thread in the parallel reduction.
-    pub fn long_row_partial(&self, lr: &LongRow, chunk: std::ops::Range<usize>, x: &[f64]) -> f64 {
-        let s = lr.start + chunk.start;
-        let e = (lr.start + chunk.end).min(lr.end);
-        let mut sum = 0.0;
-        for j in s..e {
-            sum += self.long_values[j] * x[self.long_colind[j] as usize];
-        }
-        sum
-    }
-
-    /// Like [`DecomposedCsr::long_row_partial`] with per-element
-    /// bounds checks elided — the long-row reduction fast path.
+    /// work given to each thread in the parallel reduction, with
+    /// per-element bounds checks elided — the long-row reduction fast
+    /// path.
     ///
     /// # Safety
     /// * `self` must hold a structure that passed
@@ -303,6 +293,7 @@ impl crate::validate::ValidateFormat for DecomposedCsr {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::validate::Validated;
 
     /// n-row matrix with one dense row 0 and unit diagonal elsewhere.
     fn skewed(n: usize) -> Csr {
@@ -370,7 +361,7 @@ mod tests {
     #[test]
     fn long_row_partials_sum_to_row_value() {
         let a = skewed(100);
-        let d = DecomposedCsr::split(&a, 10).unwrap();
+        let d = Validated::new(DecomposedCsr::split(&a, 10).unwrap()).unwrap();
         let x: Vec<f64> = (0..100).map(|i| i as f64 * 0.25).collect();
         let lr = &d.long_rows()[0];
         let len = lr.end - lr.start;
@@ -378,7 +369,9 @@ mod tests {
         let chunk = 7;
         let mut s = 0;
         while s < len {
-            total += d.long_row_partial(lr, s..(s + chunk).min(len), &x);
+            // SAFETY: `d` is a Validated witness, `lr` is one of its
+            // long rows and x.len() == ncols.
+            total += unsafe { d.long_row_partial_unchecked(lr, s..(s + chunk).min(len), &x) };
             s += chunk;
         }
         let mut y = vec![0.0; 100];

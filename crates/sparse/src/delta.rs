@@ -252,76 +252,17 @@ impl DeltaCsr {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "x length");
         assert_eq!(y.len(), self.nrows, "y length");
-        self.spmv_rows(0..self.nrows, x, y);
-    }
-
-    /// SpMV restricted to a contiguous row range (building block for
-    /// the parallel kernel in `spmv-kernels`).
-    pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
         match &self.deltas {
-            Deltas::U8(d) => {
-                self.spmv_rows_impl(rows, x, y, d, u32::from(u8::MAX), |v| u32::from(*v))
-            }
-            Deltas::U16(d) => {
-                self.spmv_rows_impl(rows, x, y, d, u32::from(u16::MAX), |v| u32::from(*v))
-            }
+            Deltas::U8(d) => self.spmv_impl(x, y, d, u32::from(u8::MAX), |v| u32::from(*v)),
+            Deltas::U16(d) => self.spmv_impl(x, y, d, u32::from(u16::MAX), |v| u32::from(*v)),
         }
     }
 
     /// SpMV over a contiguous row range writing into a range-local
-    /// output slice: `out[k] = (A*x)[rows.start + k]`. This form lets
-    /// parallel callers hand each worker a disjoint `&mut` sub-slice
-    /// of `y`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != rows.len()`.
-    pub fn spmv_rows_into(&self, rows: std::ops::Range<usize>, x: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), rows.len(), "output slice length");
-        let start = rows.start;
-        match &self.deltas {
-            Deltas::U8(d) => self.spmv_rows_into_impl(rows, x, out, start, d, u32::from(u8::MAX)),
-            Deltas::U16(d) => self.spmv_rows_into_impl(rows, x, out, start, d, u32::from(u16::MAX)),
-        }
-    }
-
-    #[inline]
-    fn spmv_rows_into_impl<T: Copy + Into<u32>>(
-        &self,
-        rows: std::ops::Range<usize>,
-        x: &[f64],
-        out: &mut [f64],
-        start: usize,
-        deltas: &[T],
-        sentinel: u32,
-    ) {
-        for i in rows {
-            let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
-            let mut exc = self.exc_ptr[i] as usize;
-            let mut col = self.firstcol[i];
-            let mut sum = 0.0;
-            // Indexed loop: `j` addresses `deltas` and `values` in
-            // lockstep while threading the exception cursor.
-            #[allow(clippy::needless_range_loop)]
-            for j in s..e {
-                if j > s {
-                    let d: u32 = deltas[j].into();
-                    let gap = if d == sentinel {
-                        let g = self.exceptions[exc];
-                        exc += 1;
-                        g
-                    } else {
-                        d
-                    };
-                    col += gap;
-                }
-                sum += self.values[j] * x[col as usize];
-            }
-            out[i - start] = sum;
-        }
-    }
-
-    /// Like [`DeltaCsr::spmv_rows_into`] but with every per-element
-    /// bounds check elided — the compressed-format fast path.
+    /// output slice, `out[k] = (A*x)[rows.start + k]`, with every
+    /// per-element bounds check elided — the compressed-format fast
+    /// path. The range-local output lets parallel callers hand each
+    /// worker a disjoint `&mut` sub-slice of `y`.
     ///
     /// # Safety
     /// * `self` must hold a structure that passed
@@ -406,16 +347,15 @@ impl DeltaCsr {
     }
 
     #[inline]
-    fn spmv_rows_impl<T>(
+    fn spmv_impl<T>(
         &self,
-        rows: std::ops::Range<usize>,
         x: &[f64],
         y: &mut [f64],
         deltas: &[T],
         sentinel: u32,
         widen: impl Fn(&T) -> u32,
     ) {
-        for i in rows {
+        for (i, yi) in y.iter_mut().enumerate() {
             let (s, e) = (self.rowptr[i], self.rowptr[i + 1]);
             let mut exc = self.exc_ptr[i] as usize;
             let mut col = self.firstcol[i];
@@ -437,7 +377,7 @@ impl DeltaCsr {
                 }
                 sum += self.values[j] * x[col as usize];
             }
-            y[i] = sum;
+            *yi = sum;
         }
     }
 
@@ -629,6 +569,7 @@ fn count_escapes(a: &Csr) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::validate::Validated;
 
     fn banded(n: usize, band: usize) -> Csr {
         let mut coo = Coo::new(n, n).unwrap();
@@ -697,18 +638,22 @@ mod tests {
 
     #[test]
     fn spmv_rows_partial_range() {
-        let a = banded(32, 1);
-        let d = DeltaCsr::from_csr(&a).unwrap();
-        let x = vec![1.0; a.ncols()];
-        let mut y_full = vec![0.0; a.nrows()];
-        a.spmv(&x, &mut y_full);
-        let mut y = vec![0.0; a.nrows()];
-        d.spmv_rows(8..24, &x, &mut y);
-        for i in 8..24 {
-            assert_eq!(y[i], y_full[i]);
+        // The scattered matrix's 700-column gaps escape at 8 bits, so
+        // the U8 stream also walks the exception cursor.
+        for a in [banded(32, 1), scattered(32, 700)] {
+            let x: Vec<f64> = (0..a.ncols()).map(|i| (i % 5) as f64 - 2.0).collect();
+            let mut y_full = vec![0.0; a.nrows()];
+            a.spmv(&x, &mut y_full);
+            for width in [DeltaWidth::U8, DeltaWidth::U16] {
+                let d = Validated::new(DeltaCsr::with_width(&a, width).unwrap()).unwrap();
+                let mut out = vec![f64::NAN; 16];
+                // SAFETY: `d` is a Validated witness, 8..24 lies within
+                // its 32 rows, x.len() == ncols and out.len() == 16 ==
+                // rows.len().
+                unsafe { d.spmv_rows_into_unchecked(8..24, &x, &mut out) };
+                assert_eq!(out, y_full[8..24], "{width:?}");
+            }
         }
-        assert_eq!(y[0], 0.0);
-        assert_eq!(y[31], 0.0);
     }
 
     #[test]

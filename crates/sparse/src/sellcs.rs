@@ -158,14 +158,7 @@ impl SellCs {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "x length");
         assert_eq!(y.len(), self.nrows, "y length");
-        self.spmv_chunks(0..self.nchunks(), x, y);
-    }
-
-    /// SpMV over a contiguous chunk range, scattering into `y` at the
-    /// original row positions (disjoint across chunks, so parallel
-    /// callers may partition by chunks).
-    pub fn spmv_chunks(&self, chunks: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        self.spmv_chunks_scatter(chunks, x, &mut |row, value| y[row] = value);
+        self.spmv_chunks_scatter(0..self.nchunks(), x, &mut |row, value| y[row] = value);
     }
 
     /// SpMV over a contiguous chunk range, delivering each result as
@@ -334,6 +327,7 @@ impl crate::validate::ValidateFormat for SellCs {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::validate::Validated;
 
     fn check_product(a: &Csr, chunk: usize, sigma: usize) -> SellCs {
         let s = SellCs::from_csr(a, chunk, sigma).unwrap();
@@ -397,12 +391,15 @@ mod tests {
     #[test]
     fn chunk_range_partial_execution() {
         let a = gen::banded(64, 2, 1.0, 9).unwrap();
-        let s = SellCs::from_csr(&a, 4, 16).unwrap();
-        let x = vec![1.0; 64];
+        let s = Validated::new(SellCs::from_csr(&a, 4, 16).unwrap()).unwrap();
+        let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 - 3.0).collect();
         let mut full = vec![0.0; 64];
         a.spmv(&x, &mut full);
         let mut y = vec![f64::NAN; 64];
-        s.spmv_chunks(4..8, &x, &mut y); // sorted rows 16..32
+        // Chunks 4..8 hold sorted rows 16..32.
+        // SAFETY: `s` is a Validated witness, chunks 4..8 lie within its
+        // 16 chunks and x.len() == ncols.
+        unsafe { s.spmv_chunks_scatter_unchecked(4..8, &x, &mut |row, v| y[row] = v) };
         let mut written = 0;
         for i in 0..64 {
             if !y[i].is_nan() {

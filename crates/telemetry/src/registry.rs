@@ -1,7 +1,7 @@
 //! Metrics registry: one labeled namespace unifying the hot-path
-//! counters ([`crate::metrics`]), span timers ([`crate::span`]) and
-//! trace-buffer health ([`crate::trace`]) behind a single snapshot
-//! that renders as Prometheus text exposition format 0.0.4.
+//! counters ([`crate::metrics`]) and trace-buffer health
+//! ([`crate::trace`]) behind a single snapshot that renders as
+//! Prometheus text exposition format 0.0.4.
 //!
 //! The registry itself is an owned, single-threaded value — callers
 //! build one per scrape via [`MetricsRegistry::gather`] (or by hand in
@@ -14,16 +14,13 @@
 //! * monotonic totals end in `_total`, accumulated durations in
 //!   `_seconds_total`;
 //! * instantaneous/derived values (ratios, capacities, flags) carry no
-//!   suffix and are exported as gauges;
-//! * span timings share one metric, `spmv_span_seconds_total`, with
-//!   the span name as the `span` label.
+//!   suffix and are exported as gauges.
 
 use crate::hist::{serve_latency, serve_stats, Exemplar, HistogramSnapshot, LatencyHistogram};
 use crate::metrics::{
     engine_dispatch, menu_selection, preprocessing, profiling_runs, serve_encode, serve_upload,
 };
 use crate::roofline::RooflineSample;
-use crate::span::SpanSet;
 use crate::trace::tracer;
 
 /// Prometheus metric type as exported in `# TYPE` lines.
@@ -137,28 +134,6 @@ impl MetricsRegistry {
                 kind,
                 samples: vec![sample],
             }),
-        }
-    }
-
-    /// Exports a [`SpanSet`] as `spmv_span_seconds_total{span="..."}`
-    /// samples, aggregating duplicate span names first so each label
-    /// value appears once per scrape.
-    pub fn record_spans(&mut self, spans: &SpanSet) {
-        let mut seen: Vec<(&str, f64)> = Vec::new();
-        for s in spans.spans() {
-            match seen.iter_mut().find(|(n, _)| *n == s.name) {
-                Some((_, total)) => *total += s.seconds,
-                None => seen.push((&s.name, s.seconds)),
-            }
-        }
-        for (name, seconds) in seen {
-            self.push_labeled(
-                "spmv_span_seconds_total",
-                "Accumulated wall-clock seconds per named cold-path span.",
-                MetricKind::Counter,
-                &[("span", name)],
-                seconds,
-            );
         }
     }
 
@@ -595,19 +570,6 @@ mod tests {
         );
         // Escaped output stays single-line per sample.
         assert_eq!(text.lines().count(), 3);
-    }
-
-    #[test]
-    fn record_spans_aggregates_duplicates() {
-        let mut spans = SpanSet::new();
-        spans.record("bound:P_ML", 1.0);
-        spans.record("bound:P_ML", 2.0);
-        spans.record("bound:P_CMP", 0.25);
-        let mut reg = MetricsRegistry::new();
-        reg.record_spans(&spans);
-        let text = reg.render();
-        assert!(text.contains("spmv_span_seconds_total{span=\"bound:P_ML\"} 3\n"), "{text}");
-        assert!(text.contains("spmv_span_seconds_total{span=\"bound:P_CMP\"} 0.25\n"), "{text}");
     }
 
     #[test]

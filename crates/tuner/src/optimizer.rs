@@ -8,9 +8,9 @@
 //! * **profile-guided** — run the §III-B micro-benchmarks on the host
 //!   and apply the Fig. 4 rules (the menu search's step 1,
 //!   `menu::classify`);
-//! * **feature-guided** — extract Table 2 features and query a
-//!   decision tree (or the built-in heuristic approximation when no
-//!   trained tree is supplied);
+//! * **feature-guided** — extract Table 2 features and apply the
+//!   built-in heuristic approximation of the trained decision tree
+//!   (`featclf::heuristic_classify`);
 //! * **trivial-single / trivial-combined** — the sweeps the paper
 //!   uses as overhead baselines in Table 4: build and time the
 //!   baseline plus every single (or every single and pair)
@@ -26,7 +26,7 @@ use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, FeatureVector};
 
 use crate::class::ClassSet;
-use crate::featclf::{heuristic_classify, FeatureGuidedClassifier};
+use crate::featclf::heuristic_classify;
 use crate::pool::OptimizationPool;
 
 /// Classification strategy of an [`Optimizer`].
@@ -34,7 +34,7 @@ use crate::pool::OptimizationPool;
 pub enum Strategy {
     /// Online micro-benchmark profiling + Fig. 4 rules.
     ProfileGuided,
-    /// Structural features + decision tree (or heuristic fallback).
+    /// Structural features + the heuristic decision rules.
     FeatureGuided,
     /// Time the 5 single-optimization variants, keep the best.
     TrivialSingle,
@@ -47,7 +47,6 @@ pub enum Strategy {
 pub struct Optimizer {
     machine: MachineModel,
     strategy: Strategy,
-    trained: Option<FeatureGuidedClassifier>,
     nthreads: usize,
     profiling_reps: usize,
 }
@@ -55,13 +54,7 @@ pub struct Optimizer {
 impl Optimizer {
     fn base(machine: &MachineModel, strategy: Strategy) -> Optimizer {
         let host_threads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-        Optimizer {
-            machine: machine.clone(),
-            strategy,
-            trained: None,
-            nthreads: host_threads,
-            profiling_reps: 3,
-        }
+        Optimizer { machine: machine.clone(), strategy, nthreads: host_threads, profiling_reps: 3 }
     }
 
     /// Profile-guided optimizer (paper `prof`).
@@ -70,8 +63,9 @@ impl Optimizer {
     }
 
     /// Feature-guided optimizer (paper `feat`) using the built-in
-    /// heuristic rules; supply a trained tree with
-    /// [`Optimizer::with_classifier`] for the full paper pipeline.
+    /// heuristic rules ([`crate::featclf::heuristic_classify`]), a
+    /// hand-written approximation of the trained tree that
+    /// [`crate::featclf::FeatureGuidedClassifier`] fits.
     pub fn feature_guided(machine: &MachineModel) -> Optimizer {
         Self::base(machine, Strategy::FeatureGuided)
     }
@@ -84,13 +78,6 @@ impl Optimizer {
     /// Trivial sweep over singles and pairs.
     pub fn trivial_combined(machine: &MachineModel) -> Optimizer {
         Self::base(machine, Strategy::TrivialCombined)
-    }
-
-    /// Installs a trained feature-guided classifier.
-    #[must_use]
-    pub fn with_classifier(mut self, clf: FeatureGuidedClassifier) -> Optimizer {
-        self.trained = Some(clf);
-        self
     }
 
     /// Overrides the worker thread count of built kernels.
@@ -113,11 +100,7 @@ impl Optimizer {
                 crate::menu::classify(a, &self.machine, self.nthreads, self.profiling_reps)
             }
             Strategy::FeatureGuided => {
-                let f = self.features(a);
-                match &self.trained {
-                    Some(clf) => clf.predict(&f),
-                    None => heuristic_classify(&f, self.machine.total_threads() >= 64),
-                }
+                heuristic_classify(&self.features(a), self.machine.total_threads() >= 64)
             }
             Strategy::TrivialSingle | Strategy::TrivialCombined => ClassSet::EMPTY,
         }
