@@ -23,7 +23,7 @@ use std::sync::Arc;
 use spmv_kernels::baseline::{row_sum_scalar_unchecked, CsrKernel};
 use spmv_kernels::schedule::{execute_spawn, Schedule, YPtr};
 use spmv_kernels::variant::SpmvKernel;
-use spmv_sparse::{gen, Csr};
+use spmv_sparse::{gen, Csr, Validated};
 
 /// One SpMV through the legacy spawn-per-call path (fresh scoped
 /// threads, partition recomputed) — byte-for-byte the same inner loop
@@ -40,13 +40,15 @@ fn spmv_spawn(a: &Csr, nthreads: usize, x: &[f64], y: &mut [f64]) {
     });
 }
 
-fn cases() -> Vec<(&'static str, Arc<Csr>)> {
-    vec![
+fn cases() -> Vec<(&'static str, Validated<Arc<Csr>>)> {
+    [
         // ~10k nnz: dispatch overhead dominates.
-        ("small", Arc::new(gen::banded(2_000, 2, 1.0, 1).expect("valid"))),
+        ("small", gen::banded(2_000, 2, 1.0, 1)),
         // ~5M nnz: compute dominates; the paths must tie.
-        ("large", Arc::new(gen::banded(250_000, 10, 1.0, 2).expect("valid"))),
+        ("large", gen::banded(250_000, 10, 1.0, 2)),
     ]
+    .map(|(name, a)| (name, Validated::new(Arc::new(a.expect("valid"))).unwrap()))
+    .into()
 }
 
 fn bench_dispatch(c: &mut Criterion) {

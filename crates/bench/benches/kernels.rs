@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
-use spmv_sparse::gen;
+use spmv_sparse::{gen, Validated};
 
 fn bench_variants(c: &mut Criterion) {
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
@@ -16,7 +16,7 @@ fn bench_variants(c: &mut Criterion) {
         ("circuit", gen::circuit(80_000, 4, 0.3, 6, 2)),
         ("powerlaw", gen::powerlaw(60_000, 8, 1.9, 3)),
     ]
-    .map(|(name, a)| (name, Arc::new(a.expect("valid"))));
+    .map(|(name, a)| (name, Validated::new(Arc::new(a.expect("valid"))).unwrap()));
     for (name, a) in &cases {
         let mut group = c.benchmark_group(format!("spmv/{name}"));
         group.throughput(Throughput::Elements(a.nnz() as u64));

@@ -7,10 +7,10 @@ use std::sync::Arc;
 
 use spmv_kernels::variant::{build_kernel, KernelVariant, Optimization};
 use spmv_solvers::{cg, gmres, Jacobi};
-use spmv_sparse::gen;
+use spmv_sparse::{gen, Validated};
 
 fn bench_cg_iterations(c: &mut Criterion) {
-    let a = Arc::new(gen::stencil_2d(120, 120).expect("valid grid"));
+    let a = Validated::new(Arc::new(gen::stencil_2d(120, 120).expect("valid grid"))).unwrap();
     let n = a.nrows();
     let b_rhs = vec![1.0f64; n];
     let precond = Jacobi::new(&a);
@@ -18,7 +18,7 @@ fn bench_cg_iterations(c: &mut Criterion) {
     c.bench_function("solvers/cg_20_iters_baseline", |bch| {
         bch.iter(|| {
             let mut x = vec![0.0f64; n];
-            black_box(cg(&*a, &b_rhs, &mut x, Some(&precond), 0.0, 20));
+            black_box(cg(&**a, &b_rhs, &mut x, Some(&precond), 0.0, 20));
         });
     });
 

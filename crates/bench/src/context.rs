@@ -11,7 +11,7 @@ use spmv_sim::prep::PrepModel;
 use spmv_sim::profile::MatrixProfile;
 use spmv_sparse::features::FeatureVector;
 use spmv_sparse::gen::suite::{corpus, SUITE};
-use spmv_sparse::Csr;
+use spmv_sparse::{Csr, Validated};
 use spmv_tuner::class::ClassSet;
 use spmv_tuner::dtree::TreeParams;
 use spmv_tuner::featclf::FeatureGuidedClassifier;
@@ -75,19 +75,20 @@ impl Platform {
 pub struct NamedMatrix {
     /// Name of the UF matrix the preset stands in for.
     pub name: &'static str,
-    /// The generated matrix.
-    pub matrix: Arc<Csr>,
+    /// The generated matrix, verified once here.
+    pub matrix: Validated<Arc<Csr>>,
 }
 
-/// Generates the full representative suite at `scale`.
+/// Generates (and verifies) the full representative suite at `scale`.
 pub fn load_suite(scale: f64) -> Vec<NamedMatrix> {
     SUITE
         .iter()
         .map(|m| NamedMatrix {
             name: m.name,
-            matrix: Arc::new(
-                m.generate(scale).unwrap_or_else(|e| panic!("suite preset {} failed: {e}", m.name)),
-            ),
+            matrix: m
+                .generate(scale)
+                .and_then(|a| Validated::new(Arc::new(a)))
+                .unwrap_or_else(|e| panic!("suite preset {} failed: {e}", m.name)),
         })
         .collect()
 }

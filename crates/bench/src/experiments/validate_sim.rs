@@ -16,7 +16,7 @@ use spmv_kernels::variant::{KernelVariant, Optimization};
 use spmv_machine::stream::calibrated_host_model;
 use spmv_sim::cost::{CostModel, SimSpec};
 use spmv_sim::profile::MatrixProfile;
-use spmv_sparse::{gen, Csr};
+use spmv_sparse::{gen, Csr, Validated};
 use spmv_tuner::menu::measure;
 
 use crate::table::{f, Table};
@@ -24,7 +24,7 @@ use crate::table::{f, Table};
 /// One validation case.
 struct Case {
     name: &'static str,
-    matrix: Arc<Csr>,
+    matrix: Validated<Arc<Csr>>,
 }
 
 fn cases(scale: f64) -> Vec<Case> {
@@ -35,12 +35,15 @@ fn cases(scale: f64) -> Vec<Case> {
         ("powerlaw", gen::powerlaw(s(60_000), 8, 1.9, 2)),
         ("circuit", gen::circuit(s(80_000), 4, 0.3, 6, 3)),
     ]
-    .map(|(name, m)| Case { name, matrix: Arc::new(m.expect("valid")) })
+    .map(|(name, m)| Case {
+        name,
+        matrix: m.and_then(|a| Validated::new(Arc::new(a))).expect("valid"),
+    })
     .into()
 }
 
 /// Times `reps` runs of a built kernel, returning the best seconds.
-fn time_real(a: &Arc<Csr>, variant: KernelVariant, nthreads: usize, reps: usize) -> f64 {
+fn time_real(a: &Validated<Arc<Csr>>, variant: KernelVariant, nthreads: usize, reps: usize) -> f64 {
     let (_, gflops, _) = measure(a, variant.into(), nthreads, reps);
     2.0 * a.nnz() as f64 / (gflops * 1e9)
 }

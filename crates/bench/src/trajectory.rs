@@ -24,7 +24,7 @@ use std::sync::Arc;
 use spmv_kernels::micro::menu;
 use spmv_kernels::variant::{build_kernel, KernelSpec, KernelVariant};
 use spmv_machine::MachineModel;
-use spmv_sparse::Csr;
+use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::{metrics, tracer, JsonValue};
 use spmv_tuner::menu::measure;
 use spmv_tuner::profile::ProfileClassifier;
@@ -258,7 +258,7 @@ fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) 
 
 /// Best-of GFLOP/s of each spec, measured in alternating rounds so
 /// all see the same host conditions.
-fn head_to_head(a: &Arc<Csr>, specs: &[KernelSpec], nthreads: usize) -> Vec<f64> {
+fn head_to_head(a: &Validated<Arc<Csr>>, specs: &[KernelSpec], nthreads: usize) -> Vec<f64> {
     let built: Vec<_> = specs.iter().map(|&spec| build_kernel(a, spec, nthreads)).collect();
     let x = vec![1.0f64; a.ncols()];
     let mut y = vec![0.0f64; a.nrows()];

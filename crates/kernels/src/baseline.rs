@@ -8,14 +8,14 @@
 //! Every row loop here and in [`crate::vectorized`],
 //! [`crate::prefetch`] and [`crate::micro`] exists once, as an
 //! `unsafe` entry point with its bounds checks elided, and runs only
-//! under a [`spmv_sparse::Validated`] witness. The one checked path is
-//! each format's serial `spmv`, which `checked_fallback` runs on a
-//! matrix that failed validation and which the tests compare against.
+//! under a [`spmv_sparse::Validated`] witness, which every kernel
+//! constructor takes. Each format's checked serial `spmv` is the
+//! tests' oracle only.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use spmv_sparse::{Csr, MaybeValidated};
+use spmv_sparse::{Csr, Validated};
 
 use crate::engine::Plan;
 use crate::micro::MicroSpec;
@@ -103,17 +103,12 @@ pub unsafe fn row_sum_scalar_unchecked(cols: &[u32], vals: &[f64], x: &[f64]) ->
 /// Holds a precomputed [`Plan`] (partition + persistent worker pool),
 /// so repeated [`run`](SpmvKernel::run) calls pay neither thread
 /// spawning nor partition recomputation. The matrix is shared, not
-/// copied: the kernel keeps a clone of the caller's `Arc<Csr>`.
-///
-/// The matrix is structurally verified once at construction: a
-/// [`spmv_sparse::Validated`] witness admits the parallel unchecked
-/// fast path, while a matrix that fails verification silently falls
-/// back to the serial fully-checked [`Csr::spmv`] (correct for any
-/// in-bounds structure, and panics rather than corrupting memory on
-/// anything worse).
+/// copied, and not re-checked: the kernel keeps a clone of the
+/// caller's [`Validated`] witness (one `Arc` clone), which admits the
+/// parallel unchecked fast path.
 #[derive(Debug)]
 pub struct CsrKernel {
-    a: MaybeValidated<Arc<Csr>>,
+    a: Validated<Arc<Csr>>,
     plan: Plan,
     flavor: InnerLoop,
     /// Dispatch label threaded into the engine's trace events:
@@ -124,7 +119,7 @@ pub struct CsrKernel {
 impl CsrKernel {
     /// Creates the paper's baseline: scalar inner loop, nnz-balanced
     /// static partitioning.
-    pub fn baseline(a: &Arc<Csr>, nthreads: usize) -> CsrKernel {
+    pub fn baseline(a: &Validated<Arc<Csr>>, nthreads: usize) -> CsrKernel {
         CsrKernel::with_options(a, nthreads, Schedule::NnzBalanced, InnerLoop::Scalar)
     }
 
@@ -135,7 +130,7 @@ impl CsrKernel {
     /// bitwise-identical scalar fallback, preserving the unchecked
     /// contract of [`InnerLoop::row_sum_unchecked`].
     pub fn with_options(
-        a: &Arc<Csr>,
+        a: &Validated<Arc<Csr>>,
         nthreads: usize,
         schedule: Schedule,
         flavor: InnerLoop,
@@ -153,51 +148,28 @@ impl CsrKernel {
             InnerLoop::Unrolled => (flavor, "micro:csr/unrolled".to_string()),
             _ => (flavor, String::new()),
         };
-        let a = MaybeValidated::new(Arc::clone(a));
-        // An unvalidated matrix never reaches the parallel path, so its
-        // plan partitions nothing (a possibly-corrupt rowptr must not
-        // drive partitioning arithmetic either).
-        let plan = match &a {
-            MaybeValidated::Validated(v) => Plan::new(schedule, v.rowptr(), nthreads),
-            MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
-        };
-        CsrKernel { a, plan, flavor, label }
+        let plan = Plan::new(schedule, a.rowptr(), nthreads);
+        CsrKernel { a: a.clone(), plan, flavor, label }
     }
 
     /// Creates a kernel running a menu microkernel (see
     /// [`crate::micro`]); shorthand for [`CsrKernel::with_options`]
     /// with [`InnerLoop::Micro`].
-    pub fn micro(a: &Arc<Csr>, nthreads: usize, schedule: Schedule, spec: MicroSpec) -> CsrKernel {
+    pub fn micro(
+        a: &Validated<Arc<Csr>>,
+        nthreads: usize,
+        schedule: Schedule,
+        spec: MicroSpec,
+    ) -> CsrKernel {
         CsrKernel::with_options(a, nthreads, schedule, InnerLoop::Micro(spec))
     }
 
-    /// Scheduling policy.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
-    /// Inner-loop flavor.
-    pub fn flavor(&self) -> InnerLoop {
-        self.flavor
-    }
-
-    /// Whether the matrix passed structural verification (and the
-    /// kernel therefore runs the parallel unchecked fast path).
-    pub fn is_validated(&self) -> bool {
-        self.a.is_validated()
-    }
-
-    fn worker(&self, a: &Csr, range: Range<usize>, x: &[f64], y: YPtr) {
+    fn worker(&self, a: &Validated<Arc<Csr>>, range: Range<usize>, x: &[f64], y: YPtr) {
         let flavor = self.flavor;
         for i in range {
             let (cols, vals) = a.row(i);
-            // SAFETY: this path is only reached with a Validated witness
-            // (row_sum_unchecked's contract: columns < ncols == x.len());
+            // SAFETY: `a` is a Validated witness and `run_timed`
+            // asserted `x.len() == ncols` (row_sum_unchecked's contract);
             // `execute` hands each worker disjoint row ranges and `y`
             // points at a live buffer of `nrows` elements.
             unsafe { y.write(i, flavor.row_sum_unchecked(cols, vals, x)) };
@@ -207,21 +179,12 @@ impl CsrKernel {
 
 impl SpmvKernel for CsrKernel {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
-        let a = self.a.get();
-        assert_eq!(x.len(), a.ncols(), "x length");
-        assert_eq!(y.len(), a.nrows(), "y length");
-        match &self.a {
-            MaybeValidated::Validated(v) => {
-                let a = v.get();
-                let yp = YPtr(y.as_mut_ptr());
-                self.plan.execute_labeled(&self.label, |range| {
-                    self.worker(a, range, x, yp);
-                })
-            }
-            MaybeValidated::Unvalidated(a) => checked_fallback(self.plan.nthreads(), || {
-                a.spmv(x, y);
-            }),
-        }
+        assert_eq!(x.len(), self.a.ncols(), "x length");
+        assert_eq!(y.len(), self.a.nrows(), "y length");
+        let yp = YPtr(y.as_mut_ptr());
+        self.plan.execute_labeled(&self.label, |range| {
+            self.worker(&self.a, range, x, yp);
+        })
     }
 
     fn name(&self) -> String {
@@ -229,27 +192,16 @@ impl SpmvKernel for CsrKernel {
     }
 
     fn nrows(&self) -> usize {
-        self.a.get().nrows()
+        self.a.nrows()
     }
 
     fn ncols(&self) -> usize {
-        self.a.get().ncols()
+        self.a.ncols()
     }
 
     fn format_bytes(&self) -> usize {
-        self.a.get().footprint_bytes()
+        self.a.footprint_bytes()
     }
-}
-
-/// Runs a serial fully-checked kernel body and reports its wall time
-/// as worker 0's busy time (the other workers stay idle). Shared by
-/// every kernel's unvalidated fallback path.
-pub(crate) fn checked_fallback(nthreads: usize, body: impl FnOnce()) -> ThreadTimes {
-    let t0 = std::time::Instant::now();
-    body();
-    let mut seconds = vec![0.0; nthreads.max(1)];
-    seconds[0] = t0.elapsed().as_secs_f64();
-    ThreadTimes { seconds }
 }
 
 #[cfg(test)]
@@ -277,7 +229,7 @@ mod tests {
 
     #[test]
     fn baseline_matches_serial_reference() {
-        let a = Arc::new(gen::banded(500, 4, 0.8, 3).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(500, 4, 0.8, 3).unwrap())).unwrap();
         for nthreads in [1, 2, 4, 7] {
             assert_matches_serial(&a, &CsrKernel::baseline(&a, nthreads));
         }
@@ -285,7 +237,7 @@ mod tests {
 
     #[test]
     fn all_flavors_and_schedules_match() {
-        let a = Arc::new(gen::powerlaw(800, 6, 2.0, 5).unwrap());
+        let a = Validated::new(Arc::new(gen::powerlaw(800, 6, 2.0, 5).unwrap())).unwrap();
         for flavor in [
             InnerLoop::Scalar,
             InnerLoop::Unrolled,
@@ -301,7 +253,7 @@ mod tests {
 
     #[test]
     fn run_timed_reports_all_threads() {
-        let a = Arc::new(gen::banded(300, 2, 1.0, 9).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(300, 2, 1.0, 9).unwrap())).unwrap();
         let k = CsrKernel::baseline(&a, 3);
         let x = vec![1.0; 300];
         let mut y = vec![0.0; 300];
@@ -312,8 +264,10 @@ mod tests {
 
     #[test]
     fn empty_rows_produce_zero() {
-        let a =
-            Arc::new(Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap());
+        let a = Validated::new(Arc::new(
+            Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap(),
+        ))
+        .unwrap();
         let k = CsrKernel::baseline(&a, 2);
         let mut y = vec![9.0; 3];
         k.run(&[1.0, 1.0, 1.0], &mut y);
@@ -322,7 +276,7 @@ mod tests {
 
     #[test]
     fn gflops_helper() {
-        let a = Arc::new(Csr::identity(4));
+        let a = Validated::new(Arc::new(Csr::identity(4))).unwrap();
         let k = CsrKernel::baseline(&a, 1);
         // 2*nnz flops in 1 second = 8 flops/s
         assert!((k.gflops(1.0, a.nnz()) - 8e-9).abs() < 1e-18);

@@ -10,76 +10,45 @@
 use std::ops::Range;
 use std::sync::Mutex;
 
-use spmv_sparse::{DecomposedCsr, MaybeValidated};
+use spmv_sparse::{DecomposedCsr, Validated};
 
-use crate::baseline::{checked_fallback, InnerLoop};
+use crate::baseline::InnerLoop;
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
 use crate::variant::SpmvKernel;
 
 /// Parallel decomposed SpMV kernel. Owns the decomposition product
-/// and a precomputed [`Plan`] for the short-part phase; the long
-/// phase dispatches raw per-worker tasks on the same engine, so both
-/// phases share one warm thread team.
-///
-/// The decomposition — short part, long-row chaining, and the
-/// short/long disjointness both phases rely on — is verified once at
-/// construction; only a [`spmv_sparse::Validated`] witness admits the
-/// parallel unchecked path, anything else falls back to the serial
-/// fully-checked [`DecomposedCsr::spmv`].
+/// as a [`Validated`] witness and a precomputed [`Plan`] for the
+/// short-part phase; the long phase dispatches raw per-worker tasks on
+/// the same engine, so both phases share one warm thread team. The
+/// witness covers the short part, the long-row chaining, and the
+/// short/long disjointness both parallel unchecked phases rely on.
 #[derive(Debug)]
 pub struct DecomposedKernel {
-    d: MaybeValidated<DecomposedCsr>,
+    d: Validated<DecomposedCsr>,
     plan: Plan,
     flavor: InnerLoop,
 }
 
 impl DecomposedKernel {
-    /// Wraps a decomposed matrix.
+    /// Wraps a verified decomposed matrix.
     pub fn new(
-        d: DecomposedCsr,
+        d: Validated<DecomposedCsr>,
         nthreads: usize,
         schedule: Schedule,
         flavor: InnerLoop,
     ) -> DecomposedKernel {
-        let d = MaybeValidated::new(d);
-        // A corrupt short rowptr must not drive partitioning.
-        let plan = match &d {
-            MaybeValidated::Validated(v) => Plan::new(schedule, v.short().rowptr(), nthreads),
-            MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
-        };
+        let plan = Plan::new(schedule, d.short().rowptr(), nthreads);
         DecomposedKernel { d, plan, flavor }
     }
 
-    /// Access to the decomposition (for footprint/threshold queries).
-    pub fn matrix(&self) -> &DecomposedCsr {
-        self.d.get()
-    }
-
-    /// Scheduling policy for the short-part phase.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
-    /// Whether the matrix passed structural verification (and the
-    /// kernel therefore runs the parallel unchecked fast path).
-    pub fn is_validated(&self) -> bool {
-        self.d.is_validated()
-    }
-
-    fn short_worker(&self, d: &DecomposedCsr, range: Range<usize>, x: &[f64], y: YPtr) {
+    fn short_worker(&self, d: &Validated<DecomposedCsr>, range: Range<usize>, x: &[f64], y: YPtr) {
         let short = d.short();
         for i in range {
             let (cols, vals) = short.row(i);
-            // SAFETY: this path is only reached with a Validated
-            // witness (the short part's columns are < ncols ==
-            // x.len()); `execute` hands each worker disjoint row
-            // ranges and the buffer is live.
+            // SAFETY: `d` is a Validated witness (the short part's
+            // columns are < ncols == x.len()); `execute` hands each
+            // worker disjoint row ranges and the buffer is live.
             unsafe { y.write(i, self.flavor.row_sum_unchecked(cols, vals, x)) };
         }
     }
@@ -87,8 +56,7 @@ impl DecomposedKernel {
     /// Phase 2: computes all long rows with an all-threads split and
     /// returns per-thread busy seconds. Dispatches on the same
     /// persistent engine as the short phase (no scoped spawning).
-    /// Only called on the validated path.
-    fn long_phase(&self, d: &DecomposedCsr, x: &[f64], y: &mut [f64]) -> Vec<f64> {
+    fn long_phase(&self, d: &Validated<DecomposedCsr>, x: &[f64], y: &mut [f64]) -> Vec<f64> {
         let long_rows = d.long_rows();
         let nthreads = self.plan.nthreads();
         if long_rows.is_empty() {
@@ -107,10 +75,10 @@ impl DecomposedKernel {
                 let s = (t * per).min(len);
                 let e = ((t + 1) * per).min(len);
                 if s < e {
-                    // SAFETY: this path is only reached with a
-                    // Validated witness (long rows chain inside the
-                    // long arrays, long columns < ncols == x.len())
-                    // and `lr` comes from `d.long_rows()`.
+                    // SAFETY: `d` is a Validated witness (long rows
+                    // chain inside the long arrays, long columns <
+                    // ncols == x.len()) and `lr` comes from
+                    // `d.long_rows()`.
                     local[k] = unsafe { d.long_row_partial_unchecked(lr, s..e, x) };
                 }
             }
@@ -131,45 +99,33 @@ impl DecomposedKernel {
 
 impl SpmvKernel for DecomposedKernel {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
-        assert_eq!(x.len(), self.d.get().ncols(), "x length");
-        assert_eq!(y.len(), self.d.get().nrows(), "y length");
-        match &self.d {
-            MaybeValidated::Validated(v) => {
-                let d = v.get();
-                let yp = YPtr(y.as_mut_ptr());
-                let mut times = self.plan.execute(|range| {
-                    self.short_worker(d, range, x, yp);
-                });
-                let long_secs = self.long_phase(d, x, y);
-                for (a, b) in times.seconds.iter_mut().zip(long_secs) {
-                    *a += b;
-                }
-                times
-            }
-            MaybeValidated::Unvalidated(d) => checked_fallback(self.plan.nthreads(), || {
-                d.spmv(x, y);
-            }),
+        assert_eq!(x.len(), self.d.ncols(), "x length");
+        assert_eq!(y.len(), self.d.nrows(), "y length");
+        let yp = YPtr(y.as_mut_ptr());
+        let mut times = self.plan.execute(|range| {
+            self.short_worker(&self.d, range, x, yp);
+        });
+        let long_secs = self.long_phase(&self.d, x, y);
+        for (a, b) in times.seconds.iter_mut().zip(long_secs) {
+            *a += b;
         }
+        times
     }
 
     fn name(&self) -> String {
-        format!(
-            "decomposed[{} long rows,{:?}]",
-            self.d.get().long_rows().len(),
-            self.plan.schedule()
-        )
+        format!("decomposed[{} long rows,{:?}]", self.d.long_rows().len(), self.plan.schedule())
     }
 
     fn nrows(&self) -> usize {
-        self.d.get().nrows()
+        self.d.nrows()
     }
 
     fn ncols(&self) -> usize {
-        self.d.get().ncols()
+        self.d.ncols()
     }
 
     fn format_bytes(&self) -> usize {
-        let d = self.d.get();
+        let d = &self.d;
         d.short().footprint_bytes() + d.long_nnz() * (4 + 8)
     }
 }
@@ -183,7 +139,7 @@ mod tests {
     use spmv_sparse::Csr;
 
     fn check(a: &Csr, threshold: usize, nthreads: usize) {
-        let d = DecomposedCsr::split(a, threshold).unwrap();
+        let d = Validated::new(DecomposedCsr::split(a, threshold).unwrap()).unwrap();
         let k = DecomposedKernel::new(d, nthreads, Schedule::NnzBalanced, InnerLoop::Scalar);
         let mut rng = SmallRng::seed_from_u64(1);
         let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -219,7 +175,7 @@ mod tests {
     #[test]
     fn unrolled_flavor_matches() {
         let a = gen::circuit(1000, 2, 0.5, 4, 11).unwrap();
-        let d = DecomposedCsr::split(&a, 32).unwrap();
+        let d = Validated::new(DecomposedCsr::split(&a, 32).unwrap()).unwrap();
         let k = DecomposedKernel::new(d, 4, Schedule::Guided, InnerLoop::Unrolled);
         let x: Vec<f64> = (0..1000).map(|i| (i as f64).cos()).collect();
         let mut y_ref = vec![0.0; 1000];
@@ -234,7 +190,7 @@ mod tests {
     #[test]
     fn timing_includes_both_phases() {
         let a = gen::circuit(1500, 2, 0.5, 4, 13).unwrap();
-        let d = DecomposedCsr::split(&a, 32).unwrap();
+        let d = Validated::new(DecomposedCsr::split(&a, 32).unwrap()).unwrap();
         let k = DecomposedKernel::new(d, 2, Schedule::NnzBalanced, InnerLoop::Scalar);
         let x = vec![1.0; 1500];
         let mut y = vec![0.0; 1500];

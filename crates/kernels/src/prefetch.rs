@@ -7,9 +7,8 @@
 //! platform. Data are prefetched into the L1 cache."
 //!
 //! Each loop exists once, with its bounds checks elided: kernels reach
-//! them only through a `spmv_sparse::Validated` CSR witness, and an
-//! unvalidated matrix runs the serial checked `Csr::spmv` instead
-//! (see [`crate::baseline::CsrKernel`]).
+//! them only through the `spmv_sparse::Validated` CSR witness that
+//! [`crate::baseline::CsrKernel`] is built from.
 
 /// Fixed prefetch distance: elements per 64-byte cache line of f64.
 pub const PREFETCH_DIST: usize = 8;

@@ -4,61 +4,31 @@
 use std::ops::Range;
 
 use spmv_sparse::sellcs::SellCs;
-use spmv_sparse::MaybeValidated;
+use spmv_sparse::Validated;
 
-use crate::baseline::checked_fallback;
 use crate::engine::Plan;
 use crate::schedule::{Schedule, ThreadTimes, YPtr};
 use crate::variant::SpmvKernel;
 
-/// Parallel SELL-C-σ kernel. Owns the converted matrix and a
-/// precomputed [`Plan`] over chunks (balanced by stored slots).
-///
-/// The chunk structure — including the permutation being a bijection,
-/// which the parallel scatter relies on for write disjointness — is
-/// verified once at construction; only a [`spmv_sparse::Validated`]
-/// witness admits the parallel unchecked scatter, anything else falls
-/// back to the serial fully-checked [`SellCs::spmv`].
+/// Parallel SELL-C-σ kernel. Owns the converted matrix as a
+/// [`Validated`] witness and a precomputed [`Plan`] over chunks
+/// (balanced by stored slots). The witness covers the chunk structure,
+/// including the permutation being a bijection, which the parallel
+/// unchecked scatter relies on for write disjointness.
 #[derive(Debug)]
 pub struct SellKernel {
-    s: MaybeValidated<SellCs>,
+    s: Validated<SellCs>,
     plan: Plan,
 }
 
 impl SellKernel {
-    /// Wraps a converted matrix.
-    pub fn new(s: SellCs, nthreads: usize, schedule: Schedule) -> SellKernel {
-        let s = MaybeValidated::new(s);
-        // A corrupt chunk pointer must not drive partitioning.
-        let plan = match &s {
-            MaybeValidated::Validated(v) => Plan::new(schedule, v.chunk_slots_ptr(), nthreads),
-            MaybeValidated::Unvalidated(_) => Plan::new(schedule, &[0], nthreads),
-        };
+    /// Wraps a verified converted matrix.
+    pub fn new(s: Validated<SellCs>, nthreads: usize, schedule: Schedule) -> SellKernel {
+        let plan = Plan::new(schedule, s.chunk_slots_ptr(), nthreads);
         SellKernel { s, plan }
     }
 
-    /// Scheduling policy over chunks.
-    pub fn schedule(&self) -> Schedule {
-        self.plan.schedule()
-    }
-
-    /// Worker thread count.
-    pub fn nthreads(&self) -> usize {
-        self.plan.nthreads()
-    }
-
-    /// The converted matrix.
-    pub fn matrix(&self) -> &SellCs {
-        self.s.get()
-    }
-
-    /// Whether the matrix passed structural verification (and the
-    /// kernel therefore runs the parallel unchecked fast path).
-    pub fn is_validated(&self) -> bool {
-        self.s.is_validated()
-    }
-
-    fn worker(&self, s: &SellCs, chunks: Range<usize>, x: &[f64], y: YPtr) {
+    fn worker(s: &Validated<SellCs>, chunks: Range<usize>, x: &[f64], y: YPtr) {
         if chunks.is_empty() {
             return;
         }
@@ -72,47 +42,36 @@ impl SellKernel {
             // and the buffer is the caller's live `&mut [f64]`.
             unsafe { y.write(row, value) };
         };
-        // SAFETY: this path is only reached with a Validated witness
-        // (chunk geometry in bounds, columns < ncols or SELL_PAD, perm
-        // a bijection) and `x.len() == ncols` was asserted by
-        // `run_timed`.
+        // SAFETY: `s` is a Validated witness (chunk geometry in
+        // bounds, columns < ncols or SELL_PAD, perm a bijection) and
+        // `x.len() == ncols` was asserted by `run_timed`.
         unsafe { s.spmv_chunks_scatter_unchecked(chunks, x, &mut scatter) };
     }
 }
 
 impl SpmvKernel for SellKernel {
     fn run_timed(&self, x: &[f64], y: &mut [f64]) -> ThreadTimes {
-        assert_eq!(x.len(), self.s.get().ncols(), "x length");
-        assert_eq!(y.len(), self.s.get().nrows(), "y length");
-        match &self.s {
-            MaybeValidated::Validated(v) => {
-                let s = v.get();
-                let yp = YPtr(y.as_mut_ptr());
-                self.plan.execute(|chunks| {
-                    self.worker(s, chunks, x, yp);
-                })
-            }
-            MaybeValidated::Unvalidated(s) => checked_fallback(self.plan.nthreads(), || {
-                s.spmv(x, y);
-            }),
-        }
+        assert_eq!(x.len(), self.s.ncols(), "x length");
+        assert_eq!(y.len(), self.s.nrows(), "y length");
+        let yp = YPtr(y.as_mut_ptr());
+        self.plan.execute(|chunks| Self::worker(&self.s, chunks, x, yp))
     }
 
     fn name(&self) -> String {
-        let s = self.s.get();
+        let s = &self.s;
         format!("sell-{}-{}[{:?}]", s.chunk_size(), s.sigma(), self.plan.schedule())
     }
 
     fn nrows(&self) -> usize {
-        self.s.get().nrows()
+        self.s.nrows()
     }
 
     fn ncols(&self) -> usize {
-        self.s.get().ncols()
+        self.s.ncols()
     }
 
     fn format_bytes(&self) -> usize {
-        self.s.get().footprint_bytes()
+        self.s.footprint_bytes()
     }
 }
 
@@ -122,7 +81,7 @@ mod tests {
     use spmv_sparse::gen;
 
     fn check(a: &spmv_sparse::Csr, chunk: usize, sigma: usize, nthreads: usize) {
-        let s = SellCs::from_csr(a, chunk, sigma).unwrap();
+        let s = Validated::new(SellCs::from_csr(a, chunk, sigma).unwrap()).unwrap();
         let k = SellKernel::new(s, nthreads, Schedule::NnzBalanced);
         let x: Vec<f64> = (0..a.ncols()).map(|i| 0.5 + (i % 7) as f64).collect();
         let mut expect = vec![0.0; a.nrows()];
@@ -147,7 +106,7 @@ mod tests {
     #[test]
     fn skewed_matrix_with_guided_schedule() {
         let a = gen::circuit(1_500, 2, 0.3, 5, 3).unwrap();
-        let s = SellCs::from_csr(&a, 8, 128).unwrap();
+        let s = Validated::new(SellCs::from_csr(&a, 8, 128).unwrap()).unwrap();
         let k = SellKernel::new(s, 3, Schedule::Guided);
         let x = vec![1.0; 1_500];
         let mut expect = vec![0.0; 1_500];
@@ -163,7 +122,7 @@ mod tests {
     #[test]
     fn timing_reports_every_thread() {
         let a = gen::banded(400, 4, 1.0, 2).unwrap();
-        let s = SellCs::from_csr(&a, 4, 32).unwrap();
+        let s = Validated::new(SellCs::from_csr(&a, 4, 32).unwrap()).unwrap();
         let k = SellKernel::new(s, 2, Schedule::NnzBalanced);
         let x = vec![1.0; 400];
         let mut y = vec![0.0; 400];

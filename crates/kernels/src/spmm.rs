@@ -33,7 +33,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use spmv_sparse::{Csr, MaybeValidated};
+use spmv_sparse::{Csr, Validated};
 
 use crate::baseline::InnerLoop;
 use crate::engine::Plan;
@@ -50,33 +50,27 @@ pub const MAX_BATCH: usize = 8;
 /// registered matrix pays partitioning once and serves batches of any
 /// width from the warm pool.
 pub struct SpmmKernel {
-    a: MaybeValidated<Arc<Csr>>,
+    a: Validated<Arc<Csr>>,
     plan: Plan,
 }
 
 impl SpmmKernel {
     /// Builds a batch kernel over the process-wide engine for
     /// `nthreads`, with the same nnz-balanced row partition as the
-    /// baseline SpMV kernel.
-    pub fn new(a: &Arc<Csr>, nthreads: usize) -> SpmmKernel {
+    /// baseline SpMV kernel. Keeps a clone of the caller's witness.
+    pub fn new(a: &Validated<Arc<Csr>>, nthreads: usize) -> SpmmKernel {
         let plan = Plan::new(Schedule::NnzBalanced, a.rowptr(), nthreads);
-        SpmmKernel { a: MaybeValidated::new(Arc::clone(a)), plan }
+        SpmmKernel { a: a.clone(), plan }
     }
 
     /// Rows of the underlying matrix.
     pub fn nrows(&self) -> usize {
-        self.a.get().nrows()
+        self.a.nrows()
     }
 
     /// Columns of the underlying matrix.
     pub fn ncols(&self) -> usize {
-        self.a.get().ncols()
-    }
-
-    /// Whether the validated (parallel fast-path) representation is
-    /// active; unvalidated matrices fall back to serial checked code.
-    pub fn is_validated(&self) -> bool {
-        self.a.is_validated()
+        self.a.ncols()
     }
 
     /// Computes `y_j = A · x_j` for `k` independent vectors: each
@@ -92,35 +86,19 @@ impl SpmmKernel {
     /// # Panics
     /// On shape mismatch, `k == 0`, or `xs.len() != ys.len()`.
     pub fn run_multi(&self, xs: &[&[f64]], ys: &mut [Vec<f64>]) -> ThreadTimes {
-        let a = self.a.get();
         let k = xs.len();
         assert!(k > 0, "batch width must be at least 1");
         assert_eq!(ys.len(), k, "one output vector per input vector");
         for x in xs {
-            assert_eq!(x.len(), a.ncols(), "x length");
+            assert_eq!(x.len(), self.a.ncols(), "x length");
         }
         for y in ys.iter() {
-            assert_eq!(y.len(), a.nrows(), "y length");
+            assert_eq!(y.len(), self.a.nrows(), "y length");
         }
-        match &self.a {
-            MaybeValidated::Validated(v) => {
-                let a = v.get();
-                let yps: Vec<YPtr> = ys.iter_mut().map(|y| YPtr(y.as_mut_ptr())).collect();
-                self.plan.execute_labeled("spmm", |range| {
-                    multi_worker(a, range, xs, &yps);
-                })
-            }
-            MaybeValidated::Unvalidated(a) => {
-                // Serial checked fallback: literally the reference.
-                let t0 = std::time::Instant::now();
-                for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    a.spmv(x, y);
-                }
-                let mut seconds = vec![0.0; self.plan.nthreads()];
-                seconds[0] = t0.elapsed().as_secs_f64();
-                ThreadTimes { seconds }
-            }
-        }
+        let yps: Vec<YPtr> = ys.iter_mut().map(|y| YPtr(y.as_mut_ptr())).collect();
+        self.plan.execute_labeled("spmm", |range| {
+            multi_worker(&self.a, range, xs, &yps);
+        })
     }
 }
 
@@ -128,11 +106,11 @@ impl SpmmKernel {
 /// `ys[j][i]` written by exactly one thread. The row's column/value
 /// slices stay cache-hot across the `k` passes, so the matrix still
 /// streams from memory once per batch.
-fn multi_worker(a: &Csr, range: Range<usize>, xs: &[&[f64]], ys: &[YPtr]) {
+fn multi_worker(a: &Validated<Arc<Csr>>, range: Range<usize>, xs: &[&[f64]], ys: &[YPtr]) {
     for i in range {
         let (cols, vals) = a.row(i);
         for (x, y) in xs.iter().zip(ys) {
-            // SAFETY: `a` comes from a Validated witness and
+            // SAFETY: `a` is a Validated witness and
             // `run_multi` asserted `x.len() == ncols`, so every column
             // is in bounds of `x` (row_sum_unchecked's contract). The
             // plan hands each worker disjoint row ranges and every
@@ -159,12 +137,11 @@ mod tests {
             .collect()
     }
 
-    fn assert_bitwise_matches_serial(a: &Arc<Csr>, nthreads: usize, k: usize) {
+    fn assert_bitwise_matches_serial(a: &Validated<Arc<Csr>>, nthreads: usize, k: usize) {
         let xs: Vec<Vec<f64>> = (0..k).map(|j| lcg_x(a.ncols(), j as u64 + 1)).collect();
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
         let mut ys: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; a.nrows()]).collect();
         let kernel = SpmmKernel::new(a, nthreads);
-        assert!(kernel.is_validated());
         kernel.run_multi(&x_refs, &mut ys);
         for (j, (x, y)) in xs.iter().zip(&ys).enumerate() {
             let mut y_ref = vec![0.0; a.nrows()];
@@ -181,7 +158,7 @@ mod tests {
 
     #[test]
     fn run_multi_is_bitwise_serial_without_transposes() {
-        let a = Arc::new(gen::banded(400, 5, 0.9, 7).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(400, 5, 0.9, 7).unwrap())).unwrap();
         for nthreads in [1, 3, 4] {
             for k in [1, 2, 4, MAX_BATCH] {
                 assert_bitwise_matches_serial(&a, nthreads, k);
@@ -191,14 +168,16 @@ mod tests {
 
     #[test]
     fn powerlaw_batch_matches_serial() {
-        let a = Arc::new(gen::powerlaw(600, 7, 2.0, 11).unwrap());
+        let a = Validated::new(Arc::new(gen::powerlaw(600, 7, 2.0, 11).unwrap())).unwrap();
         assert_bitwise_matches_serial(&a, 4, 6);
     }
 
     #[test]
     fn empty_rows_zero_every_vector() {
-        let a =
-            Arc::new(Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap());
+        let a = Validated::new(Arc::new(
+            Csr::from_raw(3, 3, vec![0, 1, 1, 2], vec![0, 2], vec![5.0, 7.0]).unwrap(),
+        ))
+        .unwrap();
         let xs = [vec![1.0; 3], vec![2.0; 3], vec![0.5; 3]];
         let x_refs: Vec<&[f64]> = xs.iter().map(|x| x.as_slice()).collect();
         let mut ys = vec![vec![9.0; 3]; 3];
@@ -211,7 +190,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "x length")]
     fn shape_mismatch_panics() {
-        let a = Arc::new(Csr::identity(4));
+        let a = Validated::new(Arc::new(Csr::identity(4))).unwrap();
         let x = [1.0; 7];
         let mut ys = vec![vec![0.0; 4]; 2];
         SpmmKernel::new(&a, 1).run_multi(&[&x, &x], &mut ys);

@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spmv_sparse::{Csr, DecomposedCsr, DeltaCsr, SellCs};
+use spmv_sparse::{Csr, DecomposedCsr, DeltaCsr, SellCs, ValidateFormat, Validated};
 
 use crate::baseline::{CsrKernel, InnerLoop};
 use crate::compressed::DeltaKernel;
@@ -393,19 +393,26 @@ pub struct BuiltKernel {
     pub spec: KernelSpec,
 }
 
-/// Builds the kernel `spec` describes for `a` (a [`KernelVariant`]
-/// is lowered through `From`), timing the format conversion. CSR
-/// kernels share `a` (they clone the `Arc`, never the matrix); the
-/// other formats own the converted copy they build from it.
+/// Builds the kernel `spec` describes for the verified matrix `a` (a
+/// [`KernelVariant`] is lowered through `From`), timing the format
+/// conversion. CSR kernels share `a` (they clone the witness, never the
+/// matrix, and do not re-check it); the other formats own the
+/// converted copy they build from it.
 ///
-/// Preprocessing time is measured through kernel construction: every
-/// kernel performs its one-time O(nnz) structural verification there,
-/// and that cost belongs to `t_pre` just like the format conversion
+/// Preprocessing time is measured through kernel construction: a
+/// converted format pays its one-time O(nnz) structural verification
+/// there, and that cost belongs to `t_pre` just like the conversion
 /// and the fallback checks themselves.
 ///
 /// # Panics
-/// When a [`Format::Sell`] spec has `chunk == 0` or `sigma < chunk`.
-pub fn build_kernel(a: &Arc<Csr>, spec: impl Into<KernelSpec>, nthreads: usize) -> BuiltKernel {
+/// When a [`Format::Sell`] spec has `chunk == 0` or `sigma < chunk`,
+/// or a conversion yields a format that fails verification (a bug in
+/// the conversion, since `a` is verified).
+pub fn build_kernel(
+    a: &Validated<Arc<Csr>>,
+    spec: impl Into<KernelSpec>,
+    nthreads: usize,
+) -> BuiltKernel {
     let t0 = Instant::now();
     let (kernel, spec) = lower(a, spec.into(), nthreads);
     let prep_seconds = t0.elapsed().as_secs_f64();
@@ -416,9 +423,18 @@ pub fn build_kernel(a: &Arc<Csr>, spec: impl Into<KernelSpec>, nthreads: usize) 
     BuiltKernel { kernel, prep_seconds, spec }
 }
 
+/// Verifies a format converted from a verified CSR.
+fn verified<F: ValidateFormat>(format: F) -> Validated<F> {
+    Validated::new(format).expect("conversion of a verified CSR verifies")
+}
+
 /// The untimed body of [`build_kernel`]: converts the format (or
 /// falls back) and returns the kernel with the spec it runs.
-fn lower(a: &Arc<Csr>, spec: KernelSpec, nthreads: usize) -> (Box<dyn SpmvKernel>, KernelSpec) {
+fn lower(
+    a: &Validated<Arc<Csr>>,
+    spec: KernelSpec,
+    nthreads: usize,
+) -> (Box<dyn SpmvKernel>, KernelSpec) {
     let KernelSpec { format, inner, schedule } = spec;
     let fallback = |or_delta: bool| KernelSpec {
         format: if or_delta { Format::Delta } else { Format::Csr },
@@ -428,17 +444,17 @@ fn lower(a: &Arc<Csr>, spec: KernelSpec, nthreads: usize) -> (Box<dyn SpmvKernel
         Format::Csr => (Box::new(CsrKernel::with_options(a, nthreads, schedule, inner)), spec),
         Format::Decomposed { or_delta } => match DecomposedCsr::auto_threshold(a, nthreads) {
             Some(threshold) => {
-                let d = DecomposedCsr::split(a, threshold).expect("threshold >= 1");
+                let d = verified(DecomposedCsr::split(a, threshold).expect("threshold >= 1"));
                 (Box::new(DecomposedKernel::new(d, nthreads, schedule, inner)), spec)
             }
             None => lower(a, fallback(or_delta), nthreads),
         },
         Format::Sell { chunk, sigma } => {
             let s = SellCs::from_csr(a, chunk, sigma).expect("SELL spec needs 1 <= chunk <= sigma");
-            (Box::new(SellKernel::new(s, nthreads, schedule)), spec)
+            (Box::new(SellKernel::new(verified(s), nthreads, schedule)), spec)
         }
         Format::Delta => match DeltaCsr::from_csr(a) {
-            Ok(d) => (Box::new(DeltaKernel::new(d, nthreads, schedule)), spec),
+            Ok(d) => (Box::new(DeltaKernel::new(verified(d), nthreads, schedule)), spec),
             Err(_) => lower(a, fallback(false), nthreads),
         },
     }
@@ -480,7 +496,7 @@ mod tests {
 
     #[test]
     fn every_variant_builds_and_matches_reference() {
-        let a = Arc::new(gen::circuit(1200, 2, 0.4, 5, 3).unwrap());
+        let a = Validated::new(Arc::new(gen::circuit(1200, 2, 0.4, 5, 3).unwrap())).unwrap();
         let mut rng = SmallRng::seed_from_u64(2);
         let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut y_ref = vec![0.0; a.nrows()];
@@ -498,7 +514,7 @@ mod tests {
 
     #[test]
     fn decompose_falls_back_without_long_rows() {
-        let a = Arc::new(gen::banded(400, 3, 1.0, 1).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(400, 3, 1.0, 1).unwrap())).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("csr"), "got {}", built.kernel.name());
         assert_eq!(built.spec.format, Format::Csr);
@@ -511,7 +527,7 @@ mod tests {
 
     #[test]
     fn decompose_used_when_long_rows_exist() {
-        let a = Arc::new(gen::circuit(4000, 3, 0.5, 4, 9).unwrap());
+        let a = Validated::new(Arc::new(gen::circuit(4000, 3, 0.5, 4, 9).unwrap())).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Decompose), 4);
         assert!(built.kernel.name().starts_with("decomposed"), "got {}", built.kernel.name());
         assert_eq!(built.spec, KernelVariant::single(Optimization::Decompose).into());
@@ -519,7 +535,7 @@ mod tests {
 
     #[test]
     fn compress_builds_delta_kernel_with_prep_time() {
-        let a = Arc::new(gen::banded(2000, 8, 1.0, 4).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(2000, 8, 1.0, 4).unwrap())).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::Compress), 2);
         assert!(built.kernel.name().starts_with("delta"));
         assert!(built.kernel.format_bytes() < a.footprint_bytes());
@@ -527,7 +543,7 @@ mod tests {
 
     #[test]
     fn auto_schedule_selects_guided() {
-        let a = Arc::new(gen::banded(200, 2, 1.0, 5).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(200, 2, 1.0, 5).unwrap())).unwrap();
         let built = build_kernel(&a, KernelVariant::single(Optimization::AutoSchedule), 2);
         assert!(built.kernel.name().contains("Guided"));
     }

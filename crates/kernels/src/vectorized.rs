@@ -9,9 +9,8 @@
 //! the scalar loop on in-order cores).
 //!
 //! The loop exists once, with its bounds checks elided: kernels reach
-//! it only through a `spmv_sparse::Validated` CSR witness, and an
-//! unvalidated matrix runs the serial checked `Csr::spmv` instead
-//! (see [`crate::baseline::CsrKernel`]).
+//! it only through the `spmv_sparse::Validated` CSR witness that
+//! [`crate::baseline::CsrKernel`] is built from.
 
 /// 4-way unrolled sparse dot product with independent accumulators
 /// and bounds checks elided — the `CMP`-class fast path.

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use spmv_kernels::baseline::{CsrKernel, InnerLoop};
 use spmv_kernels::variant::{build_kernel, KernelVariant, SpmvKernel};
 use spmv_kernels::{ExecEngine, Schedule};
-use spmv_sparse::{gen, Csr};
+use spmv_sparse::{gen, Csr, Validated};
 
 fn random_x(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -40,7 +40,7 @@ fn pool_reused_across_matrices_of_different_shapes() {
         gen::circuit(800, 3, 0.4, 5, 4).unwrap(),
         gen::banded(1_000, 4, 0.9, 1).unwrap(), // same shape again
     ]
-    .map(Arc::new);
+    .map(|m| Validated::new(Arc::new(m)).unwrap());
     for (n, a) in matrices.iter().enumerate() {
         let k = CsrKernel::baseline(a, 4);
         assert_close_to_serial(a, &k, n as u64 + 1);
@@ -53,7 +53,7 @@ fn pool_reused_across_matrices_of_different_shapes() {
 /// is still produced exactly once.
 #[test]
 fn more_threads_than_rows() {
-    let a = Arc::new(gen::banded(5, 1, 1.0, 6).unwrap());
+    let a = Validated::new(Arc::new(gen::banded(5, 1, 1.0, 6).unwrap())).unwrap();
     for schedule in [Schedule::NnzBalanced, Schedule::Guided] {
         let k = CsrKernel::with_options(&a, 16, schedule, InnerLoop::Scalar);
         assert_close_to_serial(&a, &k, 7);
@@ -65,7 +65,7 @@ fn more_threads_than_rows() {
 fn more_threads_than_available_parallelism() {
     let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let nthreads = 2 * hw + 1;
-    let a = Arc::new(gen::powerlaw(3_000, 5, 1.8, 9).unwrap());
+    let a = Validated::new(Arc::new(gen::powerlaw(3_000, 5, 1.8, 9).unwrap())).unwrap();
     let k = CsrKernel::baseline(&a, nthreads);
     let x = random_x(a.ncols(), 3);
     let mut y = vec![0.0; a.nrows()];
@@ -78,7 +78,7 @@ fn more_threads_than_available_parallelism() {
 /// pooled engine, matches the serial reference.
 #[test]
 fn every_variant_matches_serial_through_the_pool() {
-    let a = Arc::new(gen::circuit(1_500, 2, 0.4, 5, 6).unwrap());
+    let a = Validated::new(Arc::new(gen::circuit(1_500, 2, 0.4, 5, 6).unwrap())).unwrap();
     for variant in KernelVariant::singles_and_pairs() {
         let built = build_kernel(&a, variant, 3);
         assert_close_to_serial(&a, built.kernel.as_ref(), 11);
@@ -90,7 +90,7 @@ fn every_variant_matches_serial_through_the_pool() {
 /// bitwise identical — not merely close — across many repeats.
 #[test]
 fn baseline_is_bitwise_identical_to_serial() {
-    let a = Arc::new(gen::powerlaw(1_200, 6, 1.9, 13).unwrap());
+    let a = Validated::new(Arc::new(gen::powerlaw(1_200, 6, 1.9, 13).unwrap())).unwrap();
     let k = CsrKernel::baseline(&a, 4);
     for rep in 0..50 {
         let x = random_x(a.ncols(), 100 + rep);
@@ -107,7 +107,7 @@ fn baseline_is_bitwise_identical_to_serial() {
 /// granularity) and leaves a correct y behind.
 #[test]
 fn run_repeated_times_and_computes() {
-    let a = Arc::new(gen::banded(4_000, 8, 1.0, 2).unwrap());
+    let a = Validated::new(Arc::new(gen::banded(4_000, 8, 1.0, 2).unwrap())).unwrap();
     let k = CsrKernel::baseline(&a, 2);
     let x = random_x(a.ncols(), 5);
     let mut y = vec![0.0; a.nrows()];

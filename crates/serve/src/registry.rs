@@ -78,7 +78,7 @@ pub struct Observation {
 /// One registered, tuned, ready-to-serve matrix.
 pub struct RegisteredMatrix {
     name: String,
-    a: Arc<Csr>,
+    a: Validated<Arc<Csr>>,
     /// The menu-search winner, as the search built and timed it
     /// (throughput path).
     tuned: Box<dyn SpmvKernel>,
@@ -275,13 +275,9 @@ impl MatrixRegistry {
         if self.lock().contains_key(name) {
             return Err(RegisterError::Duplicate(name.to_string()));
         }
-        // Validation witness up front: a matrix that fails here never
-        // reaches a kernel, so every kernel below runs its parallel
-        // fast path (they re-derive their own witnesses internally).
-        if let Err(e) = Validated::new(&a) {
-            return Err(RegisterError::Invalid(e.to_string()));
-        }
-        let a = Arc::new(a);
+        // The one structural check: the witness it yields is what the
+        // search's kernels and the batch kernel share.
+        let a = Validated::new(Arc::new(a)).map_err(|e| RegisterError::Invalid(e.to_string()))?;
         let machine = MachineModel::host();
         let (plan, tuned) = menu::search(&a, &machine, self.nthreads, self.tune_reps);
         // The live roofline cell measures against the simulated
@@ -393,6 +389,15 @@ mod tests {
             Err(RegisterError::InvalidName(_))
         ));
         assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn a_matrix_that_fails_validation_is_refused() {
+        // A rowptr tail that overruns the element arrays.
+        let reg = registry();
+        let a = Csr::from_raw_unchecked(2, 2, vec![0, 1, 3], vec![0, 1], vec![1.0, 1.0]);
+        assert!(matches!(reg.register("bad", a), Err(RegisterError::Invalid(_))));
+        assert!(reg.is_empty());
     }
 
     #[test]

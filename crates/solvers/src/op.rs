@@ -84,7 +84,10 @@ mod tests {
     /// one of the iterations.
     #[test]
     fn repeated_solver_iterations_bitwise_match_serial() {
-        let a = std::sync::Arc::new(gen::circuit(900, 3, 0.4, 5, 11).unwrap());
+        let a = spmv_sparse::Validated::new(std::sync::Arc::new(
+            gen::circuit(900, 3, 0.4, 5, 11).unwrap(),
+        ))
+        .unwrap();
         let k = CsrKernel::baseline(&a, 4);
         let kref: &CsrKernel = &k;
         let mut x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 17) as f64 * 0.25).collect();
@@ -105,7 +108,9 @@ mod tests {
 
     #[test]
     fn kernels_are_linops() {
-        let a = std::sync::Arc::new(gen::banded(50, 2, 1.0, 1).unwrap());
+        let a =
+            spmv_sparse::Validated::new(std::sync::Arc::new(gen::banded(50, 2, 1.0, 1).unwrap()))
+                .unwrap();
         let k = CsrKernel::baseline(&a, 2);
         let kref: &CsrKernel = &k;
         let x = vec![0.5; 50];

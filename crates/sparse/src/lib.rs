@@ -49,7 +49,7 @@ pub use error::SparseError;
 pub use features::FeatureVector;
 pub use sellcs::SellCs;
 pub use stats::RowStats;
-pub use validate::{MaybeValidated, ValidateFormat, Validated};
+pub use validate::{ValidateFormat, Validated};
 
 /// Result alias for fallible sparse-matrix operations.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -15,13 +15,11 @@
 //! * [`Validated<F>`] — a witness that `validate_structure` succeeded
 //!   on the wrapped value. Because every format's fields are private
 //!   and its safe constructors preserve the invariants, the witness
-//!   remains truthful for the lifetime of the wrapper. Kernels require
-//!   this witness to enter their unchecked fast paths, so each
-//!   `// SAFETY:` comment can cite a *named, checked* invariant.
-//! * [`MaybeValidated<F>`] — the kernel-facing sum: validation is
-//!   attempted once at construction, and a value that fails keeps
-//!   working through fully bounds-checked fallback paths instead of
-//!   being rejected.
+//!   remains truthful for the lifetime of the wrapper. Every kernel
+//!   constructor takes this witness, so each `// SAFETY:` comment can
+//!   cite a *named, checked* invariant. A matrix is validated once,
+//!   where it is made or received, and the witness (an `Arc` clone for
+//!   shared CSR) travels to every kernel built from it.
 //!
 //! The checks here are the **safety-relevant** invariants only. For
 //! CSR in particular, sortedness of column indices inside a row is a
@@ -85,8 +83,7 @@ impl<F: ValidateFormat> Validated<F> {
     ///
     /// # Errors
     /// [`SparseError::Corrupt`] describing the first violated
-    /// invariant; the value is dropped (use [`MaybeValidated::new`] to
-    /// keep a failing value for checked execution).
+    /// invariant; the value is dropped.
     pub fn new(format: F) -> Result<Validated<F>> {
         format.validate_structure()?;
         Ok(Validated(format))
@@ -111,45 +108,6 @@ impl<F> std::ops::Deref for Validated<F> {
 
     fn deref(&self) -> &F {
         &self.0
-    }
-}
-
-/// A format value that either carries a [`Validated`] witness or is
-/// marked unvalidated. Kernels construct this once and branch on it:
-/// witnessed values run the unchecked fast path, unvalidated values
-/// run a fully bounds-checked fallback.
-#[derive(Debug, Clone)]
-pub enum MaybeValidated<F> {
-    /// Structure verified; fast paths are permitted.
-    Validated(Validated<F>),
-    /// Verification failed; only checked execution is permitted.
-    Unvalidated(F),
-}
-
-impl<F: ValidateFormat> MaybeValidated<F> {
-    /// Runs the structural verification once and records the outcome,
-    /// keeping the value either way.
-    pub fn new(format: F) -> MaybeValidated<F> {
-        match format.validate_structure() {
-            Ok(()) => MaybeValidated::Validated(Validated(format)),
-            Err(_) => MaybeValidated::Unvalidated(format),
-        }
-    }
-}
-
-impl<F> MaybeValidated<F> {
-    /// Whether the witness was obtained.
-    pub fn is_validated(&self) -> bool {
-        matches!(self, MaybeValidated::Validated(_))
-    }
-
-    /// The wrapped value, validated or not.
-    #[inline]
-    pub fn get(&self) -> &F {
-        match self {
-            MaybeValidated::Validated(v) => v.get(),
-            MaybeValidated::Unvalidated(f) => f,
-        }
     }
 }
 
@@ -207,16 +165,6 @@ mod tests {
         let v = Validated::new(&a).unwrap();
         assert_eq!(v.nrows(), 5);
         assert_eq!(v.get().nnz(), 5);
-    }
-
-    #[test]
-    fn maybe_validated_keeps_corrupt_values() {
-        // A rowptr tail that overruns the element arrays: validation
-        // must fail but the value must stay usable for checked paths.
-        let a = Csr::from_raw_unchecked(2, 2, vec![0, 1, 3], vec![0, 1], vec![1.0, 1.0]);
-        let mv = MaybeValidated::new(&a);
-        assert!(!mv.is_validated());
-        assert_eq!(mv.get().nnz(), 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use spmv_machine::MachineModel;
 use spmv_sim::bounds::Bounds;
 use spmv_sim::cost::SimResult;
 use spmv_sparse::features::working_set_bytes;
-use spmv_sparse::Csr;
+use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::SpanSet;
 
 /// Bounds measured by real micro-benchmark runs on the host.
@@ -47,7 +47,7 @@ impl HostSource {
     }
 
     /// Collects the §III-B bounds for `a`.
-    pub fn collect(&self, a: &Arc<Csr>) -> Bounds {
+    pub fn collect(&self, a: &Validated<Arc<Csr>>) -> Bounds {
         self.collect_with_spans(a).0
     }
 
@@ -57,7 +57,7 @@ impl HostSource {
     /// raw material of the paper's profiling-overhead accounting.
     /// Every span is also fed into the process-wide
     /// [`spmv_telemetry::metrics::profiling_runs`] counter.
-    pub fn collect_with_spans(&self, a: &Arc<Csr>) -> (Bounds, SpanSet) {
+    pub fn collect_with_spans(&self, a: &Validated<Arc<Csr>>) -> (Bounds, SpanSet) {
         let mut spans = SpanSet::new();
         let flops = 2.0 * a.nnz() as f64;
         let x = vec![1.0f64; a.ncols()];
@@ -78,7 +78,8 @@ impl HostSource {
         let p_imb = flops / t_median.max(1e-12) / 1e9;
 
         // P_ML: regularised x accesses (colind[j] = i).
-        let ml_matrix = Arc::new(regularized_x_matrix(a));
+        let ml_matrix = Validated::new(Arc::new(regularized_x_matrix(a)))
+            .expect("a regularized verified matrix verifies");
         let ml_kernel = CsrKernel::baseline(&ml_matrix, self.nthreads);
         ml_kernel.run(&x, &mut y);
         let (t_ml, _) = spans.time("bound:P_ML", || self.time_kernel(&ml_kernel, &x, &mut y));
@@ -179,19 +180,25 @@ mod tests {
 
     #[test]
     fn regularized_matrix_has_row_index_columns() {
-        let a = gen::powerlaw(200, 5, 2.0, 1).unwrap();
-        let m = regularized_x_matrix(&a);
-        assert_eq!(m.nnz(), a.nnz());
-        for (i, cols, _) in m.rows() {
-            for &c in cols {
-                assert_eq!(c as usize, i.min(m.ncols() - 1));
+        // Square, and more rows than columns (row indices past the
+        // last column clamp to it): `HostSource` verifies the result.
+        let tall =
+            Csr::from_raw(4, 2, vec![0, 1, 2, 3, 5], vec![0, 1, 0, 0, 1], vec![1.0; 5]).unwrap();
+        for a in [gen::powerlaw(200, 5, 2.0, 1).unwrap(), tall] {
+            let m = regularized_x_matrix(&a);
+            assert_eq!(m.nnz(), a.nnz());
+            for (i, cols, _) in m.rows() {
+                for &c in cols {
+                    assert_eq!(c as usize, i.min(m.ncols() - 1));
+                }
             }
+            assert!(Validated::new(&m).is_ok());
         }
     }
 
     #[test]
     fn host_source_produces_positive_bounds() {
-        let a = Arc::new(gen::banded(3_000, 6, 1.0, 3).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(3_000, 6, 1.0, 3).unwrap())).unwrap();
         let src = HostSource::new(MachineModel::host(), 2, 2);
         let b = src.collect(&a);
         for v in [b.p_csr, b.p_mb, b.p_ml, b.p_imb, b.p_cmp, b.p_peak] {
@@ -202,7 +209,7 @@ mod tests {
 
     #[test]
     fn host_source_reports_per_bound_spans() {
-        let a = Arc::new(gen::banded(2_000, 5, 1.0, 9).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(2_000, 5, 1.0, 9).unwrap())).unwrap();
         let src = HostSource::new(MachineModel::host(), 2, 1);
         let before = spmv_telemetry::metrics::profiling_runs().count();
         let (b, spans) = src.collect_with_spans(&a);

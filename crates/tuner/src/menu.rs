@@ -38,7 +38,7 @@ use spmv_kernels::variant::{
 use spmv_kernels::ThreadTimes;
 use spmv_machine::MachineModel;
 use spmv_sparse::features::working_set_bytes;
-use spmv_sparse::{Csr, FeatureVector};
+use spmv_sparse::{Csr, FeatureVector, Validated};
 
 use crate::bounds::HostSource;
 use crate::class::ClassSet;
@@ -164,7 +164,7 @@ fn shortlist(classes: ClassSet, features: &FeatureVector, ncols: usize) -> Vec<K
 /// the kernel it built, its GFLOP/s and the best run's per-thread
 /// times.
 pub fn measure(
-    a: &Arc<Csr>,
+    a: &Validated<Arc<Csr>>,
     spec: KernelSpec,
     nthreads: usize,
     reps: usize,
@@ -186,7 +186,7 @@ pub fn measure(
 /// # Panics
 /// When `candidates` is empty.
 pub(crate) fn fastest<C: Copy + Into<KernelSpec>>(
-    a: &Arc<Csr>,
+    a: &Validated<Arc<Csr>>,
     candidates: &[C],
     nthreads: usize,
     reps: usize,
@@ -209,7 +209,7 @@ pub(crate) fn fastest<C: Copy + Into<KernelSpec>>(
 /// (best-of-`reps` on `nthreads` threads; `machine` supplies the
 /// analytic bounds) through the Fig. 4 rules.
 pub(crate) fn classify(
-    a: &Arc<Csr>,
+    a: &Validated<Arc<Csr>>,
     machine: &MachineModel,
     nthreads: usize,
     reps: usize,
@@ -223,7 +223,7 @@ pub(crate) fn classify(
 /// pool. Returns the plan and the winner's kernel, the one it timed;
 /// the plan records the spec that kernel runs.
 pub fn search(
-    a: &Arc<Csr>,
+    a: &Validated<Arc<Csr>>,
     machine: &MachineModel,
     nthreads: usize,
     reps: usize,
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn search_times_baseline_and_picks_a_winner() {
-        let a = Arc::new(gen::banded(4_000, 8, 1.0, 3).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(4_000, 8, 1.0, 3).unwrap())).unwrap();
         let (plan, built) = search(&a, &MachineModel::host(), 2, 2);
         // The baseline and the unrolled loop are always timed first.
         assert_eq!(plan.timed[0].spec, micro::baseline());
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn plan_renders_the_decision() {
-        let a = Arc::new(gen::banded(2_000, 6, 1.0, 5).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(2_000, 6, 1.0, 5).unwrap())).unwrap();
         let (plan, _) = search(&a, &MachineModel::host(), 1, 1);
         let text = plan.render_text();
         assert!(text.contains(&format!("menu search: classes {}", plan.classes)), "{text}");
@@ -329,7 +329,7 @@ mod tests {
         // The circuit's dense rows put `decomposed` on the IMB
         // shortlist, but at 2 threads none is long enough to split, so
         // it runs, and is timed, as plain scalar CSR.
-        let a = Arc::new(gen::circuit(3_000, 3, 0.4, 5, 7).unwrap());
+        let a = Validated::new(Arc::new(gen::circuit(3_000, 3, 0.4, 5, 7).unwrap())).unwrap();
         let decomposed = KernelSpec::of(Format::Decomposed { or_delta: false });
         let (timed, _, built) = fastest(&a, &[decomposed], 2, 1);
         assert_eq!(timed[0].spec.id(), "csr/scalar");
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn selected_kernel_computes_correct_product() {
-        let a = Arc::new(gen::circuit(2_500, 3, 0.4, 5, 7).unwrap());
+        let a = Validated::new(Arc::new(gen::circuit(2_500, 3, 0.4, 5, 7).unwrap())).unwrap();
         let (_, built) = search(&a, &MachineModel::host(), 2, 1);
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut y_ref = vec![0.0; a.nrows()];

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use spmv_kernels::variant::{build_kernel, BuiltKernel, KernelVariant, SpmvKernel};
 use spmv_machine::MachineModel;
-use spmv_sparse::{Csr, FeatureVector};
+use spmv_sparse::{Csr, FeatureVector, Validated};
 
 use crate::class::ClassSet;
 use crate::featclf::heuristic_classify;
@@ -94,7 +94,7 @@ impl Optimizer {
 
     /// Classifies the matrix (empty set for sweep strategies, which
     /// do not reason in terms of bottlenecks).
-    pub fn classify(&self, a: &Arc<Csr>) -> ClassSet {
+    pub fn classify(&self, a: &Validated<Arc<Csr>>) -> ClassSet {
         match self.strategy {
             Strategy::ProfileGuided => {
                 crate::menu::classify(a, &self.machine, self.nthreads, self.profiling_reps)
@@ -116,7 +116,7 @@ impl Optimizer {
     /// accumulated in [`TunedSpmv::prep_seconds`]. The tuned kernel
     /// shares `a` rather than borrowing it, so it may outlive the
     /// caller's handle.
-    pub fn optimize(&self, a: &Arc<Csr>) -> TunedSpmv {
+    pub fn optimize(&self, a: &Validated<Arc<Csr>>) -> TunedSpmv {
         let t0 = Instant::now();
         let (classes, variant, built) = match self.strategy {
             Strategy::TrivialSingle | Strategy::TrivialCombined => {
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn feature_guided_optimizes_skewed_matrix_with_decomposition() {
-        let a = Arc::new(gen::circuit(30_000, 3, 0.4, 5, 3).unwrap());
+        let a = Validated::new(Arc::new(gen::circuit(30_000, 3, 0.4, 5, 3).unwrap())).unwrap();
         let opt = Optimizer::feature_guided(&MachineModel::knl()).with_threads(3);
         let tuned = opt.optimize(&a);
         assert!(tuned.variant().contains(Optimization::Decompose), "{}", tuned.variant());
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn feature_guided_compresses_regular_matrix() {
-        let a = Arc::new(gen::banded(40_000, 40, 0.9, 3).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(40_000, 40, 0.9, 3).unwrap())).unwrap();
         let opt = Optimizer::feature_guided(&MachineModel::knl()).with_threads(2);
         let tuned = opt.optimize(&a);
         assert!(tuned.variant().contains(Optimization::Compress), "{}", tuned.variant());
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn profile_guided_produces_correct_kernel() {
-        let a = Arc::new(gen::powerlaw(5_000, 8, 2.0, 5).unwrap());
+        let a = Validated::new(Arc::new(gen::powerlaw(5_000, 8, 2.0, 5).unwrap())).unwrap();
         let opt = Optimizer::profile_guided(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn trivial_combined_never_picks_a_broken_kernel() {
-        let a = Arc::new(gen::circuit(4_000, 2, 0.3, 5, 7).unwrap());
+        let a = Validated::new(Arc::new(gen::circuit(4_000, 2, 0.3, 5, 7).unwrap())).unwrap();
         let opt = Optimizer::trivial_combined(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn trivial_single_considers_five_variants() {
-        let a = Arc::new(gen::banded(2_000, 4, 1.0, 5).unwrap());
+        let a = Validated::new(Arc::new(gen::banded(2_000, 4, 1.0, 5).unwrap())).unwrap();
         let opt = Optimizer::trivial_single(&MachineModel::host()).with_threads(2);
         let tuned = opt.optimize(&a);
         check_correct(&tuned, &a);

@@ -176,7 +176,7 @@ mod tests {
         // End-to-end: classify (any classifier), map through the
         // extended pool, build, execute — without retraining anything.
         use spmv_kernels::variant::build_kernel;
-        let a = std::sync::Arc::new(uneven());
+        let a = spmv_sparse::Validated::new(std::sync::Arc::new(uneven())).unwrap();
         let f = features(&a);
         assert!(f.nnz_max <= 16.0 * f.nnz_avg, "{} vs {}", f.nnz_max, f.nnz_avg);
         let pool = OptimizationPool::with_sliced_ell();

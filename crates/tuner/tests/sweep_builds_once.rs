@@ -9,13 +9,13 @@
 use std::sync::Arc;
 
 use spmv_machine::MachineModel;
-use spmv_sparse::gen;
+use spmv_sparse::{gen, Validated};
 use spmv_telemetry::metrics;
 use spmv_tuner::Optimizer;
 
 #[test]
 fn trivial_single_builds_six_kernels() {
-    let a = Arc::new(gen::banded(2_000, 4, 1.0, 5).unwrap());
+    let a = Validated::new(Arc::new(gen::banded(2_000, 4, 1.0, 5).unwrap())).unwrap();
     let before = metrics::preprocessing().count();
     let tuned = Optimizer::trivial_single(&MachineModel::host()).with_threads(2).optimize(&a);
     assert_eq!(metrics::preprocessing().count() - before, 6);

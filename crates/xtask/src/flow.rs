@@ -13,9 +13,9 @@
 //!     an unchecked kernel fast path (a function in the
 //!     unchecked-allowlist modules that uses `get_unchecked`,
 //!     `from_raw_parts`, or raw-pointer `.add(`) must pass through a
-//!     function that handles a `Validated`/`MaybeValidated` witness,
-//!     or through an item whose doc block carries a `witness-ok`
-//!     marker naming the checked invariant it enforces itself.
+//!     function that handles a `Validated` witness, or through an
+//!     item whose doc block carries a `witness-ok` marker naming the
+//!     checked invariant it enforces itself.
 //! 11. **panic-flow** — the dispatch roots (the engine dispatch and
 //!     telemetry hot functions of [`HOT_PATHS`], plus the microkernel
 //!     bodies) are closed under the call graph: any `unwrap`/`expect`/
@@ -544,13 +544,12 @@ fn is_unchecked_target(g: &Graph<'_>, n: usize) -> bool {
 }
 
 /// Whether node `n` witnesses validation (policy 10 gate): it
-/// handles a `Validated`/`MaybeValidated` value (parameter, match,
-/// or construction), or its doc block carries `witness-ok`.
+/// handles a `Validated` value (parameter or construction), or its
+/// doc block carries `witness-ok`.
 fn is_witness_gate(g: &Graph<'_>, n: usize) -> bool {
     let unit = g.unit(n);
-    g.lines_of(n).any(|l| {
-        has_token(&unit.s.code[l], "Validated") || has_token(&unit.s.code[l], "MaybeValidated")
-    }) || has_marker(&unit.s, g.span(n).start, "witness-ok")
+    g.lines_of(n).any(|l| has_token(&unit.s.code[l], "Validated"))
+        || has_marker(&unit.s, g.span(n).start, "witness-ok")
 }
 
 /// Policy 10: no path from a public safe fn to an unchecked fast
@@ -608,7 +607,7 @@ fn witness_finding(g: &Graph<'_>, target: usize, chain: &[String]) -> Finding {
         chain: chain.to_vec(),
         message: format!(
             "unchecked fast path `{}` is reachable from the public API without passing a \
-             Validated/MaybeValidated witness or a `witness-ok` item (path: {})",
+             Validated witness or a `witness-ok` item (path: {})",
             g.qual(target),
             chain.join(" -> "),
         ),

@@ -69,7 +69,7 @@
 //!    site cannot live behind the menu (e.g. a bare prefetch hint).
 //! 10. **witness-flow** — every call path from a public safe
 //!     function to an unchecked kernel fast path must pass a
-//!     `Validated`/`MaybeValidated` witness or a `witness-ok` item.
+//!     `Validated` witness or a `witness-ok` item.
 //! 11. **panic-flow** — no `unwrap`/`expect`/unmarked indexing in
 //!     the dispatch roots or anything they reach without a `panic-ok`
 //!     / `indexing-ok` marker; findings carry the full call chain.

@@ -18,7 +18,9 @@ use spmv_tune::tuner::amortize::{min_iterations, Amortization};
 
 fn main() {
     // -Δu = f on a 300x300 grid.
-    let a = Arc::new(spmv_tune::sparse::gen::stencil_2d(300, 300).expect("valid grid"));
+    let a =
+        Validated::new(Arc::new(spmv_tune::sparse::gen::stencil_2d(300, 300).expect("valid grid")))
+            .expect("verified");
     let n = a.nrows();
     println!("Poisson system: {} unknowns, {} nonzeros", n, a.nnz());
 

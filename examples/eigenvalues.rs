@@ -17,7 +17,9 @@ fn main() {
     // spectral radius 8 for the 5-point stencil, so the discrete
     // dominant eigenvalue must approach (and never exceed) 8.
     let (nx, ny) = (250, 250);
-    let a = Arc::new(spmv_tune::sparse::gen::stencil_2d(nx, ny).expect("valid grid"));
+    let a =
+        Validated::new(Arc::new(spmv_tune::sparse::gen::stencil_2d(nx, ny).expect("valid grid")))
+            .expect("verified");
     println!("Laplacian on a {nx}x{ny} grid: {} unknowns, {} nonzeros", a.nrows(), a.nnz());
 
     let machine = MachineModel::host();
@@ -35,8 +37,10 @@ fn main() {
 
     // And a graph example: the spectral radius of a web-graph
     // adjacency matrix bounds its growth/epidemic threshold.
-    let g =
-        Arc::new(spmv_tune::sparse::gen::powerlaw(100_000, 8, 2.0, 5).expect("valid parameters"));
+    let g = Validated::new(Arc::new(
+        spmv_tune::sparse::gen::powerlaw(100_000, 8, 2.0, 5).expect("valid parameters"),
+    ))
+    .expect("verified");
     let tuned_g = Optimizer::feature_guided(&machine).optimize(&g);
     let kernel_g = tuned_g.kernel();
     let rg = power_method(&kernel_g, 1e-6, 20_000);

@@ -30,7 +30,7 @@ fn transition_matrix(n: usize, avg_deg: usize, seed: u64) -> Csr {
 
 fn main() {
     let n = 200_000;
-    let pt = Arc::new(transition_matrix(n, 8, 7));
+    let pt = Validated::new(Arc::new(transition_matrix(n, 8, 7))).expect("verified");
     println!("web graph: {} pages, {} links", n, pt.nnz());
 
     // Tune SpMV for the transition matrix.

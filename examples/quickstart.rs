@@ -13,8 +13,10 @@ use spmv_tune::prelude::*;
 
 fn main() {
     // A mid-size FEM-like banded matrix (the paper's MB archetype).
-    let a =
-        Arc::new(spmv_tune::sparse::gen::banded(100_000, 24, 0.9, 42).expect("valid parameters"));
+    let a = Validated::new(Arc::new(
+        spmv_tune::sparse::gen::banded(100_000, 24, 0.9, 42).expect("valid parameters"),
+    ))
+    .expect("verified");
     println!("matrix: {} x {}, {} nonzeros", a.nrows(), a.ncols(), a.nnz());
 
     // Describe the platform we care about. For the machine running

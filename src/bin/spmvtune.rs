@@ -79,11 +79,11 @@ fn parse_machine(args: &[String]) -> Result<MachineModel, String> {
     }
 }
 
-fn load_input(args: &[String]) -> Result<(String, Arc<Csr>), String> {
+fn load_input(args: &[String]) -> Result<(String, Validated<Arc<Csr>>), String> {
     let Some(input) = args.first() else {
         return Err("missing INPUT argument".into());
     };
-    if let Some(rest) = input.strip_prefix("preset:") {
+    let (name, m) = if let Some(rest) = input.strip_prefix("preset:") {
         let mut parts = rest.split(':');
         let name = parts.next().unwrap_or_default();
         let scale: f64 = match parts.next() {
@@ -93,11 +93,13 @@ fn load_input(args: &[String]) -> Result<(String, Arc<Csr>), String> {
         let preset = suite_by_name(name)
             .ok_or_else(|| format!("unknown preset {name:?} (see `spmvtune suite`)"))?;
         let m = preset.generate(scale).map_err(|e| e.to_string())?;
-        Ok((format!("{name} (scale {scale})"), Arc::new(m)))
+        (format!("{name} (scale {scale})"), m)
     } else {
         let m = spmv_tune::sparse::mm::read_csr_file(input).map_err(|e| e.to_string())?;
-        Ok((input.clone(), Arc::new(m)))
-    }
+        (input.clone(), m)
+    };
+    let a = Validated::new(Arc::new(m)).map_err(|e| e.to_string())?;
+    Ok((name, a))
 }
 
 fn cmd_suite() -> Result<(), String> {

@@ -33,8 +33,9 @@
 //! use std::sync::Arc;
 //! use spmv_tune::prelude::*;
 //!
-//! // A small FEM-like matrix, shared with the kernel built for it.
-//! let a = Arc::new(spmv_tune::sparse::gen::banded(2_000, 8, 0.9, 42).unwrap());
+//! // A small FEM-like matrix, verified once and shared with the
+//! // kernel built for it.
+//! let a = Validated::new(Arc::new(spmv_tune::sparse::gen::banded(2_000, 8, 0.9, 42).unwrap())).unwrap();
 //!
 //! // Pick a platform (here: Knights Landing with flat HBM).
 //! let machine = MachineModel::knl();
@@ -63,7 +64,7 @@ pub mod prelude {
     pub use spmv_kernels::schedule::Schedule;
     pub use spmv_kernels::variant::{KernelVariant, Optimization};
     pub use spmv_machine::model::MachineModel;
-    pub use spmv_sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, FeatureVector};
+    pub use spmv_sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, FeatureVector, Validated};
     pub use spmv_tuner::class::{Bottleneck, ClassSet};
     pub use spmv_tuner::optimizer::{Optimizer, TunedSpmv};
 }

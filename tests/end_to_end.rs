@@ -6,7 +6,7 @@ use std::sync::Arc;
 use spmv_tune::prelude::*;
 use spmv_tune::sparse::gen;
 
-fn archetypes() -> Vec<(&'static str, Arc<Csr>)> {
+fn archetypes() -> Vec<(&'static str, Validated<Arc<Csr>>)> {
     [
         ("banded", gen::banded(3_000, 8, 0.9, 1)),
         ("stencil", gen::stencil_2d(50, 60)),
@@ -15,7 +15,7 @@ fn archetypes() -> Vec<(&'static str, Arc<Csr>)> {
         ("circuit", gen::circuit(3_000, 2, 0.4, 5, 4)),
         ("blockdense", gen::block_dense(512, 64, 1, 5)),
     ]
-    .map(|(name, a)| (name, Arc::new(a.unwrap())))
+    .map(|(name, a)| (name, Validated::new(Arc::new(a.unwrap())).unwrap()))
     .into()
 }
 
@@ -54,7 +54,7 @@ fn every_strategy_produces_correct_kernels_on_every_archetype() {
 #[test]
 fn trivial_combined_strategy_correct_on_skewed_matrix() {
     let machine = MachineModel::host();
-    let a = Arc::new(gen::circuit(5_000, 3, 0.3, 5, 9).unwrap());
+    let a = Validated::new(Arc::new(gen::circuit(5_000, 3, 0.3, 5, 9).unwrap())).unwrap();
     let tuned = Optimizer::trivial_combined(&machine).with_threads(2).optimize(&a);
     check(tuned.kernel(), &a, "trivial-combined/circuit");
     assert_eq!(tuned.classes(), spmv_tune::tuner::class::ClassSet::EMPTY);
@@ -65,7 +65,7 @@ fn many_core_model_detects_more_bottlenecks_than_multicore() {
     // The same irregular matrix: feature-guided classification for
     // KNL (many-core) should contain ML; for a 4-thread host model it
     // should not.
-    let a = Arc::new(gen::random_uniform(60_000, 12, 7).unwrap());
+    let a = Validated::new(Arc::new(gen::random_uniform(60_000, 12, 7).unwrap())).unwrap();
     let knl = Optimizer::feature_guided(&MachineModel::knl());
     let classes_knl = knl.classify(&a);
     let mut small = MachineModel::host();
@@ -80,7 +80,7 @@ fn many_core_model_detects_more_bottlenecks_than_multicore() {
 
 #[test]
 fn tuned_kernel_plugs_into_solvers() {
-    let a = Arc::new(gen::stencil_2d(40, 40).unwrap());
+    let a = Validated::new(Arc::new(gen::stencil_2d(40, 40).unwrap())).unwrap();
     let machine = MachineModel::host();
     let tuned = Optimizer::feature_guided(&machine).with_threads(2).optimize(&a);
     let n = a.nrows();
@@ -101,8 +101,9 @@ fn matrixmarket_roundtrip_feeds_the_optimizer() {
     let a = gen::powerlaw(1_500, 6, 2.0, 11).unwrap();
     let mut buf = Vec::new();
     spmv_tune::sparse::mm::write_csr(&mut buf, &a).unwrap();
-    let b = Arc::new(spmv_tune::sparse::mm::read_csr(buf.as_slice()).unwrap());
-    assert_eq!(a, *b);
+    let b =
+        Validated::new(Arc::new(spmv_tune::sparse::mm::read_csr(buf.as_slice()).unwrap())).unwrap();
+    assert_eq!(a, **b);
     let tuned = Optimizer::feature_guided(&MachineModel::host()).with_threads(2).optimize(&b);
     check(tuned.kernel(), &b, "mm-roundtrip");
 }
@@ -112,7 +113,7 @@ fn amortization_accounting_is_consistent() {
     use spmv_tune::tuner::amortize::{min_iterations, Amortization};
     // Trivial sweep must cost more prep than feature-guided on the
     // same matrix (host timings, coarse but ordinal).
-    let a = Arc::new(gen::banded(20_000, 16, 0.9, 5).unwrap());
+    let a = Validated::new(Arc::new(gen::banded(20_000, 16, 0.9, 5).unwrap())).unwrap();
     let machine = MachineModel::host();
     let feat = Optimizer::feature_guided(&machine).with_threads(2).optimize(&a);
     let sweep = Optimizer::trivial_combined(&machine).with_threads(2).optimize(&a);

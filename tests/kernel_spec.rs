@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use spmv_tune::kernels::micro::menu;
 use spmv_tune::kernels::variant::{build_kernel, KernelSpec, KernelVariant, Optimization};
-use spmv_tune::sparse::{gen, Csr};
+use spmv_tune::sparse::{gen, Csr, Validated};
 
 /// (matrix, variant label or `menu:<id>`, `SpmvKernel::name()`),
 /// built on 3 threads. Menu rows cover every SIMD entry; hosts
@@ -78,10 +78,10 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("banded", "menu:delta", "delta[U8,NnzBalanced]"),
 ];
 
-fn matrices() -> [(&'static str, Arc<Csr>); 2] {
+fn matrices() -> [(&'static str, Validated<Arc<Csr>>); 2] {
     [
-        ("circuit", Arc::new(gen::circuit(1200, 2, 0.4, 5, 3).unwrap())),
-        ("banded", Arc::new(gen::banded(400, 3, 1.0, 1).unwrap())),
+        ("circuit", Validated::new(Arc::new(gen::circuit(1200, 2, 0.4, 5, 3).unwrap())).unwrap()),
+        ("banded", Validated::new(Arc::new(gen::banded(400, 3, 1.0, 1).unwrap())).unwrap()),
     ]
 }
 
@@ -100,7 +100,7 @@ fn menu_spec(ncols: usize, id: &str) -> KernelSpec {
 #[test]
 fn classic_variants_lower_onto_menu_specs() {
     // Banded: every delta encodes, so `comp` keeps its format.
-    let a = Arc::new(gen::banded(400, 3, 1.0, 1).unwrap());
+    let a = Validated::new(Arc::new(gen::banded(400, 3, 1.0, 1).unwrap())).unwrap();
     for (opt, id) in [
         (Optimization::Vectorize, "csr/unrolled"),
         (Optimization::Compress, "delta"),

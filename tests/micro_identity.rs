@@ -19,7 +19,7 @@ use spmv_tune::kernels::baseline::CsrKernel;
 use spmv_tune::kernels::micro::{menu, specs_for};
 use spmv_tune::kernels::variant::build_kernel;
 use spmv_tune::kernels::{Schedule, SpmvKernel};
-use spmv_tune::sparse::{Coo, Csr};
+use spmv_tune::sparse::{Coo, Csr, Validated};
 
 /// Strategy: one sparse row as (cols, vals) plus a dense x, with the
 /// row length drawn so lane remainders (1..7 past a multiple of 8)
@@ -90,7 +90,7 @@ proptest! {
         (nrows, ncols, entries) in arb_matrix(),
         nthreads in 1usize..4,
     ) {
-        let a = Arc::new(build(nrows, ncols, &entries));
+        let a = Validated::new(Arc::new(build(nrows, ncols, &entries))).unwrap();
         let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.37).sin()).collect();
         for spec in specs_for(ncols) {
             let mut y_simd = vec![0.0f64; nrows];
@@ -118,7 +118,7 @@ proptest! {
     fn menu_formats_compute_the_reference_product(
         (nrows, ncols, entries) in arb_matrix(),
     ) {
-        let a = Arc::new(build(nrows, ncols, &entries));
+        let a = Validated::new(Arc::new(build(nrows, ncols, &entries))).unwrap();
         let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.73).cos()).collect();
         let want = reference(&a, &x);
         for entry in menu(ncols) {

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use spmv_tune::kernels::variant::{build_kernel, KernelVariant};
 use spmv_tune::sparse::csr::partition_rows_by_nnz;
 use spmv_tune::sparse::gen::{jittered_permutation, permute_symmetric};
-use spmv_tune::sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, SellCs};
+use spmv_tune::sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, SellCs, Validated};
 
 /// Strategy: a random sparse matrix as triplets (duplicates allowed;
 /// they are summed by the COO->CSR conversion).
@@ -75,7 +75,7 @@ proptest! {
         nthreads in 1usize..5,
         variant_idx in 0usize..16,
     ) {
-        let a = Arc::new(build(nrows, ncols, &entries));
+        let a = Validated::new(Arc::new(build(nrows, ncols, &entries))).unwrap();
         let x: Vec<f64> = (0..ncols).map(|i| 1.0 - (i % 7) as f64 * 0.3).collect();
         let mut expect = vec![0.0; nrows];
         a.spmv(&x, &mut expect);
