@@ -26,7 +26,7 @@ use spmv_kernels::variant::{build_kernel, KernelSpec, KernelVariant};
 use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::{metrics, tracer, JsonValue};
-use spmv_tuner::menu::measure;
+use spmv_tuner::menu::{measure, Policy};
 use spmv_tuner::profile::ProfileClassifier;
 use spmv_tuner::OptimizationPool;
 
@@ -226,7 +226,8 @@ const HEAD_TO_HEAD_ROUNDS: usize = 5;
 /// structure byte-stable across runs.
 fn menu_entry(nm: &NamedMatrix, nthreads: usize, classic: &[(KernelSpec, f64)]) -> JsonValue {
     let a = &nm.matrix;
-    let (plan, _) = spmv_tuner::menu::search(a, &MachineModel::host(), nthreads, HOST_REPS);
+    let (plan, _) =
+        spmv_tuner::menu::search(a, Policy::Menu, &MachineModel::host(), nthreads, HOST_REPS);
     let gflops_of = |spec| measure(a, spec, nthreads, HOST_REPS).1;
     let shortlisted = |spec: &KernelSpec| plan.timed.iter().any(|t| t.spec == *spec);
     let (mut selected, mut gflops) = (plan.spec, plan.gflops());

@@ -1,12 +1,13 @@
 //! One controlled execution: model threads stepped one shared
 //! operation at a time under a replayed choice string.
 //!
-//! The explorer ([`crate::explore`]) owns a stack of *choice points*
-//! (which thread to step next; which store a load observes). An
-//! [`Execution`] replays that prefix deterministically and, past its
-//! end, defaults every new choice to option 0 while recording how
-//! many alternatives existed — the explorer then backtracks through
-//! the recorded stack, depth-first, until no untried option remains.
+//! The explorer ([`crate::explore`](mod@crate::explore)) owns a stack
+//! of *choice points* (which thread to step next; which store a load
+//! observes). A [`Controller`] replays that prefix deterministically
+//! and, past its end, defaults every new choice to option 0 while
+//! recording how many alternatives existed — the explorer then
+//! backtracks through the recorded stack, depth-first, until no
+//! untried option remains.
 //!
 //! Blocking primitives (the shadow [`MutexId`]/[`CondvarId`] pair
 //! mirroring the engine's dispatch handshake) are *scheduler-level*:

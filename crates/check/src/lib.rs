@@ -5,7 +5,8 @@
 //! `loom`: protocols are *extracted* into small state-machine models
 //! over shadow atomics ([`mem`]), a controlled scheduler replays and
 //! enumerates interleavings ([`exec`]), and a depth-first explorer
-//! with a bounded-preemption cut walks the whole space ([`explore`]).
+//! with a bounded-preemption cut walks the whole space
+//! ([`explore`](mod@explore)).
 //! The three modeled protocols — the `TraceRing` seqlock, the
 //! `ExecEngine` dispatch handshake with its guided claim loop, and
 //! the `publish_ns = 0` disabled-tracer fast path — live in

@@ -6,8 +6,9 @@
 //! history* of the cell, and replaces every load with a
 //! nondeterministic choice among the stores that the C11 coherence
 //! and release/acquire rules still allow the loading thread to
-//! observe. The exploration layer ([`crate::explore`]) then branches
-//! on those choices exactly as it branches on thread scheduling.
+//! observe. The exploration layer
+//! ([`crate::explore`](mod@crate::explore)) then branches on those
+//! choices exactly as it branches on thread scheduling.
 //!
 //! # The model (view-based release/acquire + relaxed)
 //!

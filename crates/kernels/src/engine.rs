@@ -174,8 +174,8 @@ impl ExecEngine {
     }
 
     /// Creates an engine whose dispatch events go to `tracer` instead
-    /// of the process-wide one. Production code uses [`new`]
-    /// (ExecEngine::new); tests inject a private buffer here so
+    /// of the process-wide one. Production code uses
+    /// [`ExecEngine::new`]; tests inject a private buffer here so
     /// concurrent tests cannot pollute each other's captures.
     pub fn with_tracer(nthreads: usize, tracer: &'static TraceBuffer) -> ExecEngine {
         let nthreads = nthreads.max(1);

@@ -46,7 +46,7 @@ use spmv_machine::MachineModel;
 use spmv_sparse::{Csr, Validated};
 use spmv_telemetry::{Roofline, RooflineSample};
 use spmv_tuner::menu;
-use spmv_tuner::KernelPlan;
+use spmv_tuner::{KernelPlan, Policy};
 
 /// Longest accepted matrix name.
 const MAX_NAME_LEN: usize = 64;
@@ -166,7 +166,7 @@ impl RegisteredMatrix {
     }
 
     /// Appends one completed request to the recent-request ring,
-    /// dropping the oldest beyond [`OBSERVATION_CAP`].
+    /// dropping the oldest beyond `OBSERVATION_CAP`.
     pub fn record_request(&self, obs: Observation) {
         let mut ring = self.recent.lock().unwrap_or_else(|p| p.into_inner());
         if ring.len() >= OBSERVATION_CAP {
@@ -279,7 +279,7 @@ impl MatrixRegistry {
         // search's kernels and the batch kernel share.
         let a = Validated::new(Arc::new(a)).map_err(|e| RegisterError::Invalid(e.to_string()))?;
         let machine = MachineModel::host();
-        let (plan, tuned) = menu::search(&a, &machine, self.nthreads, self.tune_reps);
+        let (plan, tuned) = menu::search(&a, Policy::Menu, &machine, self.nthreads, self.tune_reps);
         // The live roofline cell measures against the simulated
         // ceiling the tuner selected against; the scheduler folds in
         // measured per-dispatch throughput via `observe_gflops`.

@@ -17,19 +17,18 @@
 //! * [`featclf`] — the feature-guided classifier trained on Table 2
 //!   structural features, with Leave-One-Out cross-validation and the
 //!   Exact / Partial match ratios of §IV-B;
-//! * [`optimizer`] — end-to-end optimizers: profile-guided,
-//!   feature-guided and the two trivial sweeps, producing runnable
-//!   kernels via `spmv-kernels`;
 //! * [`amortize`] — the solver-iteration amortization model of §IV-D
 //!   (`N_iters,min = t_pre / (t_MKL − t_optimizer)`), where a tuned
-//!   kernel's `t_pre` ([`TunedSpmv::prep_seconds`]) includes its
+//!   kernel's `t_pre` ([`KernelPlan::search_seconds`]) includes its
 //!   classification or sweep;
-//! * [`menu`] — the microkernel menu search: classify the matrix with
-//!   the host micro-benchmarks, time only the shortlist its classes
-//!   map to (through the paper's [`pool::OptimizationPool`]) over
-//!   `spmv_kernels::micro`'s menu and the pool's treatments, and
-//!   return the kernel it timed fastest with one [`menu::KernelPlan`]
-//!   recording the decision, both kept by the caller;
+//! * [`menu`] — the one tuner: [`menu::search`] classifies the matrix,
+//!   draws candidates from the paper's [`pool::OptimizationPool`] and
+//!   keeps one kernel, under a [`menu::Policy`] — the serving menu
+//!   search (host probes, then the shortlist the classes map to,
+//!   timed), the paper's profile- and feature-guided optimizers (one
+//!   candidate, built untimed) or the two trivial sweeps — and returns
+//!   it with one [`menu::KernelPlan`] recording the decision, both
+//!   kept by the caller;
 //! * [`pool`] — the class→optimization mapping (§III-E) as a
 //!   configurable value, the only copy of that table, demonstrating
 //!   the plug-and-play extension property.
@@ -40,15 +39,13 @@ pub mod class;
 pub mod dtree;
 pub mod featclf;
 pub mod menu;
-pub mod optimizer;
 pub mod partitioned;
 pub mod pool;
 pub mod profile;
 
 pub use class::{Bottleneck, ClassSet};
 pub use featclf::FeatureGuidedClassifier;
-pub use menu::KernelPlan;
-pub use optimizer::{Optimizer, TunedSpmv};
+pub use menu::{KernelPlan, Policy};
 pub use partitioned::PartitionedMlDetector;
 pub use pool::OptimizationPool;
 pub use profile::{ProfileClassifier, Thresholds};

@@ -1,31 +1,35 @@
-//! Microkernel menu search.
+//! Microkernel menu search: the one way the tuner turns a matrix into
+//! a tuned kernel.
 //!
 //! The menu ([`spmv_kernels::micro::menu`]) enumerates concrete
 //! kernel configurations — explicit-SIMD CSR row kernels, SELL-C-σ
-//! slice heights, delta compression. This module picks one *per
-//! matrix* the way the paper's optimizer does: it finds the matrix's
-//! bottleneck classes first and times only the kernels that treat
-//! them, because classifying is cheaper than searching (§III):
+//! slice heights, delta compression. [`search`] picks one *per
+//! matrix* under a [`Policy`]. Every policy does the same job (§III-E,
+//! §IV-D): classify the matrix, draw candidates from the paper's one
+//! class→optimization table ([`OptimizationPool::default`]) and keep
+//! one kernel. The policies differ only in the classifier and in the
+//! candidate list. The serving policy, [`Policy::Menu`], classifies
+//! first and times only the kernels that treat the classes found,
+//! because classifying is cheaper than searching (§III):
 //!
 //! 1. `classify`: the three §III-B micro-benchmarks on the host
 //!    ([`HostSource`]) and the Fig. 4 rules ([`ProfileClassifier`]);
 //! 2. shortlist (`shortlist`): map the class set through the paper's
-//!    mapping ([`OptimizationPool::default`]) and expand each selected
-//!    optimization to its family of specs (`family`), next to the
-//!    scalar CSR baseline and `csr/unrolled`, which are always timed;
+//!    mapping and expand each selected optimization to its family of
+//!    specs (`family`), next to the scalar CSR baseline and
+//!    `csr/unrolled`, which are always timed;
 //! 3. build + warm + best-of-reps time the shortlist on the persistent
 //!    [`spmv_kernels::ExecEngine`] pool and keep the fastest
-//!    (`fastest`, the loop the optimizer's sweeps share).
+//!    (`fastest`, the loop the trivial sweeps share).
 //!
 //! The search runs once per matrix and hands back the kernel it
-//! timed: the winner's [`BuiltKernel`] from step 3, next to one
-//! [`KernelPlan`] (class set, every candidate timed, the winner,
-//! search time). Its caller owns both: the serving registry keeps
-//! the plan in the `RegisteredMatrix` next to the kernel, so the
-//! decision is freed with the matrix. `spmvtune explain` renders the
-//! plan next to the classifier's decision trace, and every search
-//! feeds the process-wide
-//! [`spmv_telemetry::metrics::menu_selection`] gauge.
+//! built: the winner's [`BuiltKernel`], next to one [`KernelPlan`]
+//! (class set, every candidate timed, the spec that runs, search
+//! time). Its caller owns both: the serving registry keeps the plan
+//! in the `RegisteredMatrix` next to the kernel, so the decision is
+//! freed with the matrix. `spmvtune explain` renders the plan next to
+//! the classifier's decision trace, and every search feeds the
+//! process-wide [`spmv_telemetry::metrics::menu_selection`] gauge.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,6 +46,7 @@ use spmv_sparse::{Csr, FeatureVector, Validated};
 
 use crate::bounds::HostSource;
 use crate::class::ClassSet;
+use crate::featclf::heuristic_classify;
 use crate::pool::OptimizationPool;
 use crate::profile::ProfileClassifier;
 
@@ -56,24 +61,51 @@ pub struct TimedCandidate {
     pub gflops: f64,
 }
 
+/// How [`search`] classifies a matrix and which candidates it draws.
+/// One value for the serving search and one for each of the paper's
+/// optimizers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// The serving search: host probes classify, then the scalar
+    /// baseline, `csr/unrolled` and every spec in the families of
+    /// the treatments the classes map to are timed.
+    Menu,
+    /// Paper `prof`: host probes and the Fig. 4 rules classify, and
+    /// the pool's one variant for the classes is built, untimed.
+    ProfileGuided,
+    /// Paper `feat`: the Table 2 features through
+    /// [`heuristic_classify`], a hand-written approximation of the
+    /// tree [`crate::featclf::FeatureGuidedClassifier`] fits; the
+    /// pool's one variant for the classes is built, untimed.
+    FeatureGuided,
+    /// The baseline and the 5 single optimizations, timed.
+    TrivialSingle,
+    /// The baseline and the 15 singles and pairs, timed: the
+    /// "perfect optimizer" selection, paid for in full.
+    TrivialCombined,
+}
+
 /// The tuner's decision for one (matrix, threads) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPlan {
     /// The spec the selected kernel runs.
     pub spec: KernelSpec,
-    /// The bottleneck classes the shortlist was drawn from.
+    /// The bottleneck classes the candidates were drawn from (empty
+    /// for the trivial sweeps, which do not classify).
     pub classes: ClassSet,
-    /// The shortlisted candidates, built and timed in search order;
-    /// `spec` is one of them.
+    /// The candidates, built and timed in search order; `spec` is one
+    /// of them. Empty when the policy drew one candidate, which is
+    /// built and never timed.
     pub timed: Vec<TimedCandidate>,
-    /// Wall-clock seconds of the whole search, classification
-    /// included.
+    /// Wall-clock seconds of the whole search, classification and the
+    /// selected kernel's build included: the one-off `t_pre` that
+    /// [`crate::amortize::min_iterations`] charges.
     pub search_seconds: f64,
 }
 
 impl KernelPlan {
     /// The winner's best-of-reps GFLOP/s, read from its own timed
-    /// entry.
+    /// entry; 0.0 when nothing was timed.
     pub fn gflops(&self) -> f64 {
         self.timed.iter().find(|t| t.spec == self.spec).map_or(0.0, |t| t.gflops)
     }
@@ -181,34 +213,34 @@ pub fn measure(
 /// [`measure`]s each candidate in order and keeps the fastest kernel
 /// (on one matrix, the highest GFLOP/s is the shortest time; a tie
 /// keeps the earlier candidate): every candidate's timing under the
-/// spec it ran, the winning candidate and the winner's kernel.
+/// spec it ran, and the winner's kernel.
 ///
 /// # Panics
 /// When `candidates` is empty.
-pub(crate) fn fastest<C: Copy + Into<KernelSpec>>(
+fn fastest(
     a: &Validated<Arc<Csr>>,
-    candidates: &[C],
+    candidates: &[KernelSpec],
     nthreads: usize,
     reps: usize,
-) -> (Vec<TimedCandidate>, C, BuiltKernel) {
+) -> (Vec<TimedCandidate>, BuiltKernel) {
     let mut timed = Vec::with_capacity(candidates.len());
-    let mut best: Option<(f64, C, BuiltKernel)> = None;
-    for &c in candidates {
-        let (built, gflops, _) = measure(a, c.into(), nthreads, reps);
+    let mut best: Option<(f64, BuiltKernel)> = None;
+    for &spec in candidates {
+        let (built, gflops, _) = measure(a, spec, nthreads, reps);
         timed.push(TimedCandidate { spec: built.spec, gflops });
-        if best.as_ref().is_none_or(|(b, ..)| gflops > *b) {
-            best = Some((gflops, c, built));
+        if best.as_ref().is_none_or(|(b, _)| gflops > *b) {
+            best = Some((gflops, built));
         }
     }
-    let (_, winner, built) = best.expect("at least one candidate");
-    (timed, winner, built)
+    let (_, built) = best.expect("at least one candidate");
+    (timed, built)
 }
 
-/// Step 1 of the search, and the profile-guided optimizer's
-/// classification: the three §III-B micro-benchmarks on the host
-/// (best-of-`reps` on `nthreads` threads; `machine` supplies the
-/// analytic bounds) through the Fig. 4 rules.
-pub(crate) fn classify(
+/// The profile-guided classification of [`Policy::Menu`] and
+/// [`Policy::ProfileGuided`]: the three §III-B micro-benchmarks on
+/// the host (best-of-`reps` on `nthreads` threads; `machine` supplies
+/// the analytic bounds) through the Fig. 4 rules.
+fn classify(
     a: &Validated<Arc<Csr>>,
     machine: &MachineModel,
     nthreads: usize,
@@ -218,26 +250,56 @@ pub(crate) fn classify(
     ProfileClassifier::default().classify(&bounds)
 }
 
-/// Runs the menu search for `a` on `nthreads` threads: `classify`s
-/// the matrix, then times its `shortlist` best-of-`reps` on the warm
-/// pool. Returns the plan and the winner's kernel, the one it timed;
-/// the plan records the spec that kernel runs.
+/// Tunes `a` for `nthreads` threads under `policy`: classifies the
+/// matrix (the sweeps do not), extracts its features at most once,
+/// lowers the policy's candidates to specs and keeps one kernel. With
+/// one candidate it builds that kernel and times nothing, so the
+/// plan's `timed` is empty; with more it times them best-of-`reps` on
+/// the warm pool and keeps the fastest. Returns the plan and that
+/// kernel; the plan records the spec the kernel runs.
 pub fn search(
     a: &Validated<Arc<Csr>>,
+    policy: Policy,
     machine: &MachineModel,
     nthreads: usize,
     reps: usize,
 ) -> (KernelPlan, BuiltKernel) {
     let t_search = Instant::now();
-    let classes = classify(a, machine, nthreads, reps);
-    let features = FeatureVector::extract(a, machine.llc_bytes(), machine.line_elems());
-    let candidates = shortlist(classes, &features, a.ncols());
+    let features = || FeatureVector::extract(a, machine.llc_bytes(), machine.line_elems());
+    let pooled = |classes, f: &FeatureVector| {
+        vec![KernelSpec::from(OptimizationPool::default().to_variant(classes, f))]
+    };
+    let sweep = |variants: Vec<KernelVariant>| {
+        std::iter::once(KernelVariant::BASELINE).chain(variants).map(KernelSpec::from).collect()
+    };
+    let (classes, candidates): (ClassSet, Vec<KernelSpec>) = match policy {
+        Policy::Menu => {
+            let classes = classify(a, machine, nthreads, reps);
+            (classes, shortlist(classes, &features(), a.ncols()))
+        }
+        Policy::ProfileGuided => {
+            let classes = classify(a, machine, nthreads, reps);
+            (classes, pooled(classes, &features()))
+        }
+        Policy::FeatureGuided => {
+            let f = features();
+            let classes = heuristic_classify(&f, machine.total_threads() >= 64);
+            (classes, pooled(classes, &f))
+        }
+        Policy::TrivialSingle => (ClassSet::EMPTY, sweep(KernelVariant::all_singles())),
+        Policy::TrivialCombined => (ClassSet::EMPTY, sweep(KernelVariant::singles_and_pairs())),
+    };
 
-    let t_timing = Instant::now();
-    let (timed, _, built) = fastest(a, &candidates, nthreads, reps);
+    let (timed, built) = match candidates[..] {
+        [spec] => (Vec::new(), build_kernel(a, spec, nthreads)),
+        _ => {
+            let t_timing = Instant::now();
+            let found = fastest(a, &candidates, nthreads, reps);
+            spmv_telemetry::metrics::profiling_runs().add(t_timing.elapsed().as_secs_f64());
+            found
+        }
+    };
     let spec = built.spec;
-    spmv_telemetry::metrics::profiling_runs().add(t_timing.elapsed().as_secs_f64());
-
     let search_seconds = t_search.elapsed().as_secs_f64();
     spmv_telemetry::metrics::menu_selection().record_search(&spec.id());
     (KernelPlan { spec, classes, timed, search_seconds }, built)
@@ -256,7 +318,7 @@ mod tests {
     #[test]
     fn search_times_baseline_and_picks_a_winner() {
         let a = Validated::new(Arc::new(gen::banded(4_000, 8, 1.0, 3).unwrap())).unwrap();
-        let (plan, built) = search(&a, &MachineModel::host(), 2, 2);
+        let (plan, built) = search(&a, Policy::Menu, &MachineModel::host(), 2, 2);
         // The baseline and the unrolled loop are always timed first.
         assert_eq!(plan.timed[0].spec, micro::baseline());
         assert_eq!(plan.timed[1].spec, KernelSpec::csr(InnerLoop::Unrolled));
@@ -272,7 +334,7 @@ mod tests {
     #[test]
     fn plan_renders_the_decision() {
         let a = Validated::new(Arc::new(gen::banded(2_000, 6, 1.0, 5).unwrap())).unwrap();
-        let (plan, _) = search(&a, &MachineModel::host(), 1, 1);
+        let (plan, _) = search(&a, Policy::Menu, &MachineModel::host(), 1, 1);
         let text = plan.render_text();
         assert!(text.contains(&format!("menu search: classes {}", plan.classes)), "{text}");
         assert!(text.contains(&format!("winner: {}", plan.spec.id())), "{text}");
@@ -331,19 +393,16 @@ mod tests {
         // it runs, and is timed, as plain scalar CSR.
         let a = Validated::new(Arc::new(gen::circuit(3_000, 3, 0.4, 5, 7).unwrap())).unwrap();
         let decomposed = KernelSpec::of(Format::Decomposed { or_delta: false });
-        let (timed, _, built) = fastest(&a, &[decomposed], 2, 1);
+        let (timed, built) = fastest(&a, &[decomposed], 2, 1);
         assert_eq!(timed[0].spec.id(), "csr/scalar");
         assert_eq!(built.spec, timed[0].spec);
         for _ in 0..6 {
-            let (plan, built) = search(&a, &MachineModel::host(), 2, 1);
+            let (plan, built) = search(&a, Policy::Menu, &MachineModel::host(), 2, 1);
             assert_eq!(plan.spec, built.spec);
         }
     }
 
-    #[test]
-    fn selected_kernel_computes_correct_product() {
-        let a = Validated::new(Arc::new(gen::circuit(2_500, 3, 0.4, 5, 7).unwrap())).unwrap();
-        let (_, built) = search(&a, &MachineModel::host(), 2, 1);
+    fn check_correct(built: &BuiltKernel, a: &Csr) {
         let x: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut y_ref = vec![0.0; a.nrows()];
         a.spmv(&x, &mut y_ref);
@@ -352,5 +411,72 @@ mod tests {
         for (i, (u, v)) in y.iter().zip(&y_ref).enumerate() {
             assert!((u - v).abs() < 1e-9, "row {i}: {u} vs {v}");
         }
+    }
+
+    #[test]
+    fn selected_kernel_computes_correct_product() {
+        let a = Validated::new(Arc::new(gen::circuit(2_500, 3, 0.4, 5, 7).unwrap())).unwrap();
+        let (_, built) = search(&a, Policy::Menu, &MachineModel::host(), 2, 1);
+        check_correct(&built, &a);
+    }
+
+    #[test]
+    fn feature_guided_optimizes_skewed_matrix_with_decomposition() {
+        let a = Validated::new(Arc::new(gen::circuit(30_000, 3, 0.4, 5, 3).unwrap())).unwrap();
+        let knl = MachineModel::knl();
+        let (plan, built) = search(&a, Policy::FeatureGuided, &knl, 3, 3);
+        let f = FeatureVector::extract(&a, knl.llc_bytes(), knl.line_elems());
+        let treatment = OptimizationPool::default().to_variant(plan.classes, &f);
+        assert!(treatment.contains(Optimization::Decompose), "{treatment}");
+        assert!(!plan.classes.is_empty());
+        assert!(plan.search_seconds > 0.0);
+        // No row is long enough to split at 3 threads, so what runs,
+        // and what the plan names, is plain CSR.
+        assert_eq!(plan.spec, built.spec);
+        assert_eq!(built.spec.format, Format::Csr);
+        check_correct(&built, &a);
+    }
+
+    #[test]
+    fn feature_guided_compresses_regular_matrix() {
+        let a = Validated::new(Arc::new(gen::banded(40_000, 40, 0.9, 3).unwrap())).unwrap();
+        let knl = MachineModel::knl();
+        let (plan, built) = search(&a, Policy::FeatureGuided, &knl, 2, 3);
+        let f = FeatureVector::extract(&a, knl.llc_bytes(), knl.line_elems());
+        let treatment = OptimizationPool::default().to_variant(plan.classes, &f);
+        assert!(treatment.contains(Optimization::Compress), "{treatment}");
+        assert_eq!(plan.spec, built.spec);
+        assert_eq!(built.spec.format, Format::Delta, "{}", built.spec.id());
+        // One candidate: built, never timed.
+        assert!(plan.timed.is_empty());
+        assert_eq!(plan.gflops(), 0.0);
+        check_correct(&built, &a);
+    }
+
+    #[test]
+    fn profile_guided_produces_correct_kernel() {
+        let a = Validated::new(Arc::new(gen::powerlaw(5_000, 8, 2.0, 5).unwrap())).unwrap();
+        let (plan, built) = search(&a, Policy::ProfileGuided, &MachineModel::host(), 2, 3);
+        assert_eq!(plan.spec, built.spec);
+        assert!(plan.timed.is_empty());
+        check_correct(&built, &a);
+    }
+
+    #[test]
+    fn trivial_combined_never_picks_a_broken_kernel() {
+        let a = Validated::new(Arc::new(gen::circuit(4_000, 2, 0.3, 5, 7).unwrap())).unwrap();
+        let (plan, built) = search(&a, Policy::TrivialCombined, &MachineModel::host(), 2, 3);
+        assert_eq!(plan.timed.len(), 16);
+        check_correct(&built, &a);
+    }
+
+    #[test]
+    fn trivial_single_considers_five_variants() {
+        let a = Validated::new(Arc::new(gen::banded(2_000, 4, 1.0, 5).unwrap())).unwrap();
+        let (plan, built) = search(&a, Policy::TrivialSingle, &MachineModel::host(), 2, 3);
+        check_correct(&built, &a);
+        // The baseline and the five singles; sweeps report no classes.
+        assert_eq!(plan.timed.len(), 6);
+        assert!(plan.classes.is_empty());
     }
 }

@@ -10,9 +10,9 @@
 //! Table "classes to optimizations", and can swap in alternatives
 //! (e.g. SELL-C-σ for the uneven-rows `IMB` case, see
 //! [`OptimizationPool::with_sliced_ell`]) without touching either
-//! classifier. Every path that maps classes to optimizations — the
-//! [`crate::Optimizer`], the menu search's shortlist, `spmvtune` and
-//! the paper experiments — goes through
+//! classifier. Every path that maps classes to optimizations — every
+//! [`crate::menu::Policy`] of the search, `spmvtune` and the paper
+//! experiments — goes through
 //! [`OptimizationPool::to_variant`], so no other copy of the table
 //! exists to drift from it.
 

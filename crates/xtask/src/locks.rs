@@ -1,7 +1,7 @@
 //! Concurrency-effects analysis: the workspace lock-order graph and
 //! policies 13–15.
 //!
-//! Built on the same parse as every other policy: [`parse::extract_locks`]
+//! Built on the same parse as every other policy: [`crate::parse::extract_locks`]
 //! hands each file's raw acquisition sites (`.lock()`, `.read()`,
 //! `.write()`, `Condvar::wait*`, `notify_*`) and this module resolves
 //! each receiver to a *lock identity*, computes how long each bound

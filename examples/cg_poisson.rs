@@ -31,19 +31,18 @@ fn main() {
 
     // Tune SpMV for this matrix on the host.
     let machine = MachineModel::host();
-    let optimizer = Optimizer::feature_guided(&machine);
-    let tuned = optimizer.optimize(&a);
+    let (plan, built) = search(&a, Policy::FeatureGuided, &machine, machine.total_threads(), 3);
     println!(
-        "optimizer: classes {}, optimizations {}, setup {:.2} ms",
-        tuned.classes(),
-        tuned.variant(),
-        tuned.prep_seconds * 1e3
+        "optimizer: classes {}, kernel {}, setup {:.2} ms",
+        plan.classes,
+        plan.spec.id(),
+        plan.search_seconds * 1e3
     );
 
     // Solve with the tuned kernel as the operator.
     let m = Jacobi::new(&a);
     let mut x = vec![0.0; n];
-    let kernel = tuned.kernel();
+    let kernel = &*built.kernel;
     let t0 = Instant::now();
     let stats = cg(&kernel, &b, &mut x, Some(&m), 1e-10, 5_000);
     let t_tuned_solve = t0.elapsed().as_secs_f64();
@@ -71,8 +70,8 @@ fn main() {
     };
     let baseline = spmv_tune::kernels::baseline::CsrKernel::baseline(&a, 1);
     let t_base = time_kernel(&baseline, &mut yv);
-    let t_tuned = time_kernel(tuned.kernel(), &mut yv);
-    match min_iterations(tuned.prep_seconds, t_base, t_tuned) {
+    let t_tuned = time_kernel(kernel, &mut yv);
+    match min_iterations(plan.search_seconds, t_base, t_tuned) {
         Amortization::After(k) => println!(
             "tuning amortizes after {k} solver iterations (this solve used {})",
             stats.iterations

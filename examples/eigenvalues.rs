@@ -23,10 +23,11 @@ fn main() {
     println!("Laplacian on a {nx}x{ny} grid: {} unknowns, {} nonzeros", a.nrows(), a.nnz());
 
     let machine = MachineModel::host();
-    let tuned = Optimizer::feature_guided(&machine).optimize(&a);
-    println!("optimizer: classes {}, optimizations {}", tuned.classes(), tuned.variant());
+    let nthreads = machine.total_threads();
+    let (plan, built) = search(&a, Policy::FeatureGuided, &machine, nthreads, 3);
+    println!("optimizer: classes {}, kernel {}", plan.classes, plan.spec.id());
 
-    let kernel = tuned.kernel();
+    let kernel = &*built.kernel;
     let result = power_method(&kernel, 1e-7, 50_000);
     println!(
         "power method: lambda_max ~= {:.6} after {} iterations (converged: {})",
@@ -41,8 +42,8 @@ fn main() {
         spmv_tune::sparse::gen::powerlaw(100_000, 8, 2.0, 5).expect("valid parameters"),
     ))
     .expect("verified");
-    let tuned_g = Optimizer::feature_guided(&machine).optimize(&g);
-    let kernel_g = tuned_g.kernel();
+    let (_, built_g) = search(&g, Policy::FeatureGuided, &machine, nthreads, 3);
+    let kernel_g = &*built_g.kernel;
     let rg = power_method(&kernel_g, 1e-6, 20_000);
     println!(
         "web graph ({} nodes): spectral radius ~= {:.3} ({} iterations)",

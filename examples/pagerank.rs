@@ -35,8 +35,8 @@ fn main() {
 
     // Tune SpMV for the transition matrix.
     let machine = MachineModel::host();
-    let tuned = Optimizer::feature_guided(&machine).optimize(&pt);
-    println!("optimizer: classes {}, optimizations {}", tuned.classes(), tuned.variant());
+    let (plan, built) = search(&pt, Policy::FeatureGuided, &machine, machine.total_threads(), 3);
+    println!("optimizer: classes {}, kernel {}", plan.classes, plan.spec.id());
 
     // Power iteration.
     let damping = 0.85;
@@ -45,7 +45,7 @@ fn main() {
     let mut next = vec![0.0f64; n];
     let mut iters = 0;
     loop {
-        tuned.kernel().run(&rank, &mut next);
+        built.kernel.run(&rank, &mut next);
         let mut delta = 0.0;
         for v in next.iter_mut() {
             *v = damping * *v + teleport;

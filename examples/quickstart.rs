@@ -1,5 +1,5 @@
 //! Quickstart: generate a sparse matrix, let the adaptive optimizer
-//! pick optimizations for it, and run SpMV through the tuned kernel.
+//! pick a kernel for it, and run SpMV through the tuned kernel.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -25,14 +25,14 @@ fn main() {
     let machine = MachineModel::host();
 
     // The feature-guided optimizer: extracts Table-2 structural
-    // features and maps detected bottlenecks to optimizations.
-    let optimizer = Optimizer::feature_guided(&machine);
-    let tuned = optimizer.optimize(&a);
+    // features, maps detected bottlenecks to optimizations and builds
+    // that kernel for every hardware thread.
+    let (plan, built) = search(&a, Policy::FeatureGuided, &machine, machine.total_threads(), 3);
     println!(
-        "detected bottlenecks: {}  ->  optimizations: {}  (setup {:.2} ms)",
-        tuned.classes(),
-        tuned.variant(),
-        tuned.prep_seconds * 1e3
+        "detected bottlenecks: {}  ->  kernel: {}  (setup {:.2} ms)",
+        plan.classes,
+        plan.spec.id(),
+        plan.search_seconds * 1e3
     );
 
     // Run y = A x through the tuned kernel and the plain baseline.
@@ -42,7 +42,7 @@ fn main() {
     let reps = 20;
     let t0 = Instant::now();
     for _ in 0..reps {
-        tuned.kernel().run(&x, &mut y);
+        built.kernel.run(&x, &mut y);
     }
     let t_tuned = t0.elapsed().as_secs_f64() / reps as f64;
 

@@ -241,7 +241,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     // measured on this host's thread pool (analytic bounds from the
     // selected machine model) pick the shortlist, which is timed.
     let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let (plan, _) = spmv_tune::tuner::menu::search(&a, &machine, nthreads, 3);
+    let (plan, _) = search(&a, Policy::Menu, &machine, nthreads, 3);
     println!("\nmicrokernel menu for {name} ({nthreads} threads):");
     print!("{}", plan.render_text());
     Ok(())
@@ -277,19 +277,19 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     if a.nrows() != a.ncols() {
         return Err("solve requires a square matrix".into());
     }
-    let machine = MachineModel::host();
-    let tuned = Optimizer::feature_guided(&machine).optimize(&a);
+    let nthreads = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+    let (plan, built) = search(&a, Policy::FeatureGuided, &MachineModel::host(), nthreads, 3);
     println!(
-        "{name}: classes {}, optimizations {}, setup {:.1} ms",
-        tuned.classes(),
-        tuned.variant(),
-        tuned.prep_seconds * 1e3
+        "{name}: classes {}, kernel {}, setup {:.1} ms",
+        plan.classes,
+        plan.spec.id(),
+        plan.search_seconds * 1e3
     );
     let n = a.nrows();
     let b = vec![1.0f64; n];
     let mut x = vec![0.0f64; n];
     let m = Jacobi::new(&a);
-    let kernel = tuned.kernel();
+    let kernel = &*built.kernel;
     let solver = option(args, "--solver").unwrap_or("bicgstab");
     let stats = match solver {
         "cg" => cg(&kernel, &b, &mut x, Some(&m), 1e-8, 10_000),

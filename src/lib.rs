@@ -23,7 +23,8 @@
 //!   the Inspector-Executor) as simulator cost models;
 //! * [`tuner`] — the paper's contribution: bottleneck classification
 //!   (profile-guided rules and a CART feature-guided classifier) and
-//!   the end-to-end adaptive optimizer;
+//!   the one tuner, `menu::search`, whose `Policy` picks the paper's
+//!   optimizer or the serving menu search;
 //! * [`solvers`] — CG / BiCGSTAB / GMRES iterative solvers used for
 //!   the amortization study (paper §IV-D).
 //!
@@ -40,14 +41,16 @@
 //! // Pick a platform (here: Knights Landing with flat HBM).
 //! let machine = MachineModel::knl();
 //!
-//! // Let the feature-guided optimizer pick optimizations.
-//! let optimizer = Optimizer::feature_guided(&machine);
-//! let tuned = optimizer.optimize(&a);
+//! // Let the feature-guided optimizer classify the matrix and build
+//! // its treatment for 2 threads (best of 3 reps if it times any).
+//! let (plan, built) = search(&a, Policy::FeatureGuided, &machine, 2, 3);
+//! println!("classes {}, kernel {}", plan.classes, plan.spec.id());
 //!
 //! // Run SpMV through the tuned kernel.
 //! let x = vec![1.0; a.ncols()];
 //! let mut y = vec![0.0; a.nrows()];
-//! tuned.kernel().run(&x, &mut y);
+//! built.kernel.run(&x, &mut y);
+//! # assert_eq!(plan.spec, built.spec);
 //! # assert!(y.iter().all(|v| v.is_finite()));
 //! ```
 
@@ -66,5 +69,5 @@ pub mod prelude {
     pub use spmv_machine::model::MachineModel;
     pub use spmv_sparse::{Coo, Csr, DecomposedCsr, DeltaCsr, FeatureVector, Validated};
     pub use spmv_tuner::class::{Bottleneck, ClassSet};
-    pub use spmv_tuner::optimizer::{Optimizer, TunedSpmv};
+    pub use spmv_tuner::menu::{search, KernelPlan, Policy};
 }

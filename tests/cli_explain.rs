@@ -1,6 +1,7 @@
 //! CLI-level coverage of `spmvtune explain`: the decision-trace
 //! renderer must show the thresholds, the measured ratios, and which
-//! rule fired, and must fail cleanly on bad input.
+//! rule fired, and must fail cleanly on bad input. `spmvtune solve`
+//! must name the kernel it solves with.
 
 use std::process::Command;
 
@@ -81,4 +82,16 @@ fn explain_rejects_unknown_machine() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown machine"), "{err}");
+}
+
+#[test]
+fn solve_names_the_kernel_that_runs() {
+    let out = spmvtune(&["solve", "preset:consph:0.05"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    // The tuning line names the kernel spec that runs, not the
+    // optimizations that were asked for.
+    assert!(text.contains("kernel "), "{text}");
+    assert!(!text.contains("optimizations"), "{text}");
+    assert!(text.contains("converged: true"), "{text}");
 }

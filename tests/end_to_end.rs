@@ -1,5 +1,5 @@
-//! Cross-crate integration: the full optimizer pipeline on real
-//! (host-executed) kernels, for every strategy and archetype.
+//! Cross-crate integration: the full tuning pipeline on real
+//! (host-executed) kernels, for every policy and archetype.
 
 use std::sync::Arc;
 
@@ -38,15 +38,18 @@ fn check(kernel: &dyn spmv_tune::kernels::variant::SpmvKernel, a: &Csr, tag: &st
 #[test]
 fn every_strategy_produces_correct_kernels_on_every_archetype() {
     let machine = MachineModel::host();
-    let optimizers = vec![
-        Optimizer::feature_guided(&machine).with_threads(3),
-        Optimizer::profile_guided(&machine).with_threads(3),
-        Optimizer::trivial_single(&machine).with_threads(2),
+    let policies = [
+        (Policy::FeatureGuided, 3),
+        (Policy::ProfileGuided, 3),
+        (Policy::TrivialSingle, 2),
+        (Policy::Menu, 2),
     ];
     for (name, a) in archetypes() {
-        for opt in &optimizers {
-            let tuned = opt.optimize(&a);
-            check(tuned.kernel(), &a, &format!("{name}/{:?}", opt.strategy()));
+        for (policy, nthreads) in policies {
+            let (plan, built) = search(&a, policy, &machine, nthreads, 3);
+            let tag = format!("{name}/{policy:?}");
+            assert_eq!(plan.spec, built.spec, "{tag}");
+            check(&*built.kernel, &a, &tag);
         }
     }
 }
@@ -55,9 +58,9 @@ fn every_strategy_produces_correct_kernels_on_every_archetype() {
 fn trivial_combined_strategy_correct_on_skewed_matrix() {
     let machine = MachineModel::host();
     let a = Validated::new(Arc::new(gen::circuit(5_000, 3, 0.3, 5, 9).unwrap())).unwrap();
-    let tuned = Optimizer::trivial_combined(&machine).with_threads(2).optimize(&a);
-    check(tuned.kernel(), &a, "trivial-combined/circuit");
-    assert_eq!(tuned.classes(), spmv_tune::tuner::class::ClassSet::EMPTY);
+    let (plan, built) = search(&a, Policy::TrivialCombined, &machine, 2, 3);
+    check(&*built.kernel, &a, "trivial-combined/circuit");
+    assert_eq!(plan.classes, spmv_tune::tuner::class::ClassSet::EMPTY);
 }
 
 #[test]
@@ -66,13 +69,13 @@ fn many_core_model_detects_more_bottlenecks_than_multicore() {
     // KNL (many-core) should contain ML; for a 4-thread host model it
     // should not.
     let a = Validated::new(Arc::new(gen::random_uniform(60_000, 12, 7).unwrap())).unwrap();
-    let knl = Optimizer::feature_guided(&MachineModel::knl());
-    let classes_knl = knl.classify(&a);
+    let classes =
+        |machine: &MachineModel| search(&a, Policy::FeatureGuided, machine, 2, 3).0.classes;
+    let classes_knl = classes(&MachineModel::knl());
     let mut small = MachineModel::host();
     small.cores = 4;
     small.threads_per_core = 1;
-    let host = Optimizer::feature_guided(&small);
-    let classes_host = host.classify(&a);
+    let classes_host = classes(&small);
     use spmv_tune::tuner::class::Bottleneck;
     assert!(classes_knl.contains(Bottleneck::ML), "{classes_knl}");
     assert!(!classes_host.contains(Bottleneck::ML), "{classes_host}");
@@ -82,13 +85,13 @@ fn many_core_model_detects_more_bottlenecks_than_multicore() {
 fn tuned_kernel_plugs_into_solvers() {
     let a = Validated::new(Arc::new(gen::stencil_2d(40, 40).unwrap())).unwrap();
     let machine = MachineModel::host();
-    let tuned = Optimizer::feature_guided(&machine).with_threads(2).optimize(&a);
+    let (_, built) = search(&a, Policy::FeatureGuided, &machine, 2, 3);
     let n = a.nrows();
     let x_true: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
     let mut b = vec![0.0; n];
     a.spmv(&x_true, &mut b);
     let mut x = vec![0.0; n];
-    let kernel = tuned.kernel();
+    let kernel = &*built.kernel;
     let stats = spmv_tune::solvers::cg(&kernel, &b, &mut x, None, 1e-10, 4_000);
     assert!(stats.converged, "residual {}", stats.residual);
     for (u, v) in x.iter().zip(&x_true) {
@@ -104,8 +107,8 @@ fn matrixmarket_roundtrip_feeds_the_optimizer() {
     let b =
         Validated::new(Arc::new(spmv_tune::sparse::mm::read_csr(buf.as_slice()).unwrap())).unwrap();
     assert_eq!(a, **b);
-    let tuned = Optimizer::feature_guided(&MachineModel::host()).with_threads(2).optimize(&b);
-    check(tuned.kernel(), &b, "mm-roundtrip");
+    let (_, built) = search(&b, Policy::FeatureGuided, &MachineModel::host(), 2, 3);
+    check(&*built.kernel, &b, "mm-roundtrip");
 }
 
 #[test]
@@ -115,18 +118,18 @@ fn amortization_accounting_is_consistent() {
     // same matrix (host timings, coarse but ordinal).
     let a = Validated::new(Arc::new(gen::banded(20_000, 16, 0.9, 5).unwrap())).unwrap();
     let machine = MachineModel::host();
-    let feat = Optimizer::feature_guided(&machine).with_threads(2).optimize(&a);
-    let sweep = Optimizer::trivial_combined(&machine).with_threads(2).optimize(&a);
+    let (feat, _) = search(&a, Policy::FeatureGuided, &machine, 2, 3);
+    let (sweep, _) = search(&a, Policy::TrivialCombined, &machine, 2, 3);
     assert!(
-        sweep.prep_seconds > feat.prep_seconds,
+        sweep.search_seconds > feat.search_seconds,
         "sweep {} vs feat {}",
-        sweep.prep_seconds,
-        feat.prep_seconds
+        sweep.search_seconds,
+        feat.search_seconds
     );
     // And the amortization formula orders them accordingly for any
     // fixed gain.
-    let n_feat = min_iterations(feat.prep_seconds, 1e-3, 0.5e-3);
-    let n_sweep = min_iterations(sweep.prep_seconds, 1e-3, 0.5e-3);
+    let n_feat = min_iterations(feat.search_seconds, 1e-3, 0.5e-3);
+    let n_sweep = min_iterations(sweep.search_seconds, 1e-3, 0.5e-3);
     match (n_feat, n_sweep) {
         (Amortization::After(a_), Amortization::After(b_)) => assert!(a_ <= b_),
         other => panic!("unexpected {other:?}"),
